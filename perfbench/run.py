@@ -4,8 +4,9 @@
 
 One client, one process, no worker threads: each command starts when the one
 before it has returned (a closed loop).  With --trace 0 the run prints the
-end-to-end metrics; with --trace 1 it runs every command untraced and then
-traced, compares the two reports, and prints the per-layer metrics.  The last
+end-to-end metrics, every time scaled to a reference host speed by the probe
+in probe.py; with --trace 1 it runs every command untraced and then traced,
+compares the two reports, and prints the per-layer metrics.  The last
 line of standard output is one JSON object; the full record of the run goes to
 .perfbench_out/.  --workload all runs each workload in its own process.
 """
@@ -35,6 +36,7 @@ from time import perf_counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 import checks  # noqa: E402
+import probe  # noqa: E402
 import sweep  # noqa: E402
 import workloads  # noqa: E402
 from tracing import LAYERS, Tracer  # noqa: E402
@@ -42,7 +44,10 @@ from tracing import LAYERS, Tracer  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
+PROBE_FILE = str(Path(__file__).resolve().parent / "probe.py")
 SETUP_REPS = 7
+PROBE_EVERY_S = 0.1  # a command is preceded by a probe when the last is this old
+HOST_WINDOW = 2  # a command's host speed is the median of the probes this near it
 TAIL_BEYOND = 10  # the tail percentile keeps at least this many commands beyond it
 
 END_TO_END = {
@@ -65,7 +70,8 @@ def per_layer_units():
                   "functions.grid_points": "count", "star_tree.boundary_share": "ratio"})
     units.update({name: "ms" for name in sweep.result_names()})
     units.update({"setup.interpreter_s": "s", "setup.import.numpy_s": "s",
-                  "setup.import.graphpsd_s": "s", "trace_overhead": "ratio"})
+                  "setup.import.graphpsd_s": "s", "trace_overhead": "ratio",
+                  "host.spin_ms": "ms", "host.cmd_p50_raw_ms": "ms"})
     return units
 
 
@@ -82,8 +88,28 @@ def fresh_python(*args):
 
 
 def setup_seconds():
-    return statistics.median(fresh_python("-c", "import graphpsd.cli")[0]
-                             for _ in range(SETUP_REPS))
+    """(scaled, raw) median time of a fresh interpreter importing graphpsd.cli.
+    Each import is scaled by the fresh-interpreter probe timed right after it."""
+    raw, scaled = [], []
+    for _ in range(SETUP_REPS):
+        wall = fresh_python("-c", "import graphpsd.cli")[0]
+        raw.append(wall)
+        scaled.append(wall * probe.FRESH_REF_S / fresh_python(PROBE_FILE)[0])
+    return statistics.median(scaled), statistics.median(raw)
+
+
+def spin_ms():
+    t0 = perf_counter()
+    probe.spin()
+    return (perf_counter() - t0) * 1000.0
+
+
+def host_scaled(latencies, probe_of, probes):
+    """Each latency times SPIN_REF_MS over the median of the probes around it:
+    HOST_WINDOW before the command's last probe, HOST_WINDOW + 1 after it."""
+    local = [statistics.median(probes[max(0, p - HOST_WINDOW):p + HOST_WINDOW + 2])
+             for p in range(len(probes) - 1)]
+    return [ms * probe.SPIN_REF_MS / local[p] for ms, p in zip(latencies, probe_of)]
 
 
 def setup_breakdown():
@@ -161,16 +187,22 @@ def run_workload(args):
         raise SystemExit("expected-verdict table is wrong: the wrong-pass polynomial preserves")
     make_rounds = workloads.WORKLOADS[args.workload]
     rounds = make_rounds(np.random.default_rng(args.seed))
-    setup = None if args.trace else setup_seconds()
+    setup, setup_raw = (None, None) if args.trace else setup_seconds()
     tracer = Tracer() if args.trace else None
     for op in next(make_rounds(np.random.default_rng([args.seed, 1]))):  # warm-up, uncounted
+        spin_ms()
         run_command(cli, op.argv)
 
     latencies, traced_ms, digests, failures = [], [], [], []
+    probes, probe_of = [], []  # host probe times; each command's last probe before it
     known = boundary = star_trials = 0
-    start = perf_counter()
+    start = last_probe = perf_counter()
     while perf_counter() - start < args.seconds:
         for op in next(rounds):
+            if not probes or perf_counter() - last_probe >= PROBE_EVERY_S:
+                probes.append(spin_ms())
+                last_probe = perf_counter()
+            probe_of.append(len(probes) - 1)
             code, report, ms, error = run_command(cli, op.argv)
             reason = error if code is None else checks.check(op, code, report)
             dig = digest(report)
@@ -194,10 +226,12 @@ def run_workload(args):
             if report is not None and report["command"] == "star-suite":
                 boundary += report["certificate"]["boundary_skipped"]
                 star_trials += report["trials"]
+    probes.append(spin_ms())  # the last command is bracketed too
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     attempted, failed = len(latencies), len(failures)
-    pct, tail_ms = tail(latencies)
+    scaled = host_scaled(latencies, probe_of, probes)
+    pct, tail_ms = tail(scaled)
     record = {
         "workload": args.workload, "why": workloads.WHY[args.workload],
         "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
@@ -208,12 +242,15 @@ def run_workload(args):
         "digest": hashlib.sha256("".join(digests).encode()).hexdigest(),
         "failures": failures[:20],
         "layer_map": workloads.LAYER_MAP,
+        "host": {"spin_ms_median": statistics.median(probes), "spin_ref_ms": probe.SPIN_REF_MS,
+                 "cmd_p50_raw_ms": statistics.median(latencies),
+                 "cmd_tail_raw_ms": tail(latencies)[1], "setup_raw_s": setup_raw},
     }
     if tracer is None:
         values = {
             "setup_s": setup,
-            "ops_per_s": (attempted - failed) / (sum(latencies) / 1000.0),
-            "cmd_p50_ms": statistics.median(latencies),
+            "ops_per_s": (attempted - failed) / (sum(scaled) / 1000.0),
+            "cmd_p50_ms": statistics.median(scaled),
             "cmd_tail_ms": tail_ms,
             "correct_share": (attempted - failed) / attempted,
             "peak_rss_mb": peak_rss_mb,
@@ -235,6 +272,8 @@ def run_workload(args):
         values.update(results)
         values.update(setup_breakdown())
         values["trace_overhead"] = sum(traced_ms) / sum(latencies)
+        values["host.spin_ms"] = statistics.median(probes)
+        values["host.cmd_p50_raw_ms"] = statistics.median(latencies)
         record["environment"]["trace_overhead"] = values["trace_overhead"]
         units = per_layer_units()
         record.update({"spans": {name: dict(zip(("calls", "busy_s", "self_s"), row))
@@ -257,6 +296,11 @@ def run_workload(args):
     for name, m in metrics.items():
         note = f"  (p{pct:.2f} of {attempted} commands)" if name == "cmd_tail_ms" else ""
         print(f"  {name:48s} {m['value']:14.6g} {m['unit']}{note}")
+    host = record["host"]
+    unscaled_setup = "" if setup_raw is None else f", setup {setup_raw:.4g} s"
+    print(f"  host probe {host['spin_ms_median']:.3f} ms (reference {probe.SPIN_REF_MS} ms); "
+          f"unscaled cmd_p50 {host['cmd_p50_raw_ms']:.4g} ms, "
+          f"cmd_tail {host['cmd_tail_raw_ms']:.4g} ms{unscaled_setup}")
     print(f"  digest {record['digest']}")
     for fail in failures[:5]:
         print(f"  failed: {' '.join(fail['argv'])[:80]} -> {fail['reason']}")

@@ -88,9 +88,10 @@ def small_trees(rng):
 
 def large_trees(rng):
     # Trial sizes are uniform on 2..tree-n and the cost grows as n^2, so with a
-    # few hundred trials per run the median would follow the seed.  Every run
-    # walks the same schedule of trial seeds instead; the seed picks x^a.
-    schedule = itertools.count(0, 3)
+    # few hundred trials per run the median would follow the seed, and the tail
+    # would follow how many commands the run got through.  Every run cycles
+    # through the same 20 trial seeds (four rounds) instead; the seed picks x^a.
+    schedule = itertools.cycle(range(0, 60, 3))
     while True:
         yield _preserver_round(rng, 3, 1000, lambda: str(next(schedule)))
 
