@@ -89,14 +89,18 @@ def _random_tree_trial(f: functions.EntrywiseFunction, n_max: int, range_max: fl
     rng = np.random.default_rng(trial_seed)
     n = int(rng.integers(2, n_max + 1))
     t = graphs.random_tree(n, int(rng.integers(0, 2 ** 31)))
-    a = matrices.random_psd_with_pattern(t, range_max, int(rng.integers(0, 2 ** 31)))
-    fa = matrices.apply_entrywise(f.value, a, t)
-    if star_tree.tree_psd_check(fa, t, tol=tol):
+    plan = graphs.elimination_plan(t)
+    diag, edge = matrices.random_psd_plan_entries(plan, range_max,
+                                                  int(rng.integers(0, 2 ** 31)))
+    # f on the diagonal and the tree edges; roots carry no edge entry
+    fdiag = f.value(diag)
+    fedge = np.where(np.array(plan.parent) >= 0, f.value(edge), 0.0)
+    if star_tree.plan_psd_check(plan, fdiag, fedge, tol=tol):
         return None
     return {
         "tree": graphs.format_graph(t),
-        "matrix": matrices.format_matrix(a),
-        "image": matrices.format_matrix(fa),
+        "matrix": matrices.format_matrix(matrices.dense_from_plan(plan, diag, edge)),
+        "image": matrices.format_matrix(matrices.dense_from_plan(plan, fdiag, fedge)),
     }
 
 
@@ -104,6 +108,8 @@ def cmd_preserver_test(args) -> Report:
     f = functions.parse_function(args.function)
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
+    if args.tree_n < 2:
+        raise UsageError("--tree-n must be >= 2")
     rep = Report("preserver-test", args.seed, args.tol, args.trials, "pass")
     sup = functions.check_superadditive(f, step=args.grid, bound=args.range)
     mid = functions.check_mult_midpoint_convex(f, step=args.grid, bound=args.range)
@@ -114,17 +120,23 @@ def cmd_preserver_test(args) -> Report:
         if cert is not None:
             break
     if cert is None and not grid_ok:
-        # a grid violation pins down a concrete bad matrix: embed the witness
-        # in the open-triangle block B(x+y, x, y)
+        # a grid violation pins down a concrete bad matrix
         bad = sup if not sup.holds else mid
         x, y = bad.witness[:2]
-        tri = constructors.triangle_block(x + y, x, y)
-        t3 = graphs.path_graph(3)
-        perm = np.array([1, 0, 2])  # triangle block center goes to the path center
-        mat = tri[np.ix_(perm, perm)]
-        fm = matrices.apply_entrywise(f.value, mat, t3)
-        if not star_tree.tree_psd_check(fm, t3, tol=args.tol):
-            cert = {"tree": graphs.format_graph(t3),
+        if bad is sup:
+            # superadditivity: the open-triangle block B(x+y, x, y), its
+            # center moved to the center of the 3-vertex path
+            perm = np.array([1, 0, 2])
+            mat = constructors.triangle_block(x + y, x, y)[np.ix_(perm, perm)]
+            t = graphs.path_graph(3)
+        else:
+            # midpoint convexity: the rank-one edge [[x, sqrt(xy)], [sqrt(xy), y]]
+            m = np.sqrt(x * y)
+            mat = np.array([[x, m], [m, y]])
+            t = graphs.path_graph(2)
+        fm = matrices.apply_entrywise(f.value, mat, t)
+        if not star_tree.tree_psd_check(fm, t, tol=args.tol):
+            cert = {"tree": graphs.format_graph(t),
                     "matrix": matrices.format_matrix(mat),
                     "grid_witness": list(bad.witness)}
     if cert is not None:
@@ -168,6 +180,8 @@ def cmd_critical_exponent(args) -> Report:
     t = _parse_graph_spec(args.tree, seed=args.seed)
     if not graphs.is_tree(t):
         raise UsageError("critical-exponent needs a tree spec")
+    if t.n < 2:
+        raise UsageError("critical-exponent needs a tree with at least 2 vertices")
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
     rep = Report("critical-exponent", args.seed, args.tol, args.trials, "pass")
@@ -309,18 +323,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        for flag, value in (("--grid", args.grid), ("--range", args.range)):
+            if not (np.isfinite(value) and value > 0):
+                raise UsageError(f"{flag} must be positive and finite, got {value!r}")
         report = args.func(args)
+        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (UsageError, FunctionError, GraphError, MatrixError,
             witnesses.WitnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except Exception as exc:  # exit 1 means "property failed", never a crash
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.verdict == "pass" else 1
 
 

@@ -221,8 +221,12 @@ def check_psi_nonnegative(
     bound: float = DEFAULT_GRID_BOUND,
 ) -> Verdict:
     """Grid check of psi >= 0 on (0, bound], with relative slack."""
+    if step <= 0:
+        raise FunctionError("grid step must be positive")
     cap = _grid_cap(f, bound)
     count = int(math.floor(cap / step))
+    if count < 1:
+        raise FunctionError("grid is empty for the given step and bound")
     margin = math.inf
     for i in range(1, count + 1):
         x = i * step
@@ -259,8 +263,12 @@ def check_abs_monotonic(
 
     Reports the first violating (n, x, h); scan is by ascending order, then
     ascending grid point, with h fixed at the grid step."""
+    if step <= 0:
+        raise FunctionError("grid step must be positive")
     cap = _grid_cap(f, bound)
     count = int(math.floor(cap / step))
+    if count < 1:
+        raise FunctionError("grid is empty for the given step and bound")
     vals = f.value(np.arange(count + 1) * step)
     margin = math.inf
     for n in range(n_max + 1):

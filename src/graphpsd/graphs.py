@@ -103,9 +103,9 @@ def build_graph(kind: str, n: int, seed: Optional[int] = None) -> Graph:
         return star_graph(n)
     if kind == "complete":
         return complete_graph(n)
-    if kind == "random_tree":
+    if kind in ("random_tree", "tree"):
         if seed is None:
-            raise GraphError("random_tree requires a seed")
+            raise GraphError(f"{kind} requires a seed")
         return random_tree(n, seed)
     raise GraphError(f"unknown graph kind {kind!r}")
 
@@ -140,21 +140,57 @@ def is_tree(g: Graph) -> bool:
     return len(g.edges) == g.n - 1 and is_connected(g)
 
 
+@dataclass(frozen=True)
+class EliminationPlan:
+    """Leaf-first perfect elimination order of a forest.
+
+    order lists every vertex once; parent[v] is the one neighbor of v still
+    present when v is eliminated, or -1 when v is the last vertex of its
+    component (a root).  Each edge of the forest is (v, parent[v]) for exactly
+    one v.
+    """
+
+    order: tuple
+    parent: tuple
+
+
+def elimination_plan(g: Graph) -> EliminationPlan:
+    """Eliminate the smallest remaining vertex of degree <= 1 until none is
+    left; raises GraphError when a cycle stops the walk early."""
+    deg = [0] * g.n
+    nbr_xor = [0] * g.n  # xor of the neighbors still present: the last one, at degree 1
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+        nbr_xor[i] ^= j
+        nbr_xor[j] ^= i
+    heap = [v for v in range(g.n) if deg[v] <= 1]
+    heapq.heapify(heap)
+    removed = [False] * g.n
+    order, parent = [], [-1] * g.n
+    while heap:
+        v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        removed[v] = True
+        order.append(v)
+        if deg[v] == 1:
+            u = nbr_xor[v]
+            parent[v] = u
+            nbr_xor[u] ^= v
+            deg[u] -= 1
+            if deg[u] <= 1:
+                heapq.heappush(heap, u)
+    if len(order) < g.n:
+        raise GraphError("pattern graph is not a forest")
+    return EliminationPlan(tuple(order), tuple(parent))
+
+
 def is_forest(g: Graph) -> bool:
-    # acyclic iff every component has |E| = |V| - 1; check by union-find
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in sorted(g.edges):
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
+    try:
+        elimination_plan(g)
+    except GraphError:
+        return False
     return True
 
 

@@ -9,7 +9,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .graphs import Graph, GraphError, is_forest
+from .graphs import EliminationPlan, Graph, elimination_plan
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -99,76 +99,62 @@ def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Gra
     return out
 
 
-def elimination_order(g: Graph):
-    """Leaf-first perfect elimination order of a forest.
+def random_psd_plan_entries(plan: EliminationPlan, range_max: float, seed: int):
+    """Sparse sampler for PSD matrices with pattern inside the forest of plan.
 
-    Returns (order, parent) where parent[v] is the neighbor of v eliminated
-    after v (or -1 for the last vertex of its component).
-    """
-    if not is_forest(g):
-        raise GraphError("pattern is not a forest")
-    import heapq
-
-    adj = [set(nbrs) for nbrs in g.adjacency()]
-    deg = [len(s) for s in adj]
-    heap = [v for v in range(g.n) if deg[v] <= 1]
-    heapq.heapify(heap)
-    removed = [False] * g.n
-    order, parent = [], [-1] * g.n
-    while heap:
-        v = heapq.heappop(heap)
-        if removed[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not removed[u]:
-                parent[v] = u
-                adj[u].discard(v)
-                deg[u] -= 1
-                if deg[u] <= 1:
-                    heapq.heappush(heap, u)
-    return order, parent
-
-
-def random_psd_pattern_entries(g: Graph, range_max: float, seed: int):
-    """Sparse sampler for PSD matrices with pattern inside a forest g.
-
-    Returns (diag, off) with off keyed by (i, j), i < j.  The matrix is built
-    as L L^T for a lower-triangular L in a leaf-first elimination order, so the
-    pattern needs no projection, then rescaled to keep every entry below
-    range_max.
+    Returns (diag, edge) aligned with the plan: edge[v] is the entry on
+    (v, parent[v]) and 0 at roots.  The matrix is L L^T for a lower-triangular
+    L in the plan's elimination order, so the pattern needs no projection, then
+    rescaled to keep every entry below range_max.
     """
     if range_max <= 0:
         raise MatrixError("range_max must be positive")
-    order, parent = elimination_order(g)
-    rng = np.random.default_rng(seed)
-    diag = np.zeros(g.n)
+    order = np.array(plan.order, dtype=np.intp)
+    parent = np.array(plan.parent, dtype=np.intp)[order]  # parent of order[k]
+    has_parent = parent >= 0
+    # one draw of l_vv per vertex, followed by one of l_uv when v has a parent,
+    # in elimination order: the stream a scalar loop over the plan would use
+    steps = 1 + has_parent
+    at_vv = np.cumsum(steps) - steps
+    draws = np.random.default_rng(seed).random(int(steps.sum()))
+    lvv = 0.3 + (1.5 - 0.3) * draws[at_vv]
+    luv = draws[at_vv[has_parent] + 1]
+    diag = np.zeros(len(order))
+    diag[order] = lvv * lvv
+    # the children's l_uv^2 summed in elimination order, as a scalar loop would
+    diag += np.bincount(parent[has_parent], weights=luv * luv, minlength=len(order))
+    edge = np.zeros(len(order))
+    edge[order[has_parent]] = lvv[has_parent] * luv
+    scale = 0.999 * range_max / max(diag.max(), edge.max())
+    return diag * scale, edge * scale
+
+
+def random_psd_pattern_entries(g: Graph, range_max: float, seed: int):
+    """random_psd_plan_entries for a forest g, with the edge entries as a dict
+    keyed by (i, j), i < j."""
+    plan = elimination_plan(g)
+    diag, edge = random_psd_plan_entries(plan, range_max, seed)
     off: Dict[Tuple[int, int], float] = {}
-    for v in order:
-        lvv = rng.uniform(0.3, 1.5)
-        diag[v] += lvv * lvv
-        u = parent[v]
+    for v in plan.order:
+        u = plan.parent[v]
         if u >= 0:
-            luv = rng.uniform(0.0, 1.0)
-            diag[u] += luv * luv
-            key = (min(u, v), max(u, v))
-            off[key] = off.get(key, 0.0) + lvv * luv
-    peak = max(diag.max(), max(off.values(), default=0.0))
-    scale = 0.999 * range_max / peak
-    diag *= scale
-    for key in off:
-        off[key] *= scale
+            off[(min(u, v), max(u, v))] = float(edge[v])
     return diag, off
+
+
+def dense_from_plan(plan: EliminationPlan, diag: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix with diagonal diag and edge[v] on (v, parent[v])."""
+    a = np.diag(np.asarray(diag, dtype=float))
+    parent = np.array(plan.parent, dtype=np.intp)
+    child = np.nonzero(parent >= 0)[0]
+    a[child, parent[child]] = a[parent[child], child] = np.asarray(edge, dtype=float)[child]
+    return a
 
 
 def random_psd_with_pattern(g: Graph, range_max: float, seed: int) -> np.ndarray:
     """Dense A in the PSD cone of the forest pattern g, entries in [0, range_max)."""
-    diag, off = random_psd_pattern_entries(g, range_max, seed)
-    a = np.diag(diag)
-    for (i, j), val in off.items():
-        a[i, j] = a[j, i] = val
-    return a
+    plan = elimination_plan(g)
+    return dense_from_plan(plan, *random_psd_plan_entries(plan, range_max, seed))
 
 
 def format_matrix(a: np.ndarray) -> str:

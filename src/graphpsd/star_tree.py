@@ -7,14 +7,13 @@ leaf elimination with scalar Schur complements and never touch an eigensolver.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .graphs import Graph, GraphError, is_forest
+from .graphs import EliminationPlan, Graph, elimination_plan
 from .matrices import DEFAULT_PSD_TOL, MatrixError, check_symmetric
 
 
@@ -76,12 +75,6 @@ def star_psd_check(s: StarMatrix) -> StarVerdict:
     return StarVerdict(True, None)
 
 
-def star_slack(s: StarMatrix) -> float:
-    """p1 minus the leaf load; negative slack quantifies the PSD violation."""
-    load = sum(ai * ai / pi for pi, ai in zip(s.p[1:], s.alpha) if pi != 0.0)
-    return s.p[0] - load
-
-
 def star_factor_am(s: StarMatrix, m: int) -> float:
     return s.p[0] ** m - sum(
         ai ** (2 * m) / pi ** m for pi, ai in zip(s.p[1:], s.alpha) if pi != 0.0
@@ -139,6 +132,37 @@ def star_eigenvalues_equal_p(s: StarMatrix) -> list:
     return [p2] * (s.d - 1) + [hi, lo]
 
 
+def plan_psd_check(
+    plan: EliminationPlan,
+    diag: np.ndarray,
+    edge: np.ndarray,
+    tol: float = DEFAULT_PSD_TOL,
+) -> bool:
+    """Leaf-elimination PSD test in O(n) on entries aligned with plan: diagonal
+    diag and edge[v] on (v, parent[v]).
+
+    Each vertex is eliminated by a scalar Schur complement into its parent; a
+    pivot within tol * max(1, max |entry|) of zero counts as zero.
+    """
+    thr = tol * max(1.0, float(np.max(np.abs(diag))), float(np.max(np.abs(edge))))
+    d = np.asarray(diag, dtype=float).tolist()
+    a = np.asarray(edge, dtype=float).tolist()
+    parent = plan.parent
+    for v in plan.order:
+        u = parent[v]
+        if u < 0:
+            if d[v] < -thr:
+                return False
+        elif d[v] > thr:
+            d[u] -= a[v] * a[v] / d[v]
+        elif d[v] >= -thr:
+            if abs(a[v]) > thr:
+                return False
+        else:
+            return False
+    return True
+
+
 def tree_psd_check_sparse(
     t: Graph,
     diag: np.ndarray,
@@ -146,61 +170,40 @@ def tree_psd_check_sparse(
     tol: float = DEFAULT_PSD_TOL,
 ) -> bool:
     """Leaf-elimination PSD test on sparse (diag, off) entries with pattern in
-    the forest t.  Runs in O(n log n) for the leaf heap."""
-    if not is_forest(t):
-        raise GraphError("pattern graph is not a forest")
-    n = t.n
+    the forest t; off is keyed by (i, j), i < j."""
+    plan = elimination_plan(t)
     for (i, j), val in off.items():
         if val != 0.0 and not t.has_edge(i, j):
             raise MatrixError(f"entry {(i, j)} violates the tree pattern")
-    scale = max(1.0, float(np.max(np.abs(diag))) if n else 1.0)
-    if off:
-        scale = max(scale, max(abs(v) for v in off.values()))
-    thr = tol * scale
-
-    d = np.array(diag, dtype=float)
-    adj = [set(nbrs) for nbrs in t.adjacency()]
-    deg = [len(s) for s in adj]
-    heap = [v for v in range(n) if deg[v] <= 1]
-    heapq.heapify(heap)
-    removed = [False] * n
-    while heap:
-        v = heapq.heappop(heap)
-        if removed[v]:
-            continue
-        removed[v] = True
-        if not adj[v]:
-            if d[v] < -thr:
-                return False
-            continue
-        (u,) = adj[v]
-        a_uv = off.get((min(u, v), max(u, v)), 0.0)
-        if d[v] > thr:
-            d[u] -= a_uv * a_uv / d[v]
-        elif d[v] >= -thr:
-            if abs(a_uv) > thr:
-                return False
-        else:
-            return False
-        adj[u].discard(v)
-        deg[u] -= 1
-        if deg[u] <= 1:
-            heapq.heappush(heap, u)
-    return True
+    edge = np.zeros(t.n)
+    for v, u in enumerate(plan.parent):
+        if u >= 0:
+            edge[v] = off.get((min(u, v), max(u, v)), 0.0)
+    return plan_psd_check(plan, diag, edge, tol)
 
 
 def tree_psd_check(a: np.ndarray, t: Graph, tol: float = DEFAULT_PSD_TOL) -> bool:
     """Dense front end for the leaf-elimination PSD test."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if t.n != n:
-        raise MatrixError(f"graph has {t.n} vertices, matrix has {n}")
-    off = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] != 0.0:
-                off[(i, j)] = a[i, j]
-    return tree_psd_check_sparse(t, np.diag(a).copy(), off, tol)
+    if a.shape != (t.n, t.n):
+        raise MatrixError(f"graph has {t.n} vertices, matrix has shape {a.shape}")
+    # the plain comparison is the fast path; NaN entries need the second
+    if not (np.array_equal(a, a.T) or np.array_equal(a, a.T, equal_nan=True)):
+        raise MatrixError("matrix is not exactly symmetric")
+    plan = elimination_plan(t)
+    parent = np.array(plan.parent, dtype=np.intp)
+    rows, cols = np.nonzero(a)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    stray = (parent[rows] != cols) & (parent[cols] != rows)
+    if stray.any():
+        k = int(np.argmax(stray))
+        i, j = sorted((int(rows[k]), int(cols[k])))
+        raise MatrixError(f"entry {(i, j)} violates the tree pattern")
+    child = np.nonzero(parent >= 0)[0]
+    edge = np.zeros(t.n)
+    edge[child] = a[child, parent[child]]
+    return plan_psd_check(plan, np.diag(a), edge, tol)
 
 
 def random_star(d: int, rng: np.random.Generator, low: float = -2.0, high: float = 2.0) -> StarMatrix:

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from graphpsd.cli import main
+from graphpsd.functions import parse_function
+from graphpsd.graphs import parse_graph
+from graphpsd.matrices import apply_entrywise, is_psd, parse_matrix
 
 
 def run(capsys, *argv):
@@ -130,3 +133,30 @@ def test_out_file(tmp_path, capsys):
 
 def test_parse_error_is_usage_error(capsys):
     assert main(["preserver-test", "nonsense"]) == 2
+
+
+def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
+    # superadditive on the grid but not multiplicatively midpoint convex at
+    # (4.34375, 7.96875); random trials miss it, the grid witness must not
+    lit = ("0.8226067272402589*x^2, 0.9171177984138357*x^3, "
+           "-0.4675362118938841*x^4, 0.7430217329347985*x^6")
+    code, rep = run(capsys, "preserver-test", lit, "--trials", "50")
+    assert code == 1 and rep["verdict"] == "fail"
+    cert = rep["certificate"]
+    assert cert["grid_witness"] == [4.34375, 7.96875]
+    t, a = parse_graph(cert["tree"]), parse_matrix(cert["matrix"])
+    assert t.n == 2 and is_psd(a).is_psd
+    assert not is_psd(apply_entrywise(parse_function(lit).value, a, t)).is_psd
+
+
+@pytest.mark.parametrize("argv", [
+    ("preserver-test", "1*x^2", "--tree-n", "1"),
+    ("preserver-test", "1*x^2", "--range", "1e308"),
+    ("preserver-test", "1*x^2", "--grid", "nan"),
+    ("absmon-test", "1*x^2", "--range", "0"),
+    ("absmon-test", "1*x^2", "--grid", "100"),
+])
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,0 +1,237 @@
+"""The elimination plan and the plan-aligned tree check against loop references.
+
+The references below are the dict- and heap-based loops the plan replaced: a
+leaf heap over adjacency sets, a union-find forest test, the scalar sampler
+loop and the dict-based Schur elimination.  The arithmetic is unchanged, so
+plans, samples and verdicts must agree exactly.
+"""
+
+import heapq
+import random
+
+import numpy as np
+import pytest
+
+from graphpsd.graphs import (
+    Graph,
+    GraphError,
+    complete_graph,
+    elimination_plan,
+    is_forest,
+    path_graph,
+    random_tree,
+)
+from graphpsd.matrices import (
+    dense_from_plan,
+    random_psd_pattern_entries,
+    random_psd_plan_entries,
+    random_psd_with_pattern,
+)
+from graphpsd.star_tree import plan_psd_check, tree_psd_check, tree_psd_check_sparse
+
+
+def reference_is_forest(g):
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in sorted(g.edges):
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            return False
+        parent[ri] = rj
+    return True
+
+
+def reference_walk(g):
+    """Smallest-leaf-first elimination over adjacency sets; (order, parent)."""
+    adj = [set(nbrs) for nbrs in g.adjacency()]
+    deg = [len(s) for s in adj]
+    heap = [v for v in range(g.n) if deg[v] <= 1]
+    heapq.heapify(heap)
+    removed = [False] * g.n
+    order, parent = [], [-1] * g.n
+    while heap:
+        v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        removed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not removed[u]:
+                parent[v] = u
+                adj[u].discard(v)
+                deg[u] -= 1
+                if deg[u] <= 1:
+                    heapq.heappush(heap, u)
+    return order, parent
+
+
+def reference_sampler(g, range_max, seed):
+    """Scalar sampler loop: (diag, off) with off keyed by (i, j), i < j."""
+    order, parent = reference_walk(g)
+    rng = np.random.default_rng(seed)
+    diag = np.zeros(g.n)
+    off = {}
+    for v in order:
+        lvv = rng.uniform(0.3, 1.5)
+        diag[v] += lvv * lvv
+        u = parent[v]
+        if u >= 0:
+            luv = rng.uniform(0.0, 1.0)
+            diag[u] += luv * luv
+            key = (min(u, v), max(u, v))
+            off[key] = off.get(key, 0.0) + lvv * luv
+    peak = max(diag.max(), max(off.values(), default=0.0))
+    scale = 0.999 * range_max / peak
+    diag *= scale
+    for key in off:
+        off[key] *= scale
+    return diag, off
+
+
+def reference_tree_check(t, diag, off, tol=1e-9):
+    """Dict-based leaf elimination with scalar Schur complements."""
+    if not reference_is_forest(t):
+        raise GraphError("pattern graph is not a forest")
+    scale = max(1.0, float(np.max(np.abs(diag))))
+    if off:
+        scale = max(scale, max(abs(v) for v in off.values()))
+    thr = tol * scale
+    d = np.array(diag, dtype=float)
+    adj = [set(nbrs) for nbrs in t.adjacency()]
+    deg = [len(s) for s in adj]
+    heap = [v for v in range(t.n) if deg[v] <= 1]
+    heapq.heapify(heap)
+    removed = [False] * t.n
+    while heap:
+        v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        removed[v] = True
+        if not adj[v]:
+            if d[v] < -thr:
+                return False
+            continue
+        (u,) = adj[v]
+        a_uv = off.get((min(u, v), max(u, v)), 0.0)
+        if d[v] > thr:
+            d[u] -= a_uv * a_uv / d[v]
+        elif d[v] >= -thr:
+            if abs(a_uv) > thr:
+                return False
+        else:
+            return False
+        adj[u].discard(v)
+        deg[u] -= 1
+        if deg[u] <= 1:
+            heapq.heappush(heap, u)
+    return True
+
+
+def random_forest(n, seed):
+    """A random tree on n vertices with a random share of its edges dropped."""
+    rng = random.Random(seed)
+    edges = sorted(random_tree(n, seed).edges)
+    return Graph(n, frozenset(e for e in edges if rng.random() < 0.7))
+
+
+def cyclic_graphs():
+    yield complete_graph(3)
+    yield Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)}))  # cycle with tails
+    for seed in range(20):
+        n = 4 + seed
+        t = random_tree(n, seed)
+        extra = next((i, j) for i in range(n) for j in range(i + 1, n) if not t.has_edge(i, j))
+        yield Graph(n, t.edges | {extra})
+
+
+def test_plan_matches_reference_walk_on_trees():
+    for n in range(1, 201):
+        t = random_tree(n, seed=n)
+        plan = elimination_plan(t)
+        assert (list(plan.order), list(plan.parent)) == reference_walk(t)
+
+
+def test_plan_matches_reference_walk_on_forests():
+    for seed in range(100):
+        g = random_forest(1 + seed * 2, seed)
+        plan = elimination_plan(g)
+        assert (list(plan.order), list(plan.parent)) == reference_walk(g)
+        assert is_forest(g) and reference_is_forest(g)
+        # each edge is (v, parent[v]) for exactly one v
+        assert {(min(v, u), max(v, u)) for v, u in enumerate(plan.parent) if u >= 0} \
+            == g.edges
+
+
+def test_plan_rejects_cycles():
+    for g in cyclic_graphs():
+        assert not reference_is_forest(g)
+        with pytest.raises(GraphError):
+            elimination_plan(g)
+        assert not is_forest(g)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sampler_matches_reference_loop(seed):
+    n = 1 + seed * 7
+    g = random_tree(n, seed) if seed % 2 else random_forest(n, seed)
+    ref_diag, ref_off = reference_sampler(g, 0.5 + seed, seed)
+    plan = elimination_plan(g)
+    diag, edge = random_psd_plan_entries(plan, 0.5 + seed, seed)
+    assert np.array_equal(diag, ref_diag)
+    assert {(min(v, u), max(v, u)): edge[v] for v, u in enumerate(plan.parent) if u >= 0} \
+        == ref_off
+    assert all(edge[v] == 0.0 for v, u in enumerate(plan.parent) if u < 0)
+    assert random_psd_pattern_entries(g, 0.5 + seed, seed)[1] == ref_off
+    dense = random_psd_with_pattern(g, 0.5 + seed, seed)
+    assert np.array_equal(dense, dense_from_plan(plan, diag, edge))
+
+
+def _perturbed_samples():
+    """Sampled PSD matrices pushed off and onto the PSD boundary."""
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        g = random_tree(n, seed) if seed % 3 else random_forest(n, seed)
+        diag, off = reference_sampler(g, 3.0, seed)
+        kind = seed % 4
+        if kind == 1:  # lower one pivot, as the acceptance oracle test does
+            i = int(rng.integers(n))
+            diag[i] -= rng.uniform(0.0, 2.0) * max(1.0, diag[i])
+        elif kind == 2:  # a singular 2x2 block on one edge
+            if off:
+                (i, j) = sorted(off)[int(rng.integers(len(off)))]
+                diag[i] = off[(i, j)] ** 2 / diag[j]
+        elif kind == 3:  # an entrywise square root, which trees do not preserve
+            diag = np.sqrt(diag)
+            off = {k: float(np.sqrt(v)) for k, v in off.items()}
+        yield g, diag, off
+
+
+def test_plan_psd_check_matches_reference():
+    verdicts = []
+    for g, diag, off in _perturbed_samples():
+        want = reference_tree_check(g, diag, off)
+        plan = elimination_plan(g)
+        edge = np.zeros(g.n)
+        for v, u in enumerate(plan.parent):
+            if u >= 0:
+                edge[v] = off[(min(u, v), max(u, v))]
+        dense = dense_from_plan(plan, diag, edge)
+        assert plan_psd_check(plan, diag, edge) == want
+        assert tree_psd_check_sparse(g, diag, off) == want
+        assert tree_psd_check(dense, g) == want
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+def test_plan_psd_check_zero_pivot_branches():
+    plan = elimination_plan(path_graph(2))  # order (0, 1), parent (1, -1)
+    assert plan_psd_check(plan, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    assert not plan_psd_check(plan, np.array([0.0, 1.0]), np.array([0.5, 0.0]))
+    assert not plan_psd_check(plan, np.array([1.0, -1.0]), np.array([0.0, 0.0]))

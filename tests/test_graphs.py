@@ -73,6 +73,7 @@ def test_build_graph_dispatch():
     assert build_graph("star", 4) == star_graph(4)
     assert build_graph("complete", 4) == complete_graph(4)
     assert is_tree(build_graph("random_tree", 6, seed=1))
+    assert build_graph("tree", 6, seed=1) == build_graph("random_tree", 6, seed=1)
     with pytest.raises(GraphError):
         build_graph("wheel", 5)
 

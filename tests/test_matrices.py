@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from graphpsd.graphs import Graph, path_graph, star_graph
+from graphpsd.graphs import Graph, elimination_plan, path_graph, star_graph
 from graphpsd.matrices import (
     MatrixError,
     apply_entrywise,
-    elimination_order,
+    dense_from_plan,
     format_matrix,
     hadamard_power,
     is_psd,
@@ -15,6 +15,7 @@ from graphpsd.matrices import (
     pattern_of,
     quadratic_form,
     random_psd_pattern_entries,
+    random_psd_plan_entries,
     random_psd_with_pattern,
     spectral_boundary_band,
 )
@@ -99,17 +100,24 @@ def test_random_psd_single_vertex():
 
 def test_sparse_sampler_matches_dense():
     g = path_graph(6)
-    diag, off = random_psd_pattern_entries(g, 3.0, seed=9)
+    plan = elimination_plan(g)
+    diag, edge = random_psd_plan_entries(plan, 3.0, seed=9)
     dense = random_psd_with_pattern(g, 3.0, seed=9)
-    assert np.allclose(np.diag(dense), diag)
-    for (i, j), v in off.items():
-        assert math.isclose(dense[i, j], v)
+    assert np.array_equal(dense, dense_from_plan(plan, diag, edge))
+    assert np.array_equal(np.diag(dense), diag)
+    for v, u in enumerate(plan.parent):
+        assert dense[v, u] == edge[v] if u >= 0 else edge[v] == 0.0
+    # the dict form carries the same entries
+    diag2, off = random_psd_pattern_entries(g, 3.0, seed=9)
+    assert np.array_equal(diag2, diag)
+    assert off == {(i, j): dense[i, j] for i, j in g.edges}
 
 
 def test_elimination_order_leaves_first():
-    order, parent = elimination_order(path_graph(4))
-    assert sorted(order) == [0, 1, 2, 3]
-    assert parent[order[-1]] == -1
+    plan = elimination_plan(path_graph(4))
+    order, parent = plan.order, plan.parent
+    assert order == (0, 1, 2, 3)
+    assert parent == (1, 2, 3, -1)
     seen = set()
     for v in order[:-1]:
         assert parent[v] >= 0 and parent[v] not in seen

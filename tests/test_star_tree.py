@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpsd.graphs import path_graph, star_graph
-from graphpsd.matrices import hadamard_power, is_psd, spectral_boundary_band
+from graphpsd.matrices import MatrixError, hadamard_power, is_psd, spectral_boundary_band
 from graphpsd.star_tree import (
     StarMatrix,
     random_psd_star,
@@ -105,6 +105,12 @@ def test_tree_psd_rejects_off_pattern():
     a = np.array([[1.0, 0.2, 0.2], [0.2, 1, 0.2], [0.2, 0.2, 1]])
     with pytest.raises(Exception):
         tree_psd_check(a, t)
+    below = np.array([[1.0, 0.2, 0], [0.2, 1, 0.2], [0.2, 0.2, 1]])  # only (2, 0) is off
+    with pytest.raises(MatrixError):
+        tree_psd_check(below, t)
+    skew = np.array([[1.0, 0.2, 0], [0.3, 1, 0.2], [0, 0.2, 1]])
+    with pytest.raises(MatrixError):
+        tree_psd_check(skew, t)
 
 
 def test_tree_sparse_zero_pivot_branch():
