@@ -85,13 +85,21 @@ def _parse_graph_spec(spec: str, seed: int = 0) -> graphs.Graph:
 
 def _random_tree_trial(f: functions.EntrywiseFunction, n_max: int, range_max: float,
                        trial_seed: int, tol: float):
-    """One randomized preservation trial; returns a certificate dict on failure."""
+    """One randomized preservation trial on a fresh random tree of size
+    2..n_max; returns a certificate dict on failure."""
     rng = np.random.default_rng(trial_seed)
     n = int(rng.integers(2, n_max + 1))
     t = graphs.random_tree(n, int(rng.integers(0, 2 ** 31)))
-    plan = graphs.elimination_plan(t)
-    diag, edge = matrices.random_psd_plan_entries(plan, range_max,
-                                                  int(rng.integers(0, 2 ** 31)))
+    return _plan_trial(f, t, graphs.elimination_plan(t), range_max,
+                       int(rng.integers(0, 2 ** 31)), tol)
+
+
+def _plan_trial(f: functions.EntrywiseFunction, t: graphs.Graph,
+                plan: graphs.EliminationPlan, range_max: float, entry_seed: int,
+                tol: float):
+    """One preservation trial on the tree t with elimination plan plan;
+    returns a certificate dict on failure."""
+    diag, edge = matrices.random_psd_plan_entries(plan, range_max, entry_seed)
     # f on the diagonal and the tree edges; roots carry no edge entry
     fdiag = f.value(diag)
     fedge = np.where(np.array(plan.parent) >= 0, f.value(edge), 0.0)
@@ -185,12 +193,13 @@ def cmd_critical_exponent(args) -> Report:
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
     rep = Report("critical-exponent", args.seed, args.tol, args.trials, "pass")
+    plan = graphs.elimination_plan(t)
     for alpha in args.alphas:
         if alpha >= 1.0:
             cert = None
             f = functions.power_function(alpha)
             for i in range(args.trials):
-                cert = _random_tree_trial(f, t.n, args.range, args.seed + i, args.tol)
+                cert = _plan_trial(f, t, plan, args.range, args.seed + i, args.tol)
                 if cert is not None:
                     break
             preserved = cert is None

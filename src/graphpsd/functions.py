@@ -134,6 +134,61 @@ def _grid_cap(f: EntrywiseFunction, bound: float) -> float:
     return min(bound, f.domain_max * (1.0 - 1e-12))
 
 
+def _grid_count(f: EntrywiseFunction, step: float, bound: float, min_count: int) -> int:
+    """Index of the last grid point h * count <= bound (capped below R)."""
+    if step <= 0:
+        raise FunctionError("grid step must be positive")
+    count = int(math.floor(_grid_cap(f, bound) / step))
+    if count < min_count:
+        raise FunctionError("grid is empty for the given step and bound")
+    return count
+
+
+def _grid_values(f: EntrywiseFunction, step: float, bound: float, min_count: int):
+    """The grid {0, h, ..., count * h} and f on it."""
+    xs = np.arange(_grid_count(f, step, bound, min_count) + 1) * step
+    return xs, f.value(xs)
+
+
+# pairs per row block of a triangle scan: big enough that per-block numpy
+# overhead is small, small enough that the temporaries stay in cache
+_BLOCK_PAIRS = 8192
+
+
+def _scan_rows(rows, stops, block):
+    """Scan the pairs (i, j), i in rows and i <= j < stop, in row-major order.
+
+    Every row must be nonempty.  Consecutive whole rows are taken in blocks of
+    at most _BLOCK_PAIRS pairs (a longer row makes a block alone), and
+    block(i, j) maps the flat index arrays of a block to (lhs, bad).  Returns
+    (margin, witness): margin is the least row minimum of lhs over every row
+    up to and including the one holding the first bad pair, and witness is
+    that pair (i, j), or None.  A row whose minimum is NaN leaves the margin
+    as it was, as a row-by-row min() would.
+    """
+    lengths = stops - rows
+    ends = np.cumsum(lengths)
+    margin = math.inf
+    k = 0
+    while k < rows.size:
+        base = int(ends[k] - lengths[k])
+        m = max(k + 1, int(np.searchsorted(ends, base + _BLOCK_PAIRS, side="right")))
+        lens = lengths[k:m]
+        starts = ends[k:m] - lens - base  # each row's offset in the block
+        i = np.repeat(rows[k:m], lens)
+        j = i + (np.arange(int(ends[m - 1]) - base) - np.repeat(starts, lens))
+        lhs, bad = block(i, j)
+        row_min = np.minimum.reduceat(lhs, starts).tolist()
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            h = int(hits[0])
+            margin = min(margin, *row_min[: int(np.searchsorted(starts, h, side="right"))])
+            return margin, (int(i[h]), int(j[h]))
+        margin = min(margin, *row_min)
+        k = m
+    return margin, None
+
+
 def check_superadditive(
     f: EntrywiseFunction,
     step: float = DEFAULT_GRID_STEP,
@@ -143,27 +198,21 @@ def check_superadditive(
 
     The witness, when present, is the lexicographically smallest violating
     pair (x, y)."""
-    if step <= 0:
-        raise FunctionError("grid step must be positive")
-    cap = _grid_cap(f, bound)
-    count = int(math.floor(cap / step))
-    if count < 2:
-        raise FunctionError("grid is empty for the given step and bound")
-    vals = f.value(np.arange(count + 1) * step)
-    margin = math.inf
+    xs, vals = _grid_values(f, step, bound, 2)
+    count = xs.size - 1
+
+    def block(i, j):
+        total = vals[i + j]
+        lhs = total - vals[i] - vals[j]
+        return lhs, lhs < -REL_SLACK * (1.0 + np.abs(total))
+
     # x ascending, then y ascending: the first hit is the lexicographically
     # smallest violating pair
-    for i in range(1, count // 2 + 1):
-        js = np.arange(i, count - i + 1)
-        if js.size == 0:
-            continue
-        lhs = vals[i + js] - vals[i] - vals[js]
-        slack = -REL_SLACK * (1.0 + np.abs(vals[i + js]))
-        margin = min(margin, float(np.min(lhs)))
-        bad = np.nonzero(lhs < slack)[0]
-        if bad.size:
-            return Verdict(False, (i * step, float(js[bad[0]]) * step), margin)
-    return Verdict(True, None, margin)
+    rows = np.arange(1, count // 2 + 1)
+    margin, hit = _scan_rows(rows, count - rows + 1, block)
+    if hit is None:
+        return Verdict(True, None, margin)
+    return Verdict(False, (hit[0] * step, float(hit[1]) * step), margin)
 
 
 def check_mult_midpoint_convex(
@@ -171,25 +220,22 @@ def check_mult_midpoint_convex(
     step: float = DEFAULT_GRID_STEP,
     bound: float = DEFAULT_GRID_BOUND,
 ) -> Verdict:
-    """Grid check of f(sqrt(xy))^2 <= f(x) f(y) on {0, h, 2h, ...} up to bound."""
-    if step <= 0:
-        raise FunctionError("grid step must be positive")
-    cap = _grid_cap(f, bound)
-    count = int(math.floor(cap / step))
-    if count < 1:
-        raise FunctionError("grid is empty for the given step and bound")
-    xs = np.arange(count + 1) * step
-    vals = f.value(xs)
-    margin = math.inf
-    for i in range(count + 1):
-        ys = xs[i:]
-        mids = f.value(np.sqrt(xs[i] * ys))
-        lhs = vals[i] * vals[i:] * (1.0 + REL_SLACK) - mids * mids
-        margin = min(margin, float(np.min(lhs)))
-        bad = np.nonzero(lhs < 0.0)[0]
-        if bad.size:
-            return Verdict(False, (float(xs[i]), float(ys[bad[0]])), margin)
-    return Verdict(True, None, margin)
+    """Grid check of f(sqrt(xy))^2 <= f(x) f(y) on {0, h, 2h, ...} up to bound.
+
+    The witness, when present, is the lexicographically smallest violating
+    pair (x, y) with x <= y."""
+    xs, vals = _grid_values(f, step, bound, 1)
+
+    def block(i, j):
+        mids = f.value(np.sqrt(xs[i] * xs[j]))
+        lhs = vals[i] * vals[j] * (1.0 + REL_SLACK) - mids * mids
+        return lhs, lhs < 0.0
+
+    rows = np.arange(xs.size)
+    margin, hit = _scan_rows(rows, np.full(xs.size, xs.size), block)
+    if hit is None:
+        return Verdict(True, None, margin)
+    return Verdict(False, (float(xs[hit[0]]), float(xs[hit[1]])), margin)
 
 
 def psi(f: EntrywiseFunction, x: float) -> float:
@@ -207,26 +253,13 @@ def psi(f: EntrywiseFunction, x: float) -> float:
     return total
 
 
-def psi_direct(f: EntrywiseFunction, x: float) -> float:
-    """x (f'' f - f'^2) + f f', the defining expression for the indicator."""
-    if x <= 0:
-        raise FunctionError("psi is defined for x > 0")
-    v, d1, d2 = f.value(x), f.deriv(x, 1), f.deriv(x, 2)
-    return x * (d2 * v - d1 * d1) + v * d1
-
-
 def check_psi_nonnegative(
     f: EntrywiseFunction,
     step: float = DEFAULT_GRID_STEP,
     bound: float = DEFAULT_GRID_BOUND,
 ) -> Verdict:
     """Grid check of psi >= 0 on (0, bound], with relative slack."""
-    if step <= 0:
-        raise FunctionError("grid step must be positive")
-    cap = _grid_cap(f, bound)
-    count = int(math.floor(cap / step))
-    if count < 1:
-        raise FunctionError("grid is empty for the given step and bound")
+    count = _grid_count(f, step, bound, 1)
     margin = math.inf
     for i in range(1, count + 1):
         x = i * step
@@ -263,16 +296,10 @@ def check_abs_monotonic(
 
     Reports the first violating (n, x, h); scan is by ascending order, then
     ascending grid point, with h fixed at the grid step."""
-    if step <= 0:
-        raise FunctionError("grid step must be positive")
-    cap = _grid_cap(f, bound)
-    count = int(math.floor(cap / step))
-    if count < 1:
-        raise FunctionError("grid is empty for the given step and bound")
-    vals = f.value(np.arange(count + 1) * step)
+    xs, vals = _grid_values(f, step, bound, 1)
     margin = math.inf
     for n in range(n_max + 1):
-        length = count + 1 - n
+        length = xs.size - n
         if length <= 0:
             break
         diff = np.zeros(length)
@@ -299,9 +326,7 @@ def check_vasudeva_2x2(
     mc = check_mult_midpoint_convex(f, step, bound)
     if not mc.holds:
         return mc
-    cap = _grid_cap(f, bound)
-    xs = np.arange(int(math.floor(cap / step)) + 1) * step
-    vals = f.value(xs)
+    xs, vals = _grid_values(f, step, bound, 1)
     slack = REL_SLACK * (1.0 + np.abs(vals))
     if np.any(vals < -slack):
         i = int(np.nonzero(vals < -slack)[0][0])

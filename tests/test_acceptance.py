@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from graphpsd import cli, constructors, functions, graphs, matrices, star_tree, witnesses
+from test_functions import psi_direct
 
 
 def _report(name, ok):
@@ -160,7 +161,7 @@ def test_05_threshold_contracts():
         coefs[np.abs(coefs) < 1e-3] = 1.0
         f = functions.EntrywiseFunction(tuple(zip(coefs, exps)))
         x = rng.uniform(0.05, 4.0)
-        a, b2 = functions.psi(f, x), functions.psi_direct(f, x)
+        a, b2 = functions.psi(f, x), psi_direct(f, x)
         scale = 1.0 + abs(x * f.deriv(x, 1) ** 2) + abs(f(x) * f.deriv(x, 1))
         if abs(a - b2) > 1e-10 * scale:
             ok = False

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphpsd import graphs
 from graphpsd.cli import main
 from graphpsd.functions import parse_function
 from graphpsd.graphs import parse_graph
@@ -78,6 +79,16 @@ def test_critical_exponent_rows(capsys):
     assert code == 0
     got = {row["alpha"]: row["preserved"] for row in rep["rows"]}
     assert got == {0.5: "no", 0.9: "no", 1.0: "yes", 1.5: "yes"}
+
+
+def test_critical_exponent_tests_the_given_tree(capsys, monkeypatch):
+    def no_random_trees(*args, **kwargs):
+        raise AssertionError("critical-exponent drew a random tree")
+
+    monkeypatch.setattr(graphs, "random_tree", no_random_trees)
+    code, rep = run(capsys, "critical-exponent", "path 5", "1.0", "1.5", "--trials", "30")
+    assert code == 0
+    assert [row["preserved"] for row in rep["rows"]] == ["yes", "yes"]
 
 
 def test_critical_exponent_csv(capsys):

@@ -17,8 +17,17 @@ from graphpsd.functions import (
     parse_function,
     power_function,
     psi,
-    psi_direct,
 )
+
+
+def psi_direct(f, x):
+    """x (f'' f - f'^2) + f f', the defining expression for the indicator
+    that psi expands over exponent pairs: the oracle for psi."""
+    if x <= 0:
+        raise FunctionError("psi is defined for x > 0")
+    v, d1, d2 = f.value(x), f.deriv(x, 1), f.deriv(x, 2)
+    return x * (d2 * v - d1 * d1) + v * d1
+
 
 THEOREM_B_POLY = parse_function("1*x^1, 1*x^2, -0.1*x^3, 1*x^4, 1*x^5")
 

@@ -1,0 +1,179 @@
+"""The row-block grid scans against the row-by-row scans they replaced.
+
+The references below are the loops that evaluated one grid row at a time.
+The block scans use the same elementwise expressions in the same operand
+order, so every Verdict (holds, witness and margin) must be equal, not close.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphpsd.constructors import build_tree_preserver_poly
+from graphpsd.functions import (
+    REL_SLACK,
+    EntrywiseFunction,
+    FunctionError,
+    Verdict,
+    _BLOCK_PAIRS,
+    _grid_cap,
+    check_mult_midpoint_convex,
+    check_superadditive,
+    parse_function,
+    power_function,
+)
+
+
+def reference_superadditive(f, step, bound):
+    if step <= 0:
+        raise FunctionError("grid step must be positive")
+    cap = _grid_cap(f, bound)
+    count = int(math.floor(cap / step))
+    if count < 2:
+        raise FunctionError("grid is empty for the given step and bound")
+    vals = f.value(np.arange(count + 1) * step)
+    margin = math.inf
+    for i in range(1, count // 2 + 1):
+        js = np.arange(i, count - i + 1)
+        if js.size == 0:
+            continue
+        lhs = vals[i + js] - vals[i] - vals[js]
+        slack = -REL_SLACK * (1.0 + np.abs(vals[i + js]))
+        margin = min(margin, float(np.min(lhs)))
+        bad = np.nonzero(lhs < slack)[0]
+        if bad.size:
+            return Verdict(False, (i * step, float(js[bad[0]]) * step), margin)
+    return Verdict(True, None, margin)
+
+
+def reference_mult_midpoint_convex(f, step, bound):
+    if step <= 0:
+        raise FunctionError("grid step must be positive")
+    cap = _grid_cap(f, bound)
+    count = int(math.floor(cap / step))
+    if count < 1:
+        raise FunctionError("grid is empty for the given step and bound")
+    xs = np.arange(count + 1) * step
+    vals = f.value(xs)
+    margin = math.inf
+    for i in range(count + 1):
+        ys = xs[i:]
+        mids = f.value(np.sqrt(xs[i] * ys))
+        lhs = vals[i] * vals[i:] * (1.0 + REL_SLACK) - mids * mids
+        margin = min(margin, float(np.min(lhs)))
+        bad = np.nonzero(lhs < 0.0)[0]
+        if bad.size:
+            return Verdict(False, (float(xs[i]), float(ys[bad[0]])), margin)
+    return Verdict(True, None, margin)
+
+
+SCANS = [(check_superadditive, reference_superadditive),
+         (check_mult_midpoint_convex, reference_mult_midpoint_convex)]
+GRIDS = [(1.0 / 64.0, 8.0), (0.05, 4.0), (0.01, 8.0)]
+
+# superadditive on row 1 but not at (0.34375, 0.875), row 22 of the default
+# grid, which lies in the second block
+LATE_SUPERADDITIVE = "1.313*x^2, -0.941*x^4, 0.255*x^6"
+# the multiplicative-midpoint-convexity witness of this one is (4.34375,
+# 7.96875) on the default grid, row 278
+WRONG_PASS = ("0.8226067272402589*x^2, 0.9171177984138357*x^3, "
+              "-0.4675362118938841*x^4, 0.7430217329347985*x^6")
+
+FIXED = [build_tree_preserver_poly(n) for n in (1, 2, 3)] + [
+    parse_function(lit) for lit in (
+        WRONG_PASS,
+        LATE_SUPERADDITIVE,
+        "1*x^0.5",  # the equality case of midpoint convexity
+        "1*x^1, -0.9*x^2, 1*x^3",
+        "1*x^2, -1*x^1",
+        "1*x^1, 1*x^2, -0.1*x^3, 1*x^4, 1*x^5",
+        "2*x^0, 1*x^1",
+        "1*x^400",  # overflows to inf on the grid: NaN rows in both scans
+    )
+] + [EntrywiseFunction(((1.0, 0.5), (-0.2, 2.0)), domain_max=2.0)]
+
+
+def assert_same(scan, reference, f, step, bound):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = scan(f, step, bound), reference(f, step, bound)
+    assert got == want, (f.literal(), step, bound)
+    assert repr(got) == repr(want)
+    return got
+
+
+@pytest.mark.parametrize("scan,reference", SCANS)
+@pytest.mark.parametrize("step,bound", GRIDS)
+@pytest.mark.parametrize("f", FIXED, ids=lambda f: f.literal()[:40])
+def test_fixed_functions_match_reference(scan, reference, f, step, bound):
+    assert_same(scan, reference, f, step, bound)
+
+
+def first_row_pairs(row, count, scan):
+    """Pairs scanned before the given row of the triangle."""
+    if scan is check_superadditive:
+        return sum(count - 2 * i + 1 for i in range(1, row))
+    return sum(count + 1 - i for i in range(row))
+
+
+@pytest.mark.parametrize("scan,reference,lit", [
+    (check_superadditive, reference_superadditive, LATE_SUPERADDITIVE),
+    (check_mult_midpoint_convex, reference_mult_midpoint_convex, WRONG_PASS),
+])
+def test_first_violation_past_the_first_block(scan, reference, lit):
+    got = assert_same(scan, reference, parse_function(lit), 1.0 / 64.0, 8.0)
+    assert not got.holds
+    row = round(got.witness[0] * 64)
+    assert first_row_pairs(row, 512, scan) > _BLOCK_PAIRS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-3, 3).filter(lambda c: abs(c) > 1e-3),
+            st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0]),
+        ),
+        min_size=1,
+        max_size=5,
+        unique_by=lambda t: t[1],
+    ),
+    st.sampled_from(GRIDS[:2]),
+)
+def test_power_sums_match_reference(terms, grid):
+    f = EntrywiseFunction(tuple(terms))
+    for scan, reference in SCANS:
+        assert_same(scan, reference, f, *grid)
+
+
+@pytest.mark.parametrize("scan,reference", SCANS)
+@pytest.mark.parametrize("step,bound", [(0.0, 8.0), (-0.1, 8.0), (1.0, 0.5)])
+def test_empty_grid_raises(scan, reference, step, bound):
+    f = power_function(2)
+    for fn in (scan, reference):
+        with pytest.raises(FunctionError):
+            fn(f, step, bound)
+
+
+def test_two_point_grid_superadditive_only_rejects():
+    # one grid step: midpoint convexity has the pairs (0, 0), (0, h), (h, h),
+    # superadditivity has no pair with x + y <= bound
+    f = power_function(2)
+    with pytest.raises(FunctionError):
+        check_superadditive(f, 1.0, 1.5)
+    assert_same(check_mult_midpoint_convex, reference_mult_midpoint_convex, f, 1.0, 1.5)
+
+
+def test_midpoint_scan_memory_is_one_block():
+    # 2049 grid points, 2.1 M pairs: one float64 temporary over the whole
+    # triangle would take about 17 MB
+    tracemalloc.start()
+    try:
+        verdict = check_mult_midpoint_convex(power_function(2), step=1.0 / 256.0, bound=8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert peak < 2 * 1024 * 1024
