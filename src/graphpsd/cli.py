@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -254,10 +255,11 @@ def cmd_star_suite(args) -> Report:
         else:
             s = star_tree.random_psd_star(d, rng)
         dense = s.to_dense()
-        if matrices.spectral_boundary_band(dense, tol=args.tol):
+        spectral = matrices.is_psd(dense, tol=args.tol)
+        if spectral.boundary:
             boundary += 1
             continue
-        oracle = matrices.is_psd(dense, tol=args.tol).is_psd
+        oracle = spectral.is_psd
         claim = star_tree.star_psd_check(s).is_psd
         if claim != oracle:
             rep.verdict = "fail"
@@ -274,68 +276,78 @@ def cmd_star_suite(args) -> Report:
     return rep
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs far more
+    than a parse."""
     parser = argparse.ArgumentParser(
         prog="graphpsd",
         description="Entrywise positivity preservers on graph-patterned matrices",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, *knobs):
+        """The flags every subcommand reads, plus those of knobs it reads."""
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--grid", type=float, default=DEFAULT_GRID_STEP)
-        p.add_argument("--range", type=float, default=DEFAULT_GRID_BOUND)
+        if "trials" in knobs:
+            p.add_argument("--trials", type=int, default=1000)
+        if "grid" in knobs:
+            p.add_argument("--grid", type=float, default=DEFAULT_GRID_STEP)
+        if "range" in knobs:
+            p.add_argument("--range", type=float, default=DEFAULT_GRID_BOUND)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("preserver-test", help="grid + random-tree preserver suite")
     p.add_argument("function", help='power-sum literal, e.g. "1*x^1, 1*x^2"')
     p.add_argument("--tree-n", type=int, default=12)
-    common(p)
-    p.set_defaults(func=cmd_preserver_test)
+    common(p, "trials", "grid", "range")
 
     p = sub.add_parser("absmon-test", help="forward-difference absolute monotonicity")
     p.add_argument("function")
     p.add_argument("--n-max", type=int, default=6)
-    common(p)
-    p.set_defaults(func=cmd_absmon_test)
+    common(p, "grid", "range")
 
     p = sub.add_parser("witness", help="order bounds and witness sets for a graph")
     p.add_argument("graph", help='graph spec "kind n", e.g. "star 6"')
     common(p)
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("critical-exponent", help="entrywise powers on a tree pattern")
     p.add_argument("tree", help='tree spec "kind n"')
     p.add_argument("alphas", type=float, nargs="+")
-    common(p)
-    p.set_defaults(func=cmd_critical_exponent)
+    common(p, "trials", "range")
 
     p = sub.add_parser("construct", help="threshold reports and preserver polynomials")
     p.add_argument("kind", choices=("poly", "entire", "thresholds"))
     p.add_argument("-n", type=int, default=1, help="negative count / block count")
     p.add_argument("params", type=float, nargs="*")
     common(p)
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("star-suite", help="criterion-vs-oracle and kernel stability")
-    common(p)
-    p.set_defaults(func=cmd_star_suite)
+    common(p, "trials")
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so that a rebound cmd_* name is the one that runs
+    handler = {
+        "preserver-test": cmd_preserver_test,
+        "absmon-test": cmd_absmon_test,
+        "witness": cmd_witness,
+        "critical-exponent": cmd_critical_exponent,
+        "construct": cmd_construct,
+        "star-suite": cmd_star_suite,
+    }[args.subcommand]
     start = time.perf_counter()
     try:
-        for flag, value in (("--grid", args.grid), ("--range", args.range)):
-            if not (np.isfinite(value) and value > 0):
-                raise UsageError(f"{flag} must be positive and finite, got {value!r}")
-        report = args.func(args)
+        for flag in ("grid", "range"):
+            value = vars(args).get(flag)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise UsageError(f"--{flag} must be positive and finite, got {value!r}")
+        report = handler(args)
         report.elapsed_ms = (time.perf_counter() - start) * 1000.0
         text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
         if args.out:

@@ -75,21 +75,14 @@ def mult_convexity_threshold(
 def build_tree_preserver_poly(n_neg: int) -> EntrywiseFunction:
     """Polynomial with exactly n_neg negative interior coefficients that is
     superadditive and multiplicatively midpoint-convex but not absolutely
-    monotonic.
+    monotonic: block n_neg of the entire-function construction at r_n = 1.
 
     Exponents are 1, 2 (positive), 3..n_neg+2 (negative), n_neg+3, n_neg+4
     (positive).  Each negative coefficient gets half the tighter of the two
     budgets, split evenly over the middle block."""
     if n_neg < 1:
         raise FunctionError("need at least one negative coefficient")
-    lo, hi = 2.0, float(n_neg + 3)
-    nu = superadditivity_threshold(lo, hi, 1.0, 1.0).threshold
-    lam = mult_convexity_threshold(1.0, lo, hi, hi + 1.0, 1.0, 1.0, 1.0, 1.0).threshold
-    c_mid = -0.5 * min(nu, lam) / n_neg
-    terms = [(1.0, 1.0), (1.0, 2.0)]
-    terms += [(c_mid, float(k)) for k in range(3, n_neg + 3)]
-    terms += [(1.0, hi), (1.0, hi + 1.0)]
-    return EntrywiseFunction(tuple(terms))
+    return EntrywiseFunction(tuple(_entire_block_terms(n_neg, 1)))
 
 
 def _entire_block_terms(n: int, r_n: int):
@@ -184,21 +177,3 @@ def fractional_power_counterexample(t: Graph, alpha: float, range_max: float) ->
     a[i, j] = a[j, i] = c
     a[i, k] = a[k, i] = c
     return a
-
-
-def thresholding_counterexample(g: Graph, a: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, A restricted to the pattern of g) for A = a * all-ones.
-
-    A is PSD; the restriction contains a principal open-triangle block with
-    determinant -a^3 < 0, so truncating to a non-complete connected pattern
-    breaks positivity."""
-    if a <= 0:
-        raise MatrixError("need a > 0")
-    if find_open_triangle(g) is None:
-        raise GraphError("every component of the graph is complete; no counterexample")
-    full = a * np.ones((g.n, g.n))
-    masked = np.zeros_like(full)
-    np.fill_diagonal(masked, a)
-    for i, j in g.edges:
-        masked[i, j] = masked[j, i] = a
-    return full, masked

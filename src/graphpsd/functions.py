@@ -1,6 +1,6 @@
 """Finite power sums sum_i c_i x^{e_i} on [0, R) and the testable predicates
-used on them: superadditivity, multiplicative midpoint convexity, absolute
-monotonicity via forward differences, and the 2x2 preservation conditions.
+used on them: superadditivity, multiplicative midpoint convexity and absolute
+monotonicity via forward differences.
 
 Grid checks are falsification tools: "holds" means no violation was found at
 the given resolution.  All inequality checks carry a 1e-12 relative slack so
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -238,54 +238,6 @@ def check_mult_midpoint_convex(
     return Verdict(False, (float(xs[hit[0]]), float(xs[hit[1]])), margin)
 
 
-def psi(f: EntrywiseFunction, x: float) -> float:
-    """Multiplicative-convexity indicator via the unordered-pair expansion:
-    sum over exponent pairs e < e' of c c' (e - e')^2 x^{e + e' - 1}."""
-    if x <= 0:
-        raise FunctionError("psi is defined for x > 0")
-    total = 0.0
-    terms = f.terms
-    for i in range(len(terms)):
-        ci, ei = terms[i]
-        for j in range(i + 1, len(terms)):
-            cj, ej = terms[j]
-            total += ci * cj * (ei - ej) ** 2 * x ** (ei + ej - 1.0)
-    return total
-
-
-def check_psi_nonnegative(
-    f: EntrywiseFunction,
-    step: float = DEFAULT_GRID_STEP,
-    bound: float = DEFAULT_GRID_BOUND,
-) -> Verdict:
-    """Grid check of psi >= 0 on (0, bound], with relative slack."""
-    count = _grid_count(f, step, bound, 1)
-    margin = math.inf
-    for i in range(1, count + 1):
-        x = i * step
-        val = psi(f, x)
-        scale = sum(
-            abs(c1 * c2) * (e1 - e2) ** 2 * x ** (e1 + e2 - 1.0)
-            for k1, (c1, e1) in enumerate(f.terms)
-            for c2, e2 in f.terms[k1 + 1:]
-        )
-        margin = min(margin, val)
-        if val < -REL_SLACK * (1.0 + scale):
-            return Verdict(False, (x,), margin)
-    return Verdict(True, None, margin)
-
-
-def forward_difference(f: EntrywiseFunction, x: float, h: float, n: int) -> float:
-    """n-th forward difference with step h at x."""
-    if h <= 0:
-        raise FunctionError("step must be positive")
-    if x < 0 or x + n * h >= f.domain_max:
-        raise DomainError("forward difference leaves the function domain")
-    return float(
-        sum((-1) ** i * math.comb(n, i) * f.value(x + (n - i) * h) for i in range(n + 1))
-    )
-
-
 def check_abs_monotonic(
     f: EntrywiseFunction,
     n_max: int,
@@ -314,26 +266,3 @@ def check_abs_monotonic(
         if bad.size:
             return Verdict(False, (n, float(bad[0] * step), step), margin)
     return Verdict(True, None, margin)
-
-
-def check_vasudeva_2x2(
-    f: EntrywiseFunction,
-    step: float = DEFAULT_GRID_STEP,
-    bound: float = DEFAULT_GRID_BOUND,
-) -> Verdict:
-    """2x2 preservation on [0, bound]: midpoint convexity plus monotone
-    nonnegativity (the |f(x)| <= f(y) condition on a nonnegative interval)."""
-    mc = check_mult_midpoint_convex(f, step, bound)
-    if not mc.holds:
-        return mc
-    xs, vals = _grid_values(f, step, bound, 1)
-    slack = REL_SLACK * (1.0 + np.abs(vals))
-    if np.any(vals < -slack):
-        i = int(np.nonzero(vals < -slack)[0][0])
-        return Verdict(False, (float(xs[i]),), float(vals[i]))
-    steps = vals[1:] - vals[:-1]
-    bad = np.nonzero(steps < -REL_SLACK * (1.0 + np.abs(vals[1:])))[0]
-    if bad.size:
-        i = int(bad[0])
-        return Verdict(False, (float(xs[i]), float(xs[i + 1])), float(steps[i]))
-    return Verdict(True, None, min(mc.margin, float(np.min(steps)) if steps.size else math.inf))

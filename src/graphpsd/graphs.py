@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class GraphError(ValueError):
@@ -184,14 +184,6 @@ def elimination_plan(g: Graph) -> EliminationPlan:
     if len(order) < g.n:
         raise GraphError("pattern graph is not a forest")
     return EliminationPlan(tuple(order), tuple(parent))
-
-
-def is_forest(g: Graph) -> bool:
-    try:
-        elimination_plan(g)
-    except GraphError:
-        return False
-    return True
 
 
 def find_open_triangle(g: Graph):

@@ -23,6 +23,7 @@ class PsdVerdict:
     is_psd: bool
     min_eigenvalue: float
     tolerance_used: float
+    boundary: bool  # lambda_min within the tolerance band around zero
 
 
 def check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -34,14 +35,6 @@ def check_symmetric(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise MatrixError("matrix has non-finite entries")
     return a
-
-
-def pattern_of(a: np.ndarray) -> Graph:
-    """Graph with edge (i, j), i != j, wherever the entry is nonzero (exact)."""
-    a = check_symmetric(a)
-    n = a.shape[0]
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if a[i, j] != 0.0}
-    return Graph(n, frozenset(edges))
 
 
 def hadamard_power(a: np.ndarray, exponent: float) -> np.ndarray:
@@ -67,22 +60,18 @@ def quadratic_form(a: np.ndarray, beta: np.ndarray) -> float:
 
 
 def is_psd(a: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
-    """Spectral PSD oracle: PSD iff lambda_min >= -tol * max(1, spectral radius)."""
+    """Spectral PSD oracle: PSD iff lambda_min >= -tol * max(1, spectral radius).
+
+    boundary is set when |lambda_min| <= tol * max(1, |lambda_max|), the band
+    around zero where floating-point verdicts are allowed to disagree."""
     if tol <= 0:
         raise MatrixError("tolerance must be positive")
     a = check_symmetric(a)
     eigs = np.linalg.eigvalsh(a)
     lam_min = float(eigs[0])
     radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return PsdVerdict(lam_min >= -tol * max(1.0, radius), lam_min, tol)
-
-
-def spectral_boundary_band(a: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True when lambda_min sits within the tolerance band around zero, where
-    floating-point verdicts are allowed to disagree."""
-    eigs = np.linalg.eigvalsh(np.asarray(a, dtype=float))
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    return abs(lam_min) <= tol * max(1.0, abs(lam_max))
+    boundary = abs(lam_min) <= tol * max(1.0, abs(float(eigs[-1])))
+    return PsdVerdict(lam_min >= -tol * max(1.0, radius), lam_min, tol, boundary)
 
 
 def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Graph) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .graphs import EliminationPlan, Graph, elimination_plan
-from .matrices import DEFAULT_PSD_TOL, MatrixError, check_symmetric
+from .matrices import DEFAULT_PSD_TOL, MatrixError
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,6 @@ class StarMatrix:
         a[1:, 0] = self.alpha
         return a
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "StarMatrix":
-        a = check_symmetric(a)
-        n = a.shape[0]
-        body = a[1:, 1:].copy()
-        np.fill_diagonal(body, 0.0)
-        if np.any(body != 0.0):
-            raise MatrixError("matrix is not star-patterned with center 0")
-        return cls(tuple(np.diag(a)), tuple(a[0, 1:]))
-
 
 @dataclass(frozen=True)
 class StarVerdict:
@@ -75,39 +65,6 @@ def star_psd_check(s: StarMatrix) -> StarVerdict:
     return StarVerdict(True, None)
 
 
-def star_factor_am(s: StarMatrix, m: int) -> float:
-    return s.p[0] ** m - sum(
-        ai ** (2 * m) / pi ** m for pi, ai in zip(s.p[1:], s.alpha) if pi != 0.0
-    )
-
-
-def star_factor(s: StarMatrix, m: int) -> np.ndarray:
-    """Upper-triangular L_m with L_m L_m^T equal to the m-th Hadamard power.
-
-    The column for a leaf with p_i = 0 is zero by convention.
-    """
-    if m < 1:
-        raise MatrixError("m must be a positive integer")
-    verdict = star_psd_check(s)
-    if not verdict.is_psd:
-        raise MatrixError(f"star matrix is not PSD (condition {verdict.failed_condition})")
-    am = star_factor_am(s, m)
-    if am < 0:
-        # roundoff can drive the exact-arithmetic a_m slightly negative
-        if am > -1e-12 * max(1.0, abs(s.p[0]) ** m):
-            am = 0.0
-        else:
-            raise MatrixError(f"factorization undefined: a_{m} = {am} < 0")
-    n = s.d + 1
-    lm = np.zeros((n, n))
-    lm[0, 0] = math.sqrt(am)
-    for i, (pi, ai) in enumerate(zip(s.p[1:], s.alpha), start=1):
-        if pi != 0.0:
-            lm[0, i] = ai ** m * pi ** (-m / 2.0)
-            lm[i, i] = pi ** (m / 2.0)
-    return lm
-
-
 def star_det(s: StarMatrix) -> float:
     """prod p_i  -  sum_i alpha_i^2 * prod of the other leaf diagonals."""
     total = math.prod(s.p)
@@ -115,21 +72,6 @@ def star_det(s: StarMatrix) -> float:
         rest = math.prod(pj for j, pj in enumerate(s.p[1:]) if j != i)
         total -= ai * ai * rest
     return total
-
-
-def star_eigenvalues_equal_p(s: StarMatrix) -> list:
-    """Eigenvalues when all leaf diagonals are equal: p2 repeated d-1 times plus
-    the two roots of the rank-two perturbation."""
-    if s.d < 1:
-        raise MatrixError("need at least one leaf")
-    p2 = s.p[1]
-    if any(pi != p2 for pi in s.p[1:]):
-        raise MatrixError("leaf diagonals must be exactly equal")
-    p1 = s.p[0]
-    disc = math.sqrt((p1 - p2) ** 2 + 4.0 * sum(ai * ai for ai in s.alpha))
-    hi = (p1 + p2 + disc) / 2.0
-    lo = (p1 + p2 - disc) / 2.0
-    return [p2] * (s.d - 1) + [hi, lo]
 
 
 def plan_psd_check(
@@ -206,15 +148,15 @@ def tree_psd_check(a: np.ndarray, t: Graph, tol: float = DEFAULT_PSD_TOL) -> boo
     return plan_psd_check(plan, np.diag(a), edge, tol)
 
 
-def random_star(d: int, rng: np.random.Generator, low: float = -2.0, high: float = 2.0) -> StarMatrix:
-    """Star matrix with i.i.d. uniform entries (not necessarily PSD)."""
-    return StarMatrix(tuple(rng.uniform(low, high, d + 1)), tuple(rng.uniform(low, high, d)))
+def random_star(d: int, rng: np.random.Generator) -> StarMatrix:
+    """Star matrix with i.i.d. uniform entries on [-2, 2) (not necessarily PSD)."""
+    return StarMatrix(tuple(rng.uniform(-2.0, 2.0, d + 1)), tuple(rng.uniform(-2.0, 2.0, d)))
 
 
-def random_psd_star(d: int, rng: np.random.Generator, boundary_prob: float = 0.3) -> StarMatrix:
-    """PSD star sample; with probability boundary_prob the center diagonal sits
-    exactly at the leaf load, which is where nontrivial kernels live.  Some
-    draws also force alpha_i = p_i on a leaf to populate the joint kernel."""
+def random_psd_star(d: int, rng: np.random.Generator) -> StarMatrix:
+    """PSD star sample; with probability 0.3 the center diagonal sits exactly
+    at the leaf load, which is where nontrivial kernels live.  Some draws also
+    force alpha_i = p_i on a leaf to populate the joint kernel."""
     p_leaf = rng.uniform(0.1, 2.0, d)
     alpha = rng.uniform(-1.0, 1.0, d) * np.sqrt(p_leaf)
     if d >= 1 and rng.uniform() < 0.3:
@@ -223,7 +165,7 @@ def random_psd_star(d: int, rng: np.random.Generator, boundary_prob: float = 0.3
     # accumulate exactly like star_psd_check so boundary draws land on the
     # criterion's notion of equality, not one ulp below it
     load = sum(ai * ai / pi for pi, ai in zip(p_leaf, alpha) if pi != 0.0)
-    if rng.uniform() < boundary_prob:
+    if rng.uniform() < 0.3:
         p1 = load
     else:
         p1 = load * (1.0 + rng.uniform(0.0, 1.0)) + rng.uniform(0.0, 0.5)

@@ -24,7 +24,6 @@ from .matrices import (
     check_symmetric,
     format_matrix,
     hadamard_power,
-    is_psd,
     quadratic_form,
 )
 from .star_tree import StarMatrix, star_psd_check
@@ -65,11 +64,8 @@ class WitnessSet:
         }
         return json.dumps(payload, indent=2)
 
-    def recertify(self, tol: float = KERNEL_TOL) -> bool:
-        return all(
-            nk_membership(self.matrix, np.asarray(w.beta), w.k, tol=tol)
-            for w in self.witnesses
-        )
+    def recertify(self) -> bool:
+        return all(nk_membership(self.matrix, np.asarray(w.beta), w.k) for w in self.witnesses)
 
 
 def nk_residuals(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]:
@@ -92,73 +88,29 @@ def nk_residuals(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]
     return resid, margin
 
 
-def nk_membership(
-    a: np.ndarray,
-    beta: np.ndarray,
-    k: int,
-    tol: float = KERNEL_TOL,
-    pos_tol: float = POSITIVITY_TOL,
-) -> bool:
-    """True iff beta kills the quadratic forms of A^(0)..A^(k-1) within tol and
-    is strictly positive on A^(k).  k = 0 tests positivity on the support
-    matrix only.  The positivity cutoff is deliberately two decades looser
-    than the kernel tolerance."""
+def _certify(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[bool, float, float]:
+    """(certified, kernel residual, positivity margin): certified iff beta
+    kills the quadratic forms of A^(0)..A^(k-1) within KERNEL_TOL and is
+    strictly positive on A^(k), past POSITIVITY_TOL.  The positivity cutoff is
+    deliberately two decades looser than the kernel tolerance; a zero beta
+    has margin 0 and is never certified."""
+    resid, margin = nk_residuals(a, beta, k)
+    return resid <= KERNEL_TOL and margin > POSITIVITY_TOL, resid, margin
+
+
+def nk_membership(a: np.ndarray, beta: np.ndarray, k: int) -> bool:
+    """True iff beta is an order-k witness for A.  k = 0 tests positivity on
+    the support matrix only."""
     if k < 0:
         raise WitnessError("order must be nonnegative")
-    beta = np.asarray(beta, dtype=float)
-    nrm2 = float(beta @ beta)
-    if nrm2 == 0.0:
-        return False
-    resid, margin = nk_residuals(a, beta, k)
-    return resid <= tol and margin > pos_tol
-
-
-def eta_bound(a: np.ndarray) -> int:
-    """Number of distinct nonzero entries of A.  No order-k witness exists for
-    k >= eta(A): the power vectors of the distinct entries already span the
-    constraint space."""
-    a = check_symmetric(a)
-    vals = a[np.triu_indices_from(a)]
-    return int(np.unique(vals[vals != 0.0]).size)
-
-
-def witness_search(
-    a: np.ndarray, k: int, trials: int = 1000, seed: int = 0
-) -> Optional[np.ndarray]:
-    """Randomized search for an order-k witness; None when nothing is found.
-    A None result is evidence, not proof."""
-    rng = np.random.default_rng(seed)
-    a = check_symmetric(a)
-    # Project random draws onto the joint kernel of the lower powers before
-    # certifying, otherwise random vectors never meet the 1e-10 residual bar.
-    stack = np.vstack([hadamard_power(a, m) for m in range(k)]) if k else None
-    basis = None
-    if stack is not None:
-        _, s, vt = np.linalg.svd(stack)
-        cutoff = 1e-12 * max(1.0, s[0]) if s.size else 0.0
-        null_rows = vt[np.sum(s > cutoff):]
-        if null_rows.size == 0:
-            return None
-        basis = null_rows
-    for _ in range(trials):
-        beta = rng.standard_normal(a.shape[0])
-        if basis is not None:
-            beta = basis.T @ (basis @ beta)
-        if np.linalg.norm(beta) < 1e-12:
-            continue
-        if nk_membership(a, beta, k):
-            return beta
-    return None
+    return _certify(a, beta, k)[0]
 
 
 def _orthonormalize(vectors: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Modified Gram-Schmidt with a second pass; drops dependent vectors."""
     basis: List[np.ndarray] = []
     for v in vectors:
-        w = np.array(v, dtype=float)
-        for _ in range(2):
-            for u in basis:
-                w -= (u @ w) * u
+        w = _project_perp(v, basis)
         nrm = np.linalg.norm(w)
         if nrm > 1e-12 * max(1.0, float(np.linalg.norm(v))):
             basis.append(w / nrm)
@@ -174,9 +126,8 @@ def _project_perp(v: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _certified_record(a: np.ndarray, beta: np.ndarray, k: int) -> WitnessRecord:
-    resid, margin = nk_residuals(a, beta, k)
-    nrm2 = float(beta @ beta)
-    if not (nrm2 > 0 and resid <= KERNEL_TOL and margin > POSITIVITY_TOL):
+    ok, resid, margin = _certify(a, beta, k)
+    if not ok:
         raise WitnessError(
             f"order-{k} witness failed certification "
             f"(residual {resid:.3e}, margin {margin:.3e})"
@@ -314,31 +265,11 @@ def k_lower_bound(g: Graph) -> KBoundReport:
     return KBoundReport(max(2, delta), n + len(g.edges), tuple(sets))
 
 
-def pattern_psd_check(a: np.ndarray) -> bool:
-    """True iff the support matrix of A is a direct sum of an identity block
-    and a zero block (up to permutation): every row is all-zero or exactly the
-    standard basis vector.  Such supports are exactly the PSD ones among
-    diagonal-dominant-free 0/1 patterns; the structural verdict is cross-checked
-    against the spectral oracle."""
-    a = check_symmetric(a)
-    s = hadamard_power(a, 0)
-    ok = True
-    for i in range(s.shape[0]):
-        row = s[i].copy()
-        diag = row[i]
-        row[i] = 0.0
-        if np.any(row != 0.0) or diag not in (0.0, 1.0):
-            ok = False
-            break
-    if ok:
-        assert is_psd(s).is_psd
-    return ok
-
-
-def star_kernel_stability(s: StarMatrix, m_max: int, tol: float = 1e-9) -> bool:
+def star_kernel_stability(s: StarMatrix, m_max: int) -> bool:
     """For a PSD star matrix, every vector in ker Q_A intersected with
     ker Q_{A^(2)} also kills Q_{A^(m)} for all higher m; verified numerically
-    for m = 3..m_max on an SVD null-space basis of the stacked powers."""
+    for m = 3..m_max on an SVD null-space basis of the stacked powers, to
+    1e-9 relative to max(1, ||A^(m)||_F)."""
     if not star_psd_check(s).is_psd:
         raise MatrixError("kernel stability is only claimed for PSD stars")
     a = s.to_dense()
@@ -350,7 +281,7 @@ def star_kernel_stability(s: StarMatrix, m_max: int, tol: float = 1e-9) -> bool:
         for m in range(3, m_max + 1):
             am = hadamard_power(a, m)
             scale = max(1.0, float(np.linalg.norm(am)))
-            if abs(quadratic_form(am, beta)) > tol * scale:
+            if abs(quadratic_form(am, beta)) > 1e-9 * scale:
                 return False
     return True
 

@@ -1,0 +1,181 @@
+"""Closed forms and searches that no program path uses, kept as test oracles.
+
+Each one checks a library result against an independent formula from the
+paper or an exhaustive search: psi and its grid check against the budgets of
+the constructors, forward differences against absolute monotonicity, the star
+factorization and equal-leaf eigenvalues against the dense matrix, eta and the
+randomized witness search against the witness constructions, and the
+thresholding counterexample against the open-triangle search.
+"""
+
+import math
+
+import numpy as np
+
+from graphpsd.functions import (
+    DEFAULT_GRID_BOUND,
+    DEFAULT_GRID_STEP,
+    REL_SLACK,
+    DomainError,
+    FunctionError,
+    Verdict,
+    _grid_count,
+)
+from graphpsd.graphs import Graph, GraphError, find_open_triangle
+from graphpsd.matrices import MatrixError, check_symmetric, hadamard_power
+from graphpsd.star_tree import star_psd_check
+from graphpsd.witnesses import nk_membership
+
+
+def psi(f, x):
+    """Multiplicative-convexity indicator via the unordered-pair expansion:
+    sum over exponent pairs e < e' of c c' (e - e')^2 x^{e + e' - 1}."""
+    if x <= 0:
+        raise FunctionError("psi is defined for x > 0")
+    total = 0.0
+    terms = f.terms
+    for i in range(len(terms)):
+        ci, ei = terms[i]
+        for j in range(i + 1, len(terms)):
+            cj, ej = terms[j]
+            total += ci * cj * (ei - ej) ** 2 * x ** (ei + ej - 1.0)
+    return total
+
+
+def check_psi_nonnegative(f, step=DEFAULT_GRID_STEP, bound=DEFAULT_GRID_BOUND):
+    """Grid check of psi >= 0 on (0, bound], with relative slack."""
+    count = _grid_count(f, step, bound, 1)
+    margin = math.inf
+    for i in range(1, count + 1):
+        x = i * step
+        val = psi(f, x)
+        scale = sum(
+            abs(c1 * c2) * (e1 - e2) ** 2 * x ** (e1 + e2 - 1.0)
+            for k1, (c1, e1) in enumerate(f.terms)
+            for c2, e2 in f.terms[k1 + 1:]
+        )
+        margin = min(margin, val)
+        if val < -REL_SLACK * (1.0 + scale):
+            return Verdict(False, (x,), margin)
+    return Verdict(True, None, margin)
+
+
+def forward_difference(f, x, h, n):
+    """n-th forward difference with step h at x."""
+    if h <= 0:
+        raise FunctionError("step must be positive")
+    if x < 0 or x + n * h >= f.domain_max:
+        raise DomainError("forward difference leaves the function domain")
+    return float(
+        sum((-1) ** i * math.comb(n, i) * f.value(x + (n - i) * h) for i in range(n + 1))
+    )
+
+
+def pattern_of(a):
+    """Graph with edge (i, j), i != j, wherever the entry is nonzero (exact)."""
+    a = check_symmetric(a)
+    n = a.shape[0]
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if a[i, j] != 0.0}
+    return Graph(n, frozenset(edges))
+
+
+def star_factor_am(s, m):
+    return s.p[0] ** m - sum(
+        ai ** (2 * m) / pi ** m for pi, ai in zip(s.p[1:], s.alpha) if pi != 0.0
+    )
+
+
+def star_factor(s, m):
+    """Upper-triangular L_m with L_m L_m^T equal to the m-th Hadamard power.
+
+    The column for a leaf with p_i = 0 is zero by convention.
+    """
+    if m < 1:
+        raise MatrixError("m must be a positive integer")
+    verdict = star_psd_check(s)
+    if not verdict.is_psd:
+        raise MatrixError(f"star matrix is not PSD (condition {verdict.failed_condition})")
+    am = star_factor_am(s, m)
+    if am < 0:
+        # roundoff can drive the exact-arithmetic a_m slightly negative
+        if am > -1e-12 * max(1.0, abs(s.p[0]) ** m):
+            am = 0.0
+        else:
+            raise MatrixError(f"factorization undefined: a_{m} = {am} < 0")
+    n = s.d + 1
+    lm = np.zeros((n, n))
+    lm[0, 0] = math.sqrt(am)
+    for i, (pi, ai) in enumerate(zip(s.p[1:], s.alpha), start=1):
+        if pi != 0.0:
+            lm[0, i] = ai ** m * pi ** (-m / 2.0)
+            lm[i, i] = pi ** (m / 2.0)
+    return lm
+
+
+def star_eigenvalues_equal_p(s):
+    """Eigenvalues when all leaf diagonals are equal: p2 repeated d-1 times plus
+    the two roots of the rank-two perturbation."""
+    if s.d < 1:
+        raise MatrixError("need at least one leaf")
+    p2 = s.p[1]
+    if any(pi != p2 for pi in s.p[1:]):
+        raise MatrixError("leaf diagonals must be exactly equal")
+    p1 = s.p[0]
+    disc = math.sqrt((p1 - p2) ** 2 + 4.0 * sum(ai * ai for ai in s.alpha))
+    hi = (p1 + p2 + disc) / 2.0
+    lo = (p1 + p2 - disc) / 2.0
+    return [p2] * (s.d - 1) + [hi, lo]
+
+
+def eta_bound(a):
+    """Number of distinct nonzero entries of A.  No order-k witness exists for
+    k >= eta(A): the power vectors of the distinct entries already span the
+    constraint space."""
+    a = check_symmetric(a)
+    vals = a[np.triu_indices_from(a)]
+    return int(np.unique(vals[vals != 0.0]).size)
+
+
+def witness_search(a, k, trials=1000, seed=0):
+    """Randomized search for an order-k witness; None when nothing is found.
+    A None result is evidence, not proof."""
+    rng = np.random.default_rng(seed)
+    a = check_symmetric(a)
+    # Project random draws onto the joint kernel of the lower powers before
+    # certifying, otherwise random vectors never meet the 1e-10 residual bar.
+    stack = np.vstack([hadamard_power(a, m) for m in range(k)]) if k else None
+    basis = None
+    if stack is not None:
+        _, s, vt = np.linalg.svd(stack)
+        cutoff = 1e-12 * max(1.0, s[0]) if s.size else 0.0
+        null_rows = vt[np.sum(s > cutoff):]
+        if null_rows.size == 0:
+            return None
+        basis = null_rows
+    for _ in range(trials):
+        beta = rng.standard_normal(a.shape[0])
+        if basis is not None:
+            beta = basis.T @ (basis @ beta)
+        if np.linalg.norm(beta) < 1e-12:
+            continue
+        if nk_membership(a, beta, k):
+            return beta
+    return None
+
+
+def thresholding_counterexample(g, a):
+    """(A, A restricted to the pattern of g) for A = a * all-ones.
+
+    A is PSD; the restriction contains a principal open-triangle block with
+    determinant -a^3 < 0, so truncating to a non-complete connected pattern
+    breaks positivity."""
+    if a <= 0:
+        raise MatrixError("need a > 0")
+    if find_open_triangle(g) is None:
+        raise GraphError("every component of the graph is complete; no counterexample")
+    full = a * np.ones((g.n, g.n))
+    masked = np.zeros_like(full)
+    np.fill_diagonal(masked, a)
+    for i, j in g.edges:
+        masked[i, j] = masked[j, i] = a
+    return full, masked

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from graphpsd import graphs
+from graphpsd import cli, graphs
 from graphpsd.cli import main
 from graphpsd.functions import parse_function
 from graphpsd.graphs import parse_graph
@@ -166,8 +166,24 @@ def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
     ("preserver-test", "1*x^2", "--grid", "nan"),
     ("absmon-test", "1*x^2", "--range", "0"),
     ("absmon-test", "1*x^2", "--grid", "100"),
+    ("star-suite", "--tol", "0"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
+    # the parser is built once per process; the handler must still be looked
+    # up by name on each call, so a rebound cmd_* function is the one that runs
+    run(capsys, "witness", "star 4")
+    seen = []
+
+    def fake(args):
+        seen.append(args.graph)
+        return cli.Report("witness", args.seed, args.tol, 1, "pass")
+
+    monkeypatch.setattr(cli, "cmd_witness", fake)
+    code, rep = run(capsys, "witness", "star 4")
+    assert code == 0 and seen == ["star 4"] and rep["certificate"] is None

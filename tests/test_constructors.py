@@ -11,15 +11,12 @@ from graphpsd.constructors import (
     max_entire_blocks,
     mult_convexity_threshold,
     superadditivity_threshold,
-    thresholding_counterexample,
     triangle_block,
 )
 from graphpsd.functions import (
-    forward_difference,
     FunctionError,
     check_abs_monotonic,
     check_mult_midpoint_convex,
-    check_psi_nonnegative,
     check_superadditive,
     EntrywiseFunction,
 )
@@ -31,8 +28,14 @@ from graphpsd.graphs import (
     random_tree,
     star_graph,
 )
-from graphpsd.matrices import MatrixError, apply_entrywise, is_psd, pattern_of
+from graphpsd.matrices import MatrixError, apply_entrywise, is_psd
 from graphpsd.star_tree import tree_psd_check
+from oracles import (
+    check_psi_nonnegative,
+    forward_difference,
+    pattern_of,
+    thresholding_counterexample,
+)
 
 
 def test_superadditivity_threshold_values():

@@ -17,7 +17,6 @@ from graphpsd.graphs import (
     GraphError,
     complete_graph,
     elimination_plan,
-    is_forest,
     path_graph,
     random_tree,
 )
@@ -162,7 +161,7 @@ def test_plan_matches_reference_walk_on_forests():
         g = random_forest(1 + seed * 2, seed)
         plan = elimination_plan(g)
         assert (list(plan.order), list(plan.parent)) == reference_walk(g)
-        assert is_forest(g) and reference_is_forest(g)
+        assert reference_is_forest(g)
         # each edge is (v, parent[v]) for exactly one v
         assert {(min(v, u), max(v, u)) for v, u in enumerate(plan.parent) if u >= 0} \
             == g.edges
@@ -173,7 +172,6 @@ def test_plan_rejects_cycles():
         assert not reference_is_forest(g)
         with pytest.raises(GraphError):
             elimination_plan(g)
-        assert not is_forest(g)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -10,14 +10,11 @@ from graphpsd.functions import (
     FunctionError,
     check_abs_monotonic,
     check_mult_midpoint_convex,
-    check_psi_nonnegative,
     check_superadditive,
-    check_vasudeva_2x2,
-    forward_difference,
     parse_function,
     power_function,
-    psi,
 )
+from oracles import check_psi_nonnegative, forward_difference, psi
 
 
 def psi_direct(f, x):
@@ -162,10 +159,3 @@ def test_abs_monotonic_power_3_2_fails():
     v = check_abs_monotonic(power_function(1.5), n_max=4)
     assert not v.holds
     assert v.witness[0] == 3
-
-
-def test_vasudeva():
-    assert check_vasudeva_2x2(power_function(2)).holds
-    v = check_vasudeva_2x2(parse_function("1*x^2, -1*x^3"), bound=2.0)
-    assert not v.holds
-    assert check_vasudeva_2x2(parse_function("1*x^0")).holds

