@@ -90,16 +90,14 @@ def _random_tree_trial(f: functions.EntrywiseFunction, n_max: int, range_max: fl
     2..n_max; returns a certificate dict on failure."""
     rng = np.random.default_rng(trial_seed)
     n = int(rng.integers(2, n_max + 1))
-    t = graphs.random_tree(n, int(rng.integers(0, 2 ** 31)))
-    return _plan_trial(f, t, graphs.elimination_plan(t), range_max,
-                       int(rng.integers(0, 2 ** 31)), tol)
+    plan = graphs.random_tree_plan(n, int(rng.integers(0, 2 ** 31)))
+    return _plan_trial(f, plan, range_max, int(rng.integers(0, 2 ** 31)), tol)
 
 
-def _plan_trial(f: functions.EntrywiseFunction, t: graphs.Graph,
-                plan: graphs.EliminationPlan, range_max: float, entry_seed: int,
-                tol: float):
-    """One preservation trial on the tree t with elimination plan plan;
-    returns a certificate dict on failure."""
+def _plan_trial(f: functions.EntrywiseFunction, plan: graphs.EliminationPlan,
+                range_max: float, entry_seed: int, tol: float):
+    """One preservation trial on the tree with elimination plan plan; returns
+    a certificate dict on failure."""
     diag, edge = matrices.random_psd_plan_entries(plan, range_max, entry_seed)
     # f on the diagonal and the tree edges; roots carry no edge entry
     fdiag = f.value(diag)
@@ -107,7 +105,7 @@ def _plan_trial(f: functions.EntrywiseFunction, t: graphs.Graph,
     if star_tree.plan_psd_check(plan, fdiag, fedge, tol=tol):
         return None
     return {
-        "tree": graphs.format_graph(t),
+        "tree": graphs.format_graph(plan.graph()),
         "matrix": matrices.format_matrix(matrices.dense_from_plan(plan, diag, edge)),
         "image": matrices.format_matrix(matrices.dense_from_plan(plan, fdiag, fedge)),
     }
@@ -187,20 +185,23 @@ def cmd_witness(args) -> Report:
 
 def cmd_critical_exponent(args) -> Report:
     t = _parse_graph_spec(args.tree, seed=args.seed)
-    if not graphs.is_tree(t):
+    try:
+        plan = graphs.elimination_plan(t)
+    except GraphError:
+        plan = None
+    if plan is None or plan.parent.count(-1) != 1:  # a tree is a forest with one root
         raise UsageError("critical-exponent needs a tree spec")
     if t.n < 2:
         raise UsageError("critical-exponent needs a tree with at least 2 vertices")
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
     rep = Report("critical-exponent", args.seed, args.tol, args.trials, "pass")
-    plan = graphs.elimination_plan(t)
     for alpha in args.alphas:
         if alpha >= 1.0:
             cert = None
             f = functions.power_function(alpha)
             for i in range(args.trials):
-                cert = _plan_trial(f, t, plan, args.range, args.seed + i, args.tol)
+                cert = _plan_trial(f, plan, args.range, args.seed + i, args.tol)
                 if cert is not None:
                     break
             preserved = cert is None
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *knobs):
         """The flags every subcommand reads, plus those of knobs it reads."""
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
         if "trials" in knobs:
             p.add_argument("--trials", type=int, default=1000)
         if "grid" in knobs:
@@ -343,7 +344,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }[args.subcommand]
     start = time.perf_counter()
     try:
-        for flag in ("grid", "range"):
+        for flag in ("grid", "range", "tol"):
             value = vars(args).get(flag)
             if value is not None and not (np.isfinite(value) and value > 0):
                 raise UsageError(f"--{flag} must be positive and finite, got {value!r}")

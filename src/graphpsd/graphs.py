@@ -64,34 +64,7 @@ def complete_graph(n: int) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniformly random labeled tree on n vertices via a random Pruefer sequence."""
-    if n < 1:
-        raise GraphError("tree needs at least one vertex")
-    if n == 1:
-        return Graph(1)
-    if n == 2:
-        return Graph(2, frozenset({(0, 1)}))
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return Graph(n, frozenset(_prufer_edges(seq, n)))
-
-
-def _prufer_edges(seq, n):
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return edges
+    return random_tree_plan(n, seed).graph()
 
 
 def build_graph(kind: str, n: int, seed: Optional[int] = None) -> Graph:
@@ -110,34 +83,15 @@ def build_graph(kind: str, n: int, seed: Optional[int] = None) -> Graph:
     raise GraphError(f"unknown graph kind {kind!r}")
 
 
-def max_degree(g: Graph) -> int:
-    deg = [0] * g.n
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    return max(deg) if deg else 0
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    adj = g.adjacency()
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
-
-
 def is_tree(g: Graph) -> bool:
-    return len(g.edges) == g.n - 1 and is_connected(g)
+    """n - 1 edges and no cycle: such a forest has exactly one component."""
+    if len(g.edges) != g.n - 1:
+        return False
+    try:
+        elimination_plan(g)
+    except GraphError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -152,6 +106,11 @@ class EliminationPlan:
 
     order: tuple
     parent: tuple
+
+    def graph(self) -> Graph:
+        """The forest the plan eliminates: the edges (v, parent[v])."""
+        edges = ((min(v, u), max(v, u)) for v, u in enumerate(self.parent) if u >= 0)
+        return Graph(len(self.parent), frozenset(edges))
 
 
 def elimination_plan(g: Graph) -> EliminationPlan:
@@ -183,6 +142,38 @@ def elimination_plan(g: Graph) -> EliminationPlan:
                 heapq.heappush(heap, u)
     if len(order) < g.n:
         raise GraphError("pattern graph is not a forest")
+    return EliminationPlan(tuple(order), tuple(parent))
+
+
+def random_tree_plan(n: int, seed: int) -> EliminationPlan:
+    """Elimination plan of the uniformly random labeled tree random_tree(n, seed).
+
+    Decodes a random Pruefer sequence: each step removes the smallest leaf,
+    elimination_plan's rule, and joins it to the next sequence entry, its
+    parent.  The last two leaves u < v end the order with parent[u] = v.
+    """
+    if n < 1:
+        raise GraphError("tree needs at least one vertex")
+    if n == 1:
+        return EliminationPlan((0,), (-1,))
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    order, parent = [], [-1] * n
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        order.append(leaf)
+        parent[leaf] = x
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u, v = sorted(leaves)
+    order += (u, v)
+    parent[u] = v
     return EliminationPlan(tuple(order), tuple(parent))
 
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .functions import DomainError, EntrywiseFunction
-from .graphs import Graph, GraphError, max_degree
+from .graphs import Graph, GraphError
 from .matrices import (
     MatrixError,
     check_symmetric,
@@ -254,10 +254,11 @@ def k_lower_bound(g: Graph) -> KBoundReport:
         beta = np.zeros(n)
         beta[u], beta[v] = 1.0, -1.0
         sets.append(WitnessSet(a, (_certified_record(a, beta, j),)))
-    delta = max_degree(g)
+    adj = g.adjacency()
+    center = max(range(n), key=lambda w: len(adj[w]))  # the first of maximum degree
+    leaves = adj[center]  # sorted ascending
+    delta = len(leaves)
     if delta >= 2:
-        center = max(range(n), key=lambda w: sum(1 for e in g.edges if w in e))
-        leaves = sorted(w for e in g.edges if center in e for w in e if w != center)
         al = [2.0 * delta + 1.0] + [float(i) for i in range(1, delta + 1)]
         sets.append(
             star_witnesses(delta, al, n, vertices=[center] + leaves)

@@ -167,6 +167,13 @@ def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
     ("absmon-test", "1*x^2", "--range", "0"),
     ("absmon-test", "1*x^2", "--grid", "100"),
     ("star-suite", "--tol", "0"),
+    ("preserver-test", "1*x^2, -1*x^1", "--tol", "inf"),
+    ("star-suite", "--tol", "inf"),
+    ("critical-exponent", "path 5", "0.5", "--tol", "inf"),
+    ("preserver-test", "1*x^2", "--tol", "nan"),
+    ("witness", "star 4", "--tol", "nan"),
+    ("absmon-test", "1*x^2", "--tol", "-1"),
+    ("construct", "poly", "--tol", "-1"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(list(argv)) == 2

@@ -1,32 +1,67 @@
 """The elimination plan and the plan-aligned tree check against loop references.
 
 The references below are the dict- and heap-based loops the plan replaced: a
-leaf heap over adjacency sets, a union-find forest test, the scalar sampler
-loop and the dict-based Schur elimination.  The arithmetic is unchanged, so
-plans, samples and verdicts must agree exactly.
+Pruefer decoder to an edge list, a leaf heap over adjacency sets, a union-find
+forest test, the scalar sampler loop and the dict-based Schur elimination.
+The arithmetic is unchanged, so trees, plans, samples and verdicts must agree
+exactly.
 """
 
 import heapq
+import json
 import random
 
 import numpy as np
 import pytest
 
+from graphpsd import cli, graphs
 from graphpsd.graphs import (
+    EliminationPlan,
     Graph,
     GraphError,
     complete_graph,
     elimination_plan,
     path_graph,
     random_tree,
+    random_tree_plan,
 )
 from graphpsd.matrices import (
     dense_from_plan,
+    parse_matrix,
     random_psd_pattern_entries,
     random_psd_plan_entries,
     random_psd_with_pattern,
 )
 from graphpsd.star_tree import plan_psd_check, tree_psd_check, tree_psd_check_sparse
+
+
+def reference_prufer_edges(seq, n):
+    """Pruefer decode to an edge list, smallest leaf first."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((min(u, v), max(u, v)))
+    return edges
+
+
+def reference_random_tree_edges(n, seed):
+    """The edges of a random tree as drawn and decoded edge by edge."""
+    if n == 1:
+        return frozenset()
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return frozenset(reference_prufer_edges(seq, n))
 
 
 def reference_is_forest(g):
@@ -149,6 +184,35 @@ def cyclic_graphs():
         yield Graph(n, t.edges | {extra})
 
 
+TREE_SEEDS = range(8)
+
+
+def test_random_tree_matches_reference_decode():
+    for n in range(1, 201):
+        for seed in TREE_SEEDS:
+            assert random_tree(n, seed).edges == reference_random_tree_edges(n, seed)
+
+
+def test_random_tree_plan_is_the_plan_of_the_tree():
+    for n in range(1, 201):
+        for seed in TREE_SEEDS:
+            assert random_tree_plan(n, seed) == elimination_plan(random_tree(n, seed))
+
+
+def test_random_tree_plan_small_cases():
+    assert random_tree_plan(1, 5) == EliminationPlan((0,), (-1,))
+    assert random_tree_plan(2, 5) == EliminationPlan((0, 1), (1, -1))
+    with pytest.raises(GraphError):
+        random_tree_plan(0, 5)
+
+
+def test_plan_graph_round_trips_on_forests():
+    for seed in range(100):
+        g = random_forest(1 + seed * 2, seed)
+        assert elimination_plan(g).graph() == g
+    assert elimination_plan(Graph(3)).graph() == Graph(3)
+
+
 def test_plan_matches_reference_walk_on_trees():
     for n in range(1, 201):
         t = random_tree(n, seed=n)
@@ -233,3 +297,42 @@ def test_plan_psd_check_zero_pivot_branches():
     assert plan_psd_check(plan, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     assert not plan_psd_check(plan, np.array([0.0, 1.0]), np.array([0.5, 0.0]))
     assert not plan_psd_check(plan, np.array([1.0, -1.0]), np.array([0.0, 0.0]))
+
+
+def test_preserver_trials_walk_each_tree_once(capsys, monkeypatch):
+    # a passing trial samples, maps and checks on the decoded plan alone: it
+    # builds no Graph and runs no second elimination walk
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a passing preserver-test trial left the plan")
+
+    monkeypatch.setattr(graphs, "elimination_plan", forbidden)
+    monkeypatch.setattr(graphs, "random_tree", forbidden)
+    monkeypatch.setattr(graphs.EliminationPlan, "graph", forbidden)
+    assert cli.main(["preserver-test", "1*x^1, 1*x^2", "--trials", "50",
+                     "--tree-n", "40"]) == 0
+    assert '"verdict": "pass"' in capsys.readouterr().out
+
+
+def test_preserver_fail_certificate_tree_is_the_trial_tree(capsys):
+    assert cli.main(["preserver-test", "1*x^0.5", "--trials", "50", "--tree-n", "30"]) == 1
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    t = graphs.parse_graph(cert["tree"])
+    assert graphs.is_tree(t) and t.n >= 2
+    assert not tree_psd_check(parse_matrix(cert["image"]), t)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("complete 3", "error: critical-exponent needs a tree spec\n"),
+    ("path 1", "error: critical-exponent needs a tree with at least 2 vertices\n"),
+])
+def test_critical_exponent_rejects_non_trees(capsys, spec, message):
+    assert cli.main(["critical-exponent", spec, "1.0"]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_critical_exponent_rejects_a_forest(capsys, monkeypatch):
+    # no graph kind is a forest yet; a plan with two roots must still be refused
+    forest = Graph(4, frozenset({(0, 1), (2, 3)}))
+    monkeypatch.setattr(cli, "_parse_graph_spec", lambda spec, seed: forest)
+    assert cli.main(["critical-exponent", "forest 4", "1.0"]) == 2
+    assert capsys.readouterr().err == "error: critical-exponent needs a tree spec\n"

@@ -8,9 +8,7 @@ from graphpsd.graphs import (
     complete_graph,
     find_open_triangle,
     format_graph,
-    is_connected,
     is_tree,
-    max_degree,
     parse_graph,
     path_graph,
     random_tree,
@@ -25,13 +23,12 @@ def test_path_edges():
 def test_star_edges_and_degree():
     g = star_graph(4)
     assert g.edges == frozenset({(0, 1), (0, 2), (0, 3)})
-    assert max_degree(g) == 3
+    assert [len(nbrs) for nbrs in g.adjacency()] == [3, 1, 1, 1]
 
 
 def test_random_tree_is_tree():
     g = random_tree(8, seed=42)
     assert len(g.edges) == 7
-    assert is_connected(g)
     assert is_tree(g)
 
 
@@ -44,16 +41,19 @@ def test_random_tree_deterministic():
     assert random_tree(12, 7).edges == random_tree(12, 7).edges
 
 
-def test_max_degree_families():
-    assert max_degree(star_graph(5)) == 4
-    assert max_degree(path_graph(5)) == 2
-    assert max_degree(complete_graph(6)) == 5
-
-
 def test_is_tree_families():
     assert is_tree(path_graph(4))
     assert not is_tree(complete_graph(3))
     assert is_tree(star_graph(7))
+    assert is_tree(Graph(1))
+
+
+def test_is_tree_needs_one_component_and_no_cycle():
+    # n - 1 edges, but a triangle plus an isolated vertex
+    assert not is_tree(Graph(4, frozenset({(0, 1), (1, 2), (0, 2)})))
+    # no cycle, but too few edges to connect
+    assert not is_tree(Graph(5, frozenset({(0, 1), (2, 3)})))
+    assert not is_tree(Graph(2))
 
 
 def test_open_triangle():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphpsd.functions import parse_function, power_function
-from graphpsd.graphs import complete_graph, path_graph, star_graph
+from graphpsd.graphs import complete_graph, path_graph, random_tree, star_graph
 from graphpsd.matrices import hadamard_power, quadratic_form
 from graphpsd.star_tree import StarMatrix, random_psd_star
 from graphpsd.witnesses import (
@@ -161,6 +161,27 @@ def test_k_lower_bound_path4_internal_vertex():
 
 def test_k_lower_bound_complete4():
     assert k_lower_bound(complete_graph(4)).lower == 3
+
+
+@pytest.mark.parametrize("g, delta", [
+    (star_graph(5), 4), (path_graph(5), 2), (complete_graph(6), 5), (path_graph(2), 1),
+])
+def test_k_lower_bound_is_max_two_and_max_degree(g, delta):
+    assert k_lower_bound(g).lower == max(2, delta)
+
+
+def test_k_lower_bound_star_sits_at_first_max_degree_vertex():
+    # reference: degrees and leaves counted from the edge set
+    for seed in range(30):
+        g = random_tree(3 + seed, seed)
+        deg = [sum(1 for e in g.edges if w in e) for w in range(g.n)]
+        center = deg.index(max(deg))
+        leaves = sorted(w for e in g.edges if center in e for w in e if w != center)
+        delta = len(leaves)
+        al = [2.0 * delta + 1.0] + [float(i) for i in range(1, delta + 1)]
+        want = star_witnesses(delta, al, g.n, vertices=[center] + leaves)
+        got = k_lower_bound(g).witness_sets[-1]
+        assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_star_kernel_stability_examples():
