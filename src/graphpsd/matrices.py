@@ -67,11 +67,18 @@ def is_psd(a: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     if tol <= 0:
         raise MatrixError("tolerance must be positive")
     a = check_symmetric(a)
+    psd, boundary, lam_min = spectral_boundary_band(a[None], tol)
+    return PsdVerdict(bool(psd[0]), float(lam_min[0]), tol, bool(boundary[0]))
+
+
+def spectral_boundary_band(a: np.ndarray, tol: float = DEFAULT_PSD_TOL):
+    """is_psd's verdicts for a stack (B, n, n) of symmetric matrices, n >= 1,
+    from one eigvalsh: (is_psd, boundary, lambda_min), each of shape (B,)."""
     eigs = np.linalg.eigvalsh(a)
-    lam_min = float(eigs[0])
-    radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    boundary = abs(lam_min) <= tol * max(1.0, abs(float(eigs[-1])))
-    return PsdVerdict(lam_min >= -tol * max(1.0, radius), lam_min, tol, boundary)
+    lam_min = eigs[:, 0]
+    radius = np.abs(eigs).max(axis=1)
+    boundary = np.abs(lam_min) <= tol * np.maximum(1.0, np.abs(eigs[:, -1]))
+    return lam_min >= -tol * np.maximum(1.0, radius), boundary, lam_min
 
 
 def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Graph) -> np.ndarray:

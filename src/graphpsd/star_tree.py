@@ -32,17 +32,18 @@ class StarMatrix:
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         object.__setattr__(self, "alpha", tuple(float(x) for x in self.alpha))
 
-    @property
-    def d(self) -> int:
-        return len(self.alpha)
-
     def to_dense(self) -> np.ndarray:
-        n = self.d + 1
-        a = np.zeros((n, n))
-        a[np.arange(n), np.arange(n)] = self.p
-        a[0, 1:] = self.alpha
-        a[1:, 0] = self.alpha
-        return a
+        return stacked_dense(np.array([self.p]), np.array([self.alpha]))[0]
+
+
+def stacked_dense(p: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Dense star matrices (B, d+1, d+1) from rows of p (B, d+1) and alpha (B, d)."""
+    b, n = p.shape
+    a = np.zeros((b, n, n))
+    a[:, np.arange(n), np.arange(n)] = p
+    a[:, 0, 1:] = alpha
+    a[:, 1:, 0] = alpha
+    return a
 
 
 @dataclass(frozen=True)
@@ -51,18 +52,40 @@ class StarVerdict:
     failed_condition: Optional[int]  # 1, 2 or 3; None when PSD
 
 
+def leaf_load(p_leaf, alpha):
+    """Sum of alpha_i^2 / p_i over the leaves with p_i != 0: a float for one
+    star's leaf diagonals and first-row entries, an array for stars stacked
+    as rows.
+
+    The sum is folded left to right, one leaf at a time.  Builtin sum
+    compensates float sums from Python 3.12 on, and the boundary draws of
+    random_psd_star, p1 = load, must equal the load the criterion computes
+    bit for bit on every Python version.
+    """
+    p_leaf = np.asarray(p_leaf, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    terms = np.divide(alpha * alpha, p_leaf, out=np.zeros(p_leaf.shape), where=p_leaf != 0.0)
+    load = 0.0
+    for column in terms.T:
+        load = load + column
+    return load
+
+
+def stacked_criterion(p: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The star criterion on stars stacked as rows of p (B, d+1) and alpha
+    (B, d): per row the first failed condition, 1, 2 or 3, and 0 when PSD."""
+    failed = np.zeros(len(p), dtype=int)
+    failed[p[:, 0] < leaf_load(p[:, 1:], alpha)] = 3
+    failed[((p[:, 1:] == 0.0) & (alpha != 0.0)).any(axis=1)] = 2
+    failed[(p < 0.0).any(axis=1)] = 1
+    return failed
+
+
 def star_psd_check(s: StarMatrix) -> StarVerdict:
     """PSD iff all p_i >= 0, (p_i = 0 implies alpha_i = 0), and
     p1 >= sum of alpha_i^2 / p_i over leaves with p_i != 0."""
-    if any(pi < 0 for pi in s.p):
-        return StarVerdict(False, 1)
-    for pi, ai in zip(s.p[1:], s.alpha):
-        if pi == 0.0 and ai != 0.0:
-            return StarVerdict(False, 2)
-    load = sum(ai * ai / pi for pi, ai in zip(s.p[1:], s.alpha) if pi != 0.0)
-    if s.p[0] < load:
-        return StarVerdict(False, 3)
-    return StarVerdict(True, None)
+    failed = int(stacked_criterion(np.array([s.p]), np.array([s.alpha]))[0])
+    return StarVerdict(not failed, failed or None)
 
 
 def star_det(s: StarMatrix) -> float:
@@ -162,9 +185,9 @@ def random_psd_star(d: int, rng: np.random.Generator) -> StarMatrix:
     if d >= 1 and rng.uniform() < 0.3:
         i = int(rng.integers(d))
         alpha[i] = p_leaf[i]
-    # accumulate exactly like star_psd_check so boundary draws land on the
-    # criterion's notion of equality, not one ulp below it
-    load = sum(ai * ai / pi for pi, ai in zip(p_leaf, alpha) if pi != 0.0)
+    # the criterion's own load, so boundary draws land on its notion of
+    # equality, not one ulp below it
+    load = leaf_load(p_leaf, alpha)
     if rng.uniform() < 0.3:
         p1 = load
     else:

@@ -273,18 +273,28 @@ def star_kernel_stability(s: StarMatrix, m_max: int) -> bool:
     1e-9 relative to max(1, ||A^(m)||_F)."""
     if not star_psd_check(s).is_psd:
         raise MatrixError("kernel stability is only claimed for PSD stars")
-    a = s.to_dense()
-    stack = np.vstack([a, hadamard_power(a, 2)])
-    _, sv, vt = np.linalg.svd(stack)
-    cutoff = 1e-10 * max(1.0, sv[0] if sv.size else 0.0)
-    null_rows = vt[np.sum(sv > cutoff):]
-    for beta in null_rows:
-        for m in range(3, m_max + 1):
-            am = hadamard_power(a, m)
-            scale = max(1.0, float(np.linalg.norm(am)))
-            if abs(quadratic_form(am, beta)) > 1e-9 * scale:
-                return False
-    return True
+    return bool(stacked_kernel_stability(s.to_dense()[None], m_max)[0])
+
+
+def stacked_kernel_stability(a: np.ndarray, m_max: int) -> np.ndarray:
+    """star_kernel_stability for a stack (B, n, n) of dense PSD star matrices,
+    with one SVD of the stacked [A; A^(2)]: one verdict per matrix."""
+    _, sv, vt = np.linalg.svd(np.concatenate([a, hadamard_power(a, 2)], axis=1))
+    cutoff = 1e-10 * np.maximum(1.0, sv[:, :1])
+    # rows of vt past the numerical rank span the joint null space; only the
+    # few matrices that have one have forms to check
+    null = np.arange(a.shape[1]) >= np.sum(sv > cutoff, axis=1, keepdims=True)
+    some = np.any(null, axis=1)
+    a, vt, null = a[some], vt[some], null[some]
+    off = np.zeros(len(a), dtype=bool)
+    for m in range(3, m_max + 1):
+        am = hadamard_power(a, m)
+        scale = np.maximum(1.0, np.linalg.norm(am, axis=(1, 2)))[:, None]
+        forms = np.sum((vt @ am) * vt, axis=2)  # forms[b, k] = vt[b, k] A^(m) vt[b, k]
+        off |= np.any(null & (np.abs(forms) > 1e-9 * scale), axis=1)
+    stable = ~some
+    stable[some] = ~off
+    return stable
 
 
 def _neville_at_zero(ts: np.ndarray, gs: np.ndarray) -> float:

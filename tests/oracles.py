@@ -22,8 +22,14 @@ from graphpsd.functions import (
     _grid_count,
 )
 from graphpsd.graphs import Graph, GraphError, find_open_triangle
-from graphpsd.matrices import MatrixError, check_symmetric, hadamard_power
-from graphpsd.star_tree import star_psd_check
+from graphpsd.matrices import (
+    MatrixError,
+    check_symmetric,
+    format_matrix,
+    hadamard_power,
+    quadratic_form,
+)
+from graphpsd.star_tree import random_psd_star, random_star, star_psd_check
 from graphpsd.witnesses import nk_membership
 
 
@@ -102,7 +108,7 @@ def star_factor(s, m):
             am = 0.0
         else:
             raise MatrixError(f"factorization undefined: a_{m} = {am} < 0")
-    n = s.d + 1
+    n = len(s.p)
     lm = np.zeros((n, n))
     lm[0, 0] = math.sqrt(am)
     for i, (pi, ai) in enumerate(zip(s.p[1:], s.alpha), start=1):
@@ -115,7 +121,7 @@ def star_factor(s, m):
 def star_eigenvalues_equal_p(s):
     """Eigenvalues when all leaf diagonals are equal: p2 repeated d-1 times plus
     the two roots of the rank-two perturbation."""
-    if s.d < 1:
+    if len(s.alpha) < 1:
         raise MatrixError("need at least one leaf")
     p2 = s.p[1]
     if any(pi != p2 for pi in s.p[1:]):
@@ -124,7 +130,7 @@ def star_eigenvalues_equal_p(s):
     disc = math.sqrt((p1 - p2) ** 2 + 4.0 * sum(ai * ai for ai in s.alpha))
     hi = (p1 + p2 + disc) / 2.0
     lo = (p1 + p2 - disc) / 2.0
-    return [p2] * (s.d - 1) + [hi, lo]
+    return [p2] * (len(s.alpha) - 1) + [hi, lo]
 
 
 def eta_bound(a):
@@ -179,3 +185,57 @@ def thresholding_counterexample(g, a):
     for i, j in g.edges:
         masked[i, j] = masked[j, i] = a
     return full, masked
+
+
+def star_criterion_loop(s):
+    """The star criterion one leaf at a time: the first failed condition, 1, 2
+    or 3, and 0 when PSD.  The load is folded left to right, like leaf_load."""
+    if any(pi < 0 for pi in s.p):
+        return 1
+    if any(pi == 0.0 and ai != 0.0 for pi, ai in zip(s.p[1:], s.alpha)):
+        return 2
+    load = 0.0
+    for pi, ai in zip(s.p[1:], s.alpha):
+        if pi != 0.0:
+            load += ai * ai / pi
+    return 3 if s.p[0] < load else 0
+
+
+def kernel_stability_loop(s, m_max):
+    """Kernel stability of one PSD star, one null vector and one power at a
+    time: every null vector of [A; A^(2)] kills Q_{A^(m)}, m = 3..m_max, to
+    1e-9 relative to max(1, ||A^(m)||_F)."""
+    a = s.to_dense()
+    _, sv, vt = np.linalg.svd(np.vstack([a, hadamard_power(a, 2)]))
+    cutoff = 1e-10 * max(1.0, sv[0])
+    for beta in vt[np.sum(sv > cutoff):]:
+        for m in range(3, m_max + 1):
+            am = hadamard_power(a, m)
+            if abs(quadratic_form(am, beta)) > 1e-9 * max(1.0, float(np.linalg.norm(am))):
+                return False
+    return True
+
+
+def star_suite_loop(seed, trials, tol):
+    """(verdict, certificate) of star-suite, one sample at a time: draw, then
+    is_psd's spectral verdicts, the criterion and kernel stability, stopping
+    at the first failure."""
+    checked = boundary = 0
+    for i in range(trials):
+        rng = np.random.default_rng(seed + i)
+        d = int(rng.integers(1, 9))
+        s = random_star(d, rng) if rng.random() < 0.5 else random_psd_star(d, rng)
+        dense = s.to_dense()
+        eigs = np.linalg.eigvalsh(dense)
+        if abs(eigs[0]) <= tol * max(1.0, abs(eigs[-1])):  # the boundary band
+            boundary += 1
+            continue
+        oracle = bool(eigs[0] >= -tol * max(1.0, np.max(np.abs(eigs))))
+        claim = star_criterion_loop(s) == 0
+        if claim != oracle:
+            return "fail", {"matrix": format_matrix(dense), "criterion": claim,
+                            "oracle": oracle}
+        if claim and not kernel_stability_loop(s, 8):
+            return "fail", {"matrix": format_matrix(dense), "kernel_stability": False}
+        checked += 1
+    return "pass", {"checked": checked, "boundary_skipped": boundary}

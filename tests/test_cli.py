@@ -174,11 +174,27 @@ def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
     ("witness", "star 4", "--tol", "nan"),
     ("absmon-test", "1*x^2", "--tol", "-1"),
     ("construct", "poly", "--tol", "-1"),
+    ("preserver-test", "1*x^2, -1*x^1", "--tol", "0.5", "--trials", "50"),
+    ("star-suite", "--tol", "1", "--trials", "200"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_tol_cap_is_inclusive(capsys):
+    code, rep = run(capsys, "star-suite", "--tol", "1e-6", "--trials", "20")
+    assert code == 0 and rep["tolerance"] == 1e-6
+
+
+def test_literal_starting_with_minus_goes_after_double_dash(capsys):
+    code, rep = run(capsys, "preserver-test", "--trials", "5", "--", "-1*x^1")
+    assert code == 1 and rep["verdict"] == "fail"
+    cert = rep["certificate"]
+    t = parse_graph(cert["tree"])
+    assert not is_psd(apply_entrywise(parse_function("-1*x^1").value,
+                                      parse_matrix(cert["matrix"]), t)).is_psd
 
 
 def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):

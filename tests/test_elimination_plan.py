@@ -323,7 +323,8 @@ def test_preserver_fail_certificate_tree_is_the_trial_tree(capsys):
 
 @pytest.mark.parametrize("spec, message", [
     ("complete 3", "error: critical-exponent needs a tree spec\n"),
-    ("path 1", "error: critical-exponent needs a tree with at least 2 vertices\n"),
+    ("path 1", "error: critical-exponent needs a tree with at least 3 vertices\n"),
+    ("path 2", "error: critical-exponent needs a tree with at least 3 vertices\n"),
 ])
 def test_critical_exponent_rejects_non_trees(capsys, spec, message):
     assert cli.main(["critical-exponent", spec, "1.0"]) == 2

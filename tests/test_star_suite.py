@@ -1,0 +1,135 @@
+"""The stacked star-suite against the sample-by-sample reference.
+
+star-suite draws every sample from its own generator, then checks the
+samples in one stack per star degree.  These tests hold its reports to the
+loop in tests/oracles.py, its stacked criterion and kernel-stability test to
+the one-star loops there, and the stacked LAPACK calls to the per-matrix
+calls they replace.
+"""
+
+import argparse
+import functools
+import json
+
+import numpy as np
+import pytest
+
+from graphpsd import cli, star_tree, witnesses
+from graphpsd.matrices import DEFAULT_PSD_TOL
+from graphpsd.star_tree import (
+    StarMatrix,
+    leaf_load,
+    random_psd_star,
+    random_star,
+    stacked_criterion,
+    stacked_dense,
+)
+
+import oracles
+from oracles import kernel_stability_loop, star_criterion_loop, star_suite_loop
+
+
+def _stars(d, count, seed):
+    """count stars of degree d from both samplers, stacked as (p, alpha)."""
+    rng = np.random.default_rng(seed)
+    stars = [random_star(d, rng) if k % 2 else random_psd_star(d, rng) for k in range(count)]
+    return np.array([s.p for s in stars]), np.array([s.alpha for s in stars])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 250])
+@pytest.mark.parametrize("trials", [1, 7, 1000])
+def test_report_matches_the_loop(capsys, seed, trials):
+    code = cli.main(["star-suite", "--trials", str(trials), "--seed", str(seed)])
+    rep = json.loads(capsys.readouterr().out)
+    assert (code, rep["verdict"], rep["certificate"]) == \
+        (0, *star_suite_loop(seed, trials, DEFAULT_PSD_TOL))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 777])
+def test_fail_path_matches_the_loop(seed):
+    # main refuses --tol 1; at that band the oracle parts from the exact
+    # criterion, at sample 10 for seed 1, and the handler must stop where the
+    # loop stops, with the same certificate
+    rep = cli.cmd_star_suite(argparse.Namespace(trials=200, seed=seed, tol=1.0))
+    assert rep.verdict == "fail" and "criterion" in rep.certificate
+    assert (rep.verdict, rep.certificate) == star_suite_loop(seed, 200, 1.0)
+
+
+def test_kernel_failure_is_reported_at_the_first_failing_sample(monkeypatch):
+    # no star breaks kernel stability, so break the test and see that the
+    # first sample to reach it, in index order, is the one reported
+    monkeypatch.setattr(witnesses, "stacked_kernel_stability",
+                        lambda a, m_max: np.zeros(len(a), dtype=bool))
+    rep = cli.cmd_star_suite(argparse.Namespace(trials=50, seed=9, tol=1e-9))
+    monkeypatch.setattr(oracles, "kernel_stability_loop", lambda s, m_max: False)
+    want = star_suite_loop(9, 50, 1e-9)
+    assert want[1].get("kernel_stability") is False
+    assert (rep.verdict, rep.certificate) == want
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_lapack_calls_equal_per_matrix_calls_bit_for_bit(d):
+    # the stacked suite relies on this: a numpy or LAPACK change that breaks
+    # it must fail here, not move a boundary verdict silently
+    dense = stacked_dense(*_stars(d, 40, seed=d))
+    stacked = np.linalg.eigvalsh(dense)
+    assert all(np.array_equal(stacked[k], np.linalg.eigvalsh(a)) for k, a in enumerate(dense))
+    powers = np.concatenate([dense, dense ** 2.0], axis=1)
+    _, sv, vt = np.linalg.svd(powers)
+    for k, a in enumerate(powers):
+        _, sv1, vt1 = np.linalg.svd(a)
+        assert np.array_equal(sv[k], sv1) and np.array_equal(vt[k], vt1)
+
+
+@pytest.mark.parametrize("d", range(0, 9))
+def test_stacked_criterion_matches_the_loop(d):
+    rng = np.random.default_rng(100 + d)
+    p = rng.choice([-1.0, 0.0, 0.3, 0.7, 1.9], size=(300, d + 1))
+    alpha = rng.choice([0.0, -1.1, 0.5, 0.9], size=(300, d))
+    # a third of the centres sit exactly at the load, where a fold in another
+    # order would put them an ulp off
+    p[::3, 0] = [leaf_load(pl, al) for pl, al in zip(p[::3, 1:], alpha[::3])]
+    got = stacked_criterion(p, alpha)
+    want = [star_criterion_loop(StarMatrix(pr, ar)) for pr, ar in zip(p, alpha)]
+    assert got.tolist() == want
+    assert {0, 1, 2, 3} <= set(want) or d == 0
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_kernel_stability_matches_the_loop(d):
+    p, alpha = _stars(d, 60, seed=200 + d)
+    psd = stacked_criterion(p, alpha) == 0
+    got = witnesses.stacked_kernel_stability(stacked_dense(p[psd], alpha[psd]), 8)
+    want = [kernel_stability_loop(StarMatrix(pr, ar), 8) for pr, ar in zip(p[psd], alpha[psd])]
+    assert got.tolist() == want and all(want)
+
+
+def test_kernel_stability_catches_a_form_off_the_kernel(monkeypatch):
+    # with A^(3) moved off zero on the joint kernel of [A; A^(2)], spanned
+    # here by (1, -1, 0), the test must fail
+    s = StarMatrix((1.0, 1.0, 1.0), (1.0, 0.0))
+    assert witnesses.star_kernel_stability(s, 3) and kernel_stability_loop(s, 3)
+    power = witnesses.hadamard_power
+    monkeypatch.setattr(witnesses, "hadamard_power",
+                        lambda a, m: power(a, m) + np.eye(a.shape[-1]) if m == 3 else power(a, m))
+    assert not witnesses.star_kernel_stability(s, 3)
+    assert not witnesses.star_kernel_stability(s, 8)
+
+
+def test_leaf_load_folds_left_to_right():
+    # ten terms of 0.1: a left fold gives 0.9999999999999999 on every Python,
+    # builtin sum gives 1.0 from Python 3.12 on
+    p_leaf, alpha = [10.0] * 10, [1.0] * 10
+    want = functools.reduce(lambda acc, t: acc + t, [0.1] * 10, 0.0)
+    assert want == 0.9999999999999999
+    assert leaf_load(p_leaf, alpha) == want
+    assert leaf_load(np.array([p_leaf] * 3), np.array([alpha] * 3)).tolist() == [want] * 3
+    # p1 at the fold is on the boundary, and PSD; one ulp below is not
+    assert star_tree.star_psd_check(StarMatrix((want, *p_leaf), alpha)).is_psd
+    below = np.nextafter(want, 0.0)
+    assert star_tree.star_psd_check(StarMatrix((below, *p_leaf), alpha)).failed_condition == 3
+
+
+def test_leaf_load_skips_zero_leaves():
+    assert leaf_load([0.0, 2.0], [0.0, 1.0]) == 0.5
+    assert leaf_load(np.zeros((2, 0)), np.zeros((2, 0))) == 0.0
