@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 import time
@@ -93,31 +94,58 @@ def _parse_graph_spec(spec: str, seed: int = 0) -> graphs.Graph:
         raise UsageError(str(exc))
 
 
-def _random_tree_trial(f: functions.EntrywiseFunction, n_max: int, range_max: float,
-                       trial_seed: int, tol: float):
-    """One randomized preservation trial on a fresh random tree of size
-    2..n_max; returns a certificate dict on failure."""
-    rng = np.random.default_rng(trial_seed)
-    n = int(rng.integers(2, n_max + 1))
-    plan = graphs.random_tree_plan(n, int(rng.integers(0, 2 ** 31)))
-    return _plan_trial(f, plan, range_max, int(rng.integers(0, 2 ** 31)), tol)
+# Trials run in chunks of 1, 2, 4, ..., MAX_CHUNK, then MAX_CHUNK each: a
+# function that fails at trial 0-4, as most failing ones do, pays for a few
+# trials as in a trial-by-trial loop, while a passing run pays numpy's
+# per-call costs once per chunk of 64, not once per trial.
+MAX_CHUNK = 64
 
 
-def _plan_trial(f: functions.EntrywiseFunction, plan: graphs.EliminationPlan,
-                range_max: float, entry_seed: int, tol: float):
-    """One preservation trial on the tree with elimination plan plan; returns
-    a certificate dict on failure."""
-    diag, edge = matrices.random_psd_plan_entries(plan, range_max, entry_seed)
-    # f on the diagonal and the tree edges; roots carry no edge entry
-    fdiag = f.value(diag)
-    fedge = np.where(np.array(plan.parent) >= 0, f.value(edge), 0.0)
-    if star_tree.plan_psd_check(plan, fdiag, fedge, tol=tol):
-        return None
-    return {
-        "tree": graphs.format_graph(plan.graph()),
-        "matrix": matrices.format_matrix(matrices.dense_from_plan(plan, diag, edge)),
-        "image": matrices.format_matrix(matrices.dense_from_plan(plan, fdiag, fedge)),
-    }
+def _chunks(trials: int):
+    """(start, stop) of each chunk of trials 0..trials-1, in order."""
+    start, size = 0, 1
+    while start < trials:
+        yield start, min(start + size, trials)
+        start += size
+        size = min(2 * size, MAX_CHUNK)
+
+
+def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw,
+                         range_max: float, tol: float) -> Optional[dict]:
+    """Certificate of the first failing trial in index order, or None.
+
+    draw(i) gives trial i's elimination plan and entry seed.  Per chunk, one
+    stacked sampler call draws every trial's (diag, edge), one f evaluation
+    maps them, and reduceat gives each trial its own Schur threshold
+    tol * max(1, max |entry|); the Schur loop then runs trial by trial.
+    """
+    for start, stop in _chunks(trials):
+        plans, seeds = zip(*map(draw, range(start, stop)))
+        diag, edge = matrices.stacked_psd_plan_entries(plans, range_max, seeds)
+        n = len(diag)
+        sizes = [len(p.order) for p in plans]
+        starts = np.cumsum(sizes) - sizes
+        image = f.value(np.concatenate([diag, edge]))
+        fdiag = image[:n]
+        # roots carry no edge entry, whatever f(0) is
+        is_child = np.fromiter(itertools.chain.from_iterable(p.parent for p in plans),
+                               dtype=np.intp, count=n) >= 0
+        fedge = np.where(is_child, image[n:], 0.0)
+        # np.fmax skips a NaN maximum, as plan_psd_check's builtin max does
+        thr = (tol * np.fmax(np.fmax(1.0, np.maximum.reduceat(np.abs(fdiag), starts)),
+                             np.maximum.reduceat(np.abs(fedge), starts))).tolist()
+        d, a = fdiag.tolist(), fedge.tolist()
+        for plan, lo, size, t in zip(plans, starts.tolist(), sizes, thr):
+            hi = lo + size
+            if not star_tree.eliminate(plan, d[lo:hi], a[lo:hi], t):
+                return {
+                    "tree": graphs.format_graph(plan.graph()),
+                    "matrix": matrices.format_matrix(
+                        matrices.dense_from_plan(plan, diag[lo:hi], edge[lo:hi])),
+                    "image": matrices.format_matrix(
+                        matrices.dense_from_plan(plan, fdiag[lo:hi], fedge[lo:hi])),
+                }
+    return None
 
 
 def cmd_preserver_test(args) -> Report:
@@ -127,26 +155,35 @@ def cmd_preserver_test(args) -> Report:
     if args.tree_n < 2:
         raise UsageError("--tree-n must be >= 2")
     rep = Report("preserver-test", args.seed, args.tol, args.trials, "pass")
+    nonneg = functions.check_nonnegative(f, step=args.grid, bound=args.range)
     sup = functions.check_superadditive(f, step=args.grid, bound=args.range)
     mid = functions.check_mult_midpoint_convex(f, step=args.grid, bound=args.range)
-    grid_ok = sup.holds and mid.holds
-    cert = None
-    for i in range(args.trials):
-        cert = _random_tree_trial(f, args.tree_n, args.range, args.seed + i, args.tol)
-        if cert is not None:
-            break
-    if cert is None and not grid_ok:
+
+    def draw(i):
+        # trial i: a random tree on 2..tree_n vertices, from its own stream
+        rng = np.random.default_rng(args.seed + i)
+        n = int(rng.integers(2, args.tree_n + 1))
+        plan = graphs.random_tree_plan(n, int(rng.integers(0, 2 ** 31)))
+        return plan, int(rng.integers(0, 2 ** 31))
+
+    cert = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
+    bad = next((v for v in (nonneg, sup, mid) if not v.holds), None)
+    if cert is None and bad is not None:
         # a grid violation pins down a concrete bad matrix
-        bad = sup if not sup.holds else mid
-        x, y = bad.witness[:2]
-        if bad is sup:
+        if bad is nonneg:
+            # f(x) < 0: the 1x1 matrix [[x]]
+            mat = np.array([[bad.witness[0]]])
+            t = graphs.Graph(1)
+        elif bad is sup:
             # superadditivity: the open-triangle block B(x+y, x, y), its
             # center moved to the center of the 3-vertex path
+            x, y = bad.witness
             perm = np.array([1, 0, 2])
             mat = constructors.triangle_block(x + y, x, y)[np.ix_(perm, perm)]
             t = graphs.path_graph(3)
         else:
             # midpoint convexity: the rank-one edge [[x, sqrt(xy)], [sqrt(xy), y]]
+            x, y = bad.witness
             m = np.sqrt(x * y)
             mat = np.array([[x, m], [m, y]])
             t = graphs.path_graph(2)
@@ -159,7 +196,8 @@ def cmd_preserver_test(args) -> Report:
         rep.verdict = "fail"
         rep.certificate = cert
     rep.certificate = rep.certificate or {"grid_superadditive": sup.holds,
-                                          "grid_mult_convex": mid.holds}
+                                          "grid_mult_convex": mid.holds,
+                                          "grid_nonnegative": nonneg.holds}
     return rep
 
 
@@ -207,12 +245,9 @@ def cmd_critical_exponent(args) -> Report:
     rep = Report("critical-exponent", args.seed, args.tol, args.trials, "pass")
     for alpha in args.alphas:
         if alpha >= 1.0:
-            cert = None
             f = functions.power_function(alpha)
-            for i in range(args.trials):
-                cert = _plan_trial(f, plan, args.range, args.seed + i, args.tol)
-                if cert is not None:
-                    break
+            cert = _first_failing_trial(f, args.trials, lambda i: (plan, args.seed + i),
+                                        args.range, args.tol)
             preserved = cert is None
             note = "" if preserved else json.dumps(cert)
         else:
@@ -355,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the error
+        return 0 if exc.code is None else exc.code
     # looked up per call, so that a rebound cmd_* name is the one that runs
     handler = {
         "preserver-test": cmd_preserver_test,

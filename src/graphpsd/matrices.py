@@ -5,6 +5,7 @@ matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -103,16 +104,34 @@ def random_psd_plan_entries(plan: EliminationPlan, range_max: float, seed: int):
     L in the plan's elimination order, so the pattern needs no projection, then
     rescaled to keep every entry below range_max.
     """
+    return stacked_psd_plan_entries([plan], range_max, [seed])
+
+
+def stacked_psd_plan_entries(plans, range_max: float, seeds):
+    """random_psd_plan_entries(plans[j], range_max, seeds[j]) for every j at
+    once, bit for bit: (diag, edge) of all plans concatenated, plan j's
+    vertices after those of plans[:j].
+
+    Each plan keeps its own generator; only the arithmetic is stacked.
+    """
     if range_max <= 0:
         raise MatrixError("range_max must be positive")
-    order = np.array(plan.order, dtype=np.intp)
-    parent = np.array(plan.parent, dtype=np.intp)[order]  # parent of order[k]
+    sizes = np.array([len(p.order) for p in plans], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    offset = np.repeat(starts, sizes)  # of the plan holding each position
+    order = np.fromiter(chain.from_iterable(p.order for p in plans), np.intp, total) + offset
+    parent = np.fromiter(chain.from_iterable(p.parent for p in plans), np.intp, total)
+    parent = parent[order]  # of order[k]
     has_parent = parent >= 0
+    parent = parent + offset
     # one draw of l_vv per vertex, followed by one of l_uv when v has a parent,
     # in elimination order: the stream a scalar loop over the plan would use
     steps = 1 + has_parent
     at_vv = np.cumsum(steps) - steps
-    draws = np.random.default_rng(seed).random(int(steps.sum()))
+    counts = np.add.reduceat(steps, starts).tolist()
+    draws = np.concatenate([np.random.default_rng(s).random(k)
+                            for s, k in zip(seeds, counts)])
     lvv = 0.3 + (1.5 - 0.3) * draws[at_vv]
     luv = draws[at_vv[has_parent] + 1]
     diag = np.zeros(len(order))
@@ -121,7 +140,8 @@ def random_psd_plan_entries(plan: EliminationPlan, range_max: float, seed: int):
     diag += np.bincount(parent[has_parent], weights=luv * luv, minlength=len(order))
     edge = np.zeros(len(order))
     edge[order[has_parent]] = lvv[has_parent] * luv
-    scale = 0.999 * range_max / max(diag.max(), edge.max())
+    peak = np.maximum(np.maximum.reduceat(diag, starts), np.maximum.reduceat(edge, starts))
+    scale = np.repeat(0.999 * range_max / peak, sizes)
     return diag * scale, edge * scale
 
 

@@ -31,6 +31,8 @@ class StarMatrix:
             )
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         object.__setattr__(self, "alpha", tuple(float(x) for x in self.alpha))
+        if not all(map(math.isfinite, self.p + self.alpha)):
+            raise MatrixError("star matrix has non-finite entries")
 
     def to_dense(self) -> np.ndarray:
         return stacked_dense(np.array([self.p]), np.array([self.alpha]))[0]
@@ -110,8 +112,13 @@ def plan_psd_check(
     pivot within tol * max(1, max |entry|) of zero counts as zero.
     """
     thr = tol * max(1.0, float(np.max(np.abs(diag))), float(np.max(np.abs(edge))))
-    d = np.asarray(diag, dtype=float).tolist()
-    a = np.asarray(edge, dtype=float).tolist()
+    return eliminate(plan, np.asarray(diag, dtype=float).tolist(),
+                     np.asarray(edge, dtype=float).tolist(), thr)
+
+
+def eliminate(plan: EliminationPlan, d: list, a: list, thr: float) -> bool:
+    """plan_psd_check's Schur loop on lists d (diagonal, overwritten) and a
+    (edges), with pivots within thr of zero counted as zero."""
     parent = plan.parent
     for v in plan.order:
         u = parent[v]

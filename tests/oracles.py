@@ -5,7 +5,9 @@ paper or an exhaustive search: psi and its grid check against the budgets of
 the constructors, forward differences against absolute monotonicity, the star
 factorization and equal-leaf eigenvalues against the dense matrix, eta and the
 randomized witness search against the witness constructions, and the
-thresholding counterexample against the open-triangle search.
+thresholding counterexample against the open-triangle search.  The
+sample-by-sample and trial-by-trial loops at the end are the references for
+the stacked star-suite and the chunked preservation trials.
 """
 
 import math
@@ -21,15 +23,17 @@ from graphpsd.functions import (
     Verdict,
     _grid_count,
 )
-from graphpsd.graphs import Graph, GraphError, find_open_triangle
+from graphpsd.graphs import Graph, GraphError, find_open_triangle, format_graph, random_tree_plan
 from graphpsd.matrices import (
     MatrixError,
     check_symmetric,
+    dense_from_plan,
     format_matrix,
     hadamard_power,
     quadratic_form,
+    random_psd_plan_entries,
 )
-from graphpsd.star_tree import random_psd_star, random_star, star_psd_check
+from graphpsd.star_tree import plan_psd_check, random_psd_star, random_star, star_psd_check
 from graphpsd.witnesses import nk_membership
 
 
@@ -239,3 +243,32 @@ def star_suite_loop(seed, trials, tol):
             return "fail", {"matrix": format_matrix(dense), "kernel_stability": False}
         checked += 1
     return "pass", {"checked": checked, "boundary_skipped": boundary}
+
+
+def random_tree_draw(n_max, trial_seed):
+    """Plan and entry seed of one preserver-test trial: a random tree on
+    2..n_max vertices, from the trial's own stream."""
+    rng = np.random.default_rng(trial_seed)
+    n = int(rng.integers(2, n_max + 1))
+    plan = random_tree_plan(n, int(rng.integers(0, 2 ** 31)))
+    return plan, int(rng.integers(0, 2 ** 31))
+
+
+def trial_loop(f, trials, draw, range_max, tol):
+    """The preservation trials one at a time, stopping at the first failure:
+    the certificate of the first failing trial, or None.  draw(i) gives trial
+    i's elimination plan and entry seed."""
+    for i in range(trials):
+        plan, entry_seed = draw(i)
+        diag, edge = random_psd_plan_entries(plan, range_max, entry_seed)
+        # f on the diagonal and the tree edges; roots carry no edge entry
+        fdiag = f.value(diag)
+        fedge = np.where(np.array(plan.parent) >= 0, f.value(edge), 0.0)
+        if plan_psd_check(plan, fdiag, fedge, tol=tol):
+            continue
+        return {
+            "tree": format_graph(plan.graph()),
+            "matrix": format_matrix(dense_from_plan(plan, diag, edge)),
+            "image": format_matrix(dense_from_plan(plan, fdiag, fedge)),
+        }
+    return None

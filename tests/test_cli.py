@@ -197,6 +197,24 @@ def test_literal_starting_with_minus_goes_after_double_dash(capsys):
                                       parse_matrix(cert["matrix"]), t)).is_psd
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("preserver-test",), "the following arguments are required: function"),
+    (("preserver-test", "--", "-1*x^1", "--trials", "5"), "unrecognized arguments: --trials 5"),
+])
+def test_parse_errors_return_2(capsys, argv, message):
+    # argparse exits on a parse error; main returns its status instead
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.startswith("usage: ")
+
+
+def test_help_prints_and_returns_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: graphpsd")
+    assert main(["preserver-test", "--help"]) == 0
+    assert "--tree-n" in capsys.readouterr().out
+
+
 def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
     # the parser is built once per process; the handler must still be looked
     # up by name on each call, so a rebound cmd_* function is the one that runs

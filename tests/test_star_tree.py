@@ -134,3 +134,13 @@ def test_star_check_agrees_with_oracle(d, seed):
 def test_random_psd_star_is_psd(d, seed):
     s = random_psd_star(d, np.random.default_rng(seed))
     assert star_psd_check(s).is_psd
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["p", "alpha"])
+def test_star_rejects_non_finite_entries(bad, field):
+    # NaN fails no comparison of the criterion, so it would be called PSD
+    p, alpha = [1.0, 1.0], [0.5]
+    (p if field == "p" else alpha)[0] = bad
+    with pytest.raises(MatrixError, match="non-finite"):
+        StarMatrix(tuple(p), tuple(alpha))
