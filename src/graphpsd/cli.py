@@ -2,7 +2,8 @@
 
 Each subcommand builds a Report and exits 0 on pass, 1 on a property failure
 (with a re-checkable certificate in the report), 2 on usage or domain errors.
-Reports are deterministic given (command, seed, tol) apart from elapsed_ms.
+Reports are deterministic given (command, flags, seed) apart from elapsed_ms:
+a randomized command reads every draw from one default_rng(seed).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class UsageError(Exception):
     pass
 
 
-def _parse_graph_spec(spec: str, seed: int = 0) -> graphs.Graph:
+def _parse_graph_spec(spec: str, seed) -> graphs.Graph:
     parts = spec.split()
     if len(parts) != 2:
         raise UsageError(f"graph spec must be 'kind n', got {spec!r}")
@@ -114,14 +115,16 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw,
                          range_max: float, tol: float) -> Optional[dict]:
     """Certificate of the first failing trial in index order, or None.
 
-    draw(i) gives trial i's elimination plan and entry seed.  Per chunk, one
-    stacked sampler call draws every trial's (diag, edge), one f evaluation
-    maps them, and reduceat gives each trial its own Schur threshold
+    Each call of draw() gives the next trial's elimination plan and (2, n)
+    block of uniforms.  Per chunk, one stacked sampler call maps every
+    trial's uniforms to (diag, edge), one f evaluation maps those, and
+    reduceat gives each trial its own Schur threshold
     tol * max(1, max |entry|); the Schur loop then runs trial by trial.
     """
     for start, stop in _chunks(trials):
-        plans, seeds = zip(*map(draw, range(start, stop)))
-        diag, edge = matrices.stacked_psd_plan_entries(plans, range_max, seeds)
+        plans, uniforms = zip(*(draw() for _ in range(start, stop)))
+        diag, edge = matrices.stacked_psd_plan_entries(plans, range_max,
+                                                       np.concatenate(uniforms, axis=1))
         n = len(diag)
         sizes = [len(p.order) for p in plans]
         starts = np.cumsum(sizes) - sizes
@@ -142,7 +145,8 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw,
                     "tree": graphs.format_graph(plan.graph()),
                     "matrix": matrices.format_matrix(
                         matrices.dense_from_plan(plan, diag[lo:hi], edge[lo:hi])),
-                    "image": matrices.format_matrix(
+                    # f may overflow: NaN and inf entries print as nan and inf
+                    "image": matrices.format_square(
                         matrices.dense_from_plan(plan, fdiag[lo:hi], fedge[lo:hi])),
                 }
     return None
@@ -155,24 +159,26 @@ def cmd_preserver_test(args) -> Report:
     if args.tree_n < 2:
         raise UsageError("--tree-n must be >= 2")
     rep = Report("preserver-test", args.seed, args.tol, args.trials, "pass")
-    nonneg = functions.check_nonnegative(f, step=args.grid, bound=args.range)
+    # f >= 0 is the order-0 forward difference
+    nonneg = functions.check_abs_monotonic(f, 0, step=args.grid, bound=args.range)
     sup = functions.check_superadditive(f, step=args.grid, bound=args.range)
     mid = functions.check_mult_midpoint_convex(f, step=args.grid, bound=args.range)
+    rng = np.random.default_rng(args.seed)
 
-    def draw(i):
-        # trial i: a random tree on 2..tree_n vertices, from its own stream
-        rng = np.random.default_rng(args.seed + i)
+    def draw():
+        # a random tree on 2..tree_n vertices, then its entries' uniforms
         n = int(rng.integers(2, args.tree_n + 1))
-        plan = graphs.random_tree_plan(n, int(rng.integers(0, 2 ** 31)))
-        return plan, int(rng.integers(0, 2 ** 31))
+        return graphs.random_tree_plan(n, rng), rng.random((2, n))
 
     cert = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
     bad = next((v for v in (nonneg, sup, mid) if not v.holds), None)
     if cert is None and bad is not None:
         # a grid violation pins down a concrete bad matrix
+        witness = bad.witness
         if bad is nonneg:
             # f(x) < 0: the 1x1 matrix [[x]]
-            mat = np.array([[bad.witness[0]]])
+            witness = bad.witness[1:2]
+            mat = np.array([witness])
             t = graphs.Graph(1)
         elif bad is sup:
             # superadditivity: the open-triangle block B(x+y, x, y), its
@@ -191,7 +197,7 @@ def cmd_preserver_test(args) -> Report:
         if not star_tree.tree_psd_check(fm, t, tol=args.tol):
             cert = {"tree": graphs.format_graph(t),
                     "matrix": matrices.format_matrix(mat),
-                    "grid_witness": list(bad.witness)}
+                    "grid_witness": list(witness)}
     if cert is not None:
         rep.verdict = "fail"
         rep.certificate = cert
@@ -214,7 +220,7 @@ def cmd_absmon_test(args) -> Report:
 
 
 def cmd_witness(args) -> Report:
-    g = _parse_graph_spec(args.graph, seed=args.seed)
+    g = _parse_graph_spec(args.graph, args.seed)
     try:
         bound = witnesses.k_lower_bound(g)
     except GraphError as exc:
@@ -231,7 +237,8 @@ def cmd_witness(args) -> Report:
 
 
 def cmd_critical_exponent(args) -> Report:
-    t = _parse_graph_spec(args.tree, seed=args.seed)
+    rng = np.random.default_rng(args.seed)
+    t = _parse_graph_spec(args.tree, rng)
     try:
         plan = graphs.elimination_plan(t)
     except GraphError:
@@ -246,7 +253,7 @@ def cmd_critical_exponent(args) -> Report:
     for alpha in args.alphas:
         if alpha >= 1.0:
             f = functions.power_function(alpha)
-            cert = _first_failing_trial(f, args.trials, lambda i: (plan, args.seed + i),
+            cert = _first_failing_trial(f, args.trials, lambda: (plan, rng.random((2, t.n))),
                                         args.range, args.tol)
             preserved = cert is None
             note = "" if preserved else json.dumps(cert)
@@ -287,44 +294,50 @@ def cmd_construct(args) -> Report:
     return rep
 
 
+def _draw_stars(rng: np.random.Generator, trials: int):
+    """star-suite's samples, as (sample indices, p, alpha) for each degree
+    d = 1..8, the stars stacked as rows in index order.
+
+    Every sample's degree comes first, then every sample's kind, random_star
+    or random_psd_star with probability 1/2 each; then, degree by degree,
+    the random_star rows and the random_psd_star rows.
+    """
+    degree = rng.integers(1, 9, trials)
+    psd_kind = rng.random(trials) >= 0.5
+    for d in range(1, 9):
+        idx = np.flatnonzero(degree == d)
+        kind = psd_kind[idx]
+        p, alpha = np.empty((idx.size, d + 1)), np.empty((idx.size, d))
+        p[~kind], alpha[~kind] = star_tree.random_star(int(np.sum(~kind)), d, rng)
+        p[kind], alpha[kind] = star_tree.random_psd_star(int(np.sum(kind)), d, rng)
+        yield idx, p, alpha
+
+
 def cmd_star_suite(args) -> Report:
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
     rep = Report("star-suite", args.seed, args.tol, args.trials, "pass")
-    # draw: sample i from its own stream seed + i, its entries padded to the
-    # largest degree, 8
-    degree = np.zeros(args.trials, dtype=int)
-    p_all, alpha_all = np.zeros((args.trials, 9)), np.zeros((args.trials, 8))
-    for i in range(args.trials):
-        rng = np.random.default_rng(args.seed + i)
-        d = int(rng.integers(1, 9))
-        if rng.random() < 0.5:
-            s = star_tree.random_star(d, rng)
-        else:
-            s = star_tree.random_psd_star(d, rng)
-        degree[i] = d
-        p_all[i, :d + 1] = s.p
-        alpha_all[i, :d] = s.alpha
-    # check: one stack per degree, for the oracle, the criterion and kernel
+    # one stack per degree, for the oracle, the criterion and kernel
     # stability of the stars the criterion calls PSD
     oracle, boundary, claim = (np.zeros(args.trials, dtype=bool) for _ in range(3))
     stable = np.ones(args.trials, dtype=bool)
-    for d in range(1, 9):
-        idx = np.nonzero(degree == d)[0]
-        p, alpha = p_all[idx, :d + 1], alpha_all[idx, :d]
+    stacks = []
+    for idx, p, alpha in _draw_stars(np.random.default_rng(args.seed), args.trials):
         dense = star_tree.stacked_dense(p, alpha)
         oracle[idx], boundary[idx], _ = matrices.spectral_boundary_band(dense, args.tol)
         psd = star_tree.stacked_criterion(p, alpha) == 0
         claim[idx] = psd
         stable[idx[psd]] = witnesses.stacked_kernel_stability(dense[psd], m_max=8)
+        stacks.append((idx, p, alpha))
     # the first failing sample in index order decides; boundary samples are skipped
     failed = ~boundary & ((claim != oracle) | ~stable)
     if failed.any():
         i = int(np.argmax(failed))
-        d = degree[i]
-        dense = star_tree.StarMatrix(p_all[i, :d + 1], alpha_all[i, :d]).to_dense()
+        idx, p, alpha = next(stack for stack in stacks if i in stack[0])
+        k = np.searchsorted(idx, i)
         rep.verdict = "fail"
-        rep.certificate = {"matrix": matrices.format_matrix(dense)}
+        rep.certificate = {"matrix": matrices.format_matrix(
+            star_tree.stacked_dense(p[k:k + 1], alpha[k:k + 1])[0])}
         if claim[i] != oracle[i]:
             rep.certificate.update(criterion=bool(claim[i]), oracle=bool(oracle[i]))
         else:

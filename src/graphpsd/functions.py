@@ -238,23 +238,6 @@ def check_mult_midpoint_convex(
     return Verdict(False, (float(xs[hit[0]]), float(xs[hit[1]])), margin)
 
 
-def check_nonnegative(
-    f: EntrywiseFunction,
-    step: float = DEFAULT_GRID_STEP,
-    bound: float = DEFAULT_GRID_BOUND,
-) -> Verdict:
-    """Grid check of f(x) >= 0 on {0, h, 2h, ...} up to bound, the grid of
-    check_mult_midpoint_convex.
-
-    The witness, when present, is the smallest violating point (x,)."""
-    xs, vals = _grid_values(f, step, bound, 1)
-    bad = np.flatnonzero(vals < -REL_SLACK * (1.0 + np.abs(vals)))
-    margin = float(np.min(vals))
-    if bad.size:
-        return Verdict(False, (float(xs[bad[0]]),), margin)
-    return Verdict(True, None, margin)
-
-
 def check_abs_monotonic(
     f: EntrywiseFunction,
     n_max: int,

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field
-from typing import Optional
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -62,12 +62,13 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
-def random_tree(n: int, seed: int) -> Graph:
-    """Uniformly random labeled tree on n vertices via a random Pruefer sequence."""
+def random_tree(n: int, seed) -> Graph:
+    """Uniformly random labeled tree on n vertices via a random Pruefer
+    sequence; seed is an int or a numpy Generator, as for default_rng."""
     return random_tree_plan(n, seed).graph()
 
 
-def build_graph(kind: str, n: int, seed: Optional[int] = None) -> Graph:
+def build_graph(kind: str, n: int, seed=None) -> Graph:
     if n < 1:
         raise GraphError(f"invalid size n={n}")
     if kind == "path":
@@ -145,19 +146,20 @@ def elimination_plan(g: Graph) -> EliminationPlan:
     return EliminationPlan(tuple(order), tuple(parent))
 
 
-def random_tree_plan(n: int, seed: int) -> EliminationPlan:
+def random_tree_plan(n: int, seed) -> EliminationPlan:
     """Elimination plan of the uniformly random labeled tree random_tree(n, seed).
 
-    Decodes a random Pruefer sequence: each step removes the smallest leaf,
-    elimination_plan's rule, and joins it to the next sequence entry, its
-    parent.  The last two leaves u < v end the order with parent[u] = v.
+    Decodes a Pruefer sequence of n - 2 draws of rng.integers(0, n), where rng
+    is default_rng(seed), or seed itself when it is a Generator: each step
+    removes the smallest leaf, elimination_plan's rule, and joins it to the
+    next sequence entry, its parent.  The last two leaves u < v end the order
+    with parent[u] = v.
     """
     if n < 1:
         raise GraphError("tree needs at least one vertex")
     if n == 1:
         return EliminationPlan((0,), (-1,))
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    seq = np.random.default_rng(seed).integers(0, n, n - 2).tolist()
     degree = [1] * n
     for x in seq:
         degree[x] += 1

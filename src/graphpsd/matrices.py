@@ -96,50 +96,40 @@ def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Gra
     return out
 
 
-def random_psd_plan_entries(plan: EliminationPlan, range_max: float, seed: int):
-    """Sparse sampler for PSD matrices with pattern inside the forest of plan.
-
-    Returns (diag, edge) aligned with the plan: edge[v] is the entry on
-    (v, parent[v]) and 0 at roots.  The matrix is L L^T for a lower-triangular
-    L in the plan's elimination order, so the pattern needs no projection, then
-    rescaled to keep every entry below range_max.
-    """
-    return stacked_psd_plan_entries([plan], range_max, [seed])
+def random_psd_plan_entries(plan: EliminationPlan, range_max: float, seed):
+    """Sparse sampler for PSD matrices with pattern inside the forest of plan:
+    stacked_psd_plan_entries of one plan, on one (2, n) block of uniforms from
+    default_rng(seed), or from seed itself when it is a Generator."""
+    uniforms = np.random.default_rng(seed).random((2, len(plan.parent)))
+    return stacked_psd_plan_entries([plan], range_max, uniforms)
 
 
-def stacked_psd_plan_entries(plans, range_max: float, seeds):
-    """random_psd_plan_entries(plans[j], range_max, seeds[j]) for every j at
-    once, bit for bit: (diag, edge) of all plans concatenated, plan j's
-    vertices after those of plans[:j].
+def stacked_psd_plan_entries(plans, range_max: float, uniforms):
+    """PSD matrices with pattern inside the forests of plans, mapped from
+    uniforms on [0, 1): (diag, edge) of all plans concatenated, plan j's
+    vertices after those of plans[:j], with edge[v] on (v, parent[v]) and 0
+    at roots.
 
-    Each plan keeps its own generator; only the arithmetic is stacked.
+    uniforms has shape (2, total vertices), a column per vertex in the same
+    order.  Each matrix is L L^T, where column v of L holds l_vv = 0.3 + 1.2 *
+    uniforms[0, v] and, below it, l_uv = uniforms[1, v] at u = parent[v]: in
+    the plan's elimination order L is lower triangular, so the pattern needs
+    no projection.  Each matrix is then rescaled to keep its entries below
+    range_max.
     """
     if range_max <= 0:
         raise MatrixError("range_max must be positive")
-    sizes = np.array([len(p.order) for p in plans], dtype=np.intp)
+    sizes = np.array([len(p.parent) for p in plans], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
-    offset = np.repeat(starts, sizes)  # of the plan holding each position
-    order = np.fromiter(chain.from_iterable(p.order for p in plans), np.intp, total) + offset
-    parent = np.fromiter(chain.from_iterable(p.parent for p in plans), np.intp, total)
-    parent = parent[order]  # of order[k]
-    has_parent = parent >= 0
-    parent = parent + offset
-    # one draw of l_vv per vertex, followed by one of l_uv when v has a parent,
-    # in elimination order: the stream a scalar loop over the plan would use
-    steps = 1 + has_parent
-    at_vv = np.cumsum(steps) - steps
-    counts = np.add.reduceat(steps, starts).tolist()
-    draws = np.concatenate([np.random.default_rng(s).random(k)
-                            for s, k in zip(seeds, counts)])
-    lvv = 0.3 + (1.5 - 0.3) * draws[at_vv]
-    luv = draws[at_vv[has_parent] + 1]
-    diag = np.zeros(len(order))
-    diag[order] = lvv * lvv
-    # the children's l_uv^2 summed in elimination order, as a scalar loop would
-    diag += np.bincount(parent[has_parent], weights=luv * luv, minlength=len(order))
-    edge = np.zeros(len(order))
-    edge[order[has_parent]] = lvv[has_parent] * luv
+    parent = np.fromiter(chain.from_iterable(p.parent for p in plans), np.intp, int(sizes.sum()))
+    child = np.flatnonzero(parent >= 0)
+    lvv = 0.3 + (1.5 - 0.3) * uniforms[0]
+    luv = uniforms[1, child]
+    # each vertex's l_vv^2 plus its children's l_uv^2, summed in vertex order
+    diag = lvv * lvv + np.bincount((parent + np.repeat(starts, sizes))[child],
+                                   weights=luv * luv, minlength=len(parent))
+    edge = np.zeros(len(parent))
+    edge[child] = lvv[child] * luv
     peak = np.maximum(np.maximum.reduceat(diag, starts), np.maximum.reduceat(edge, starts))
     scale = np.repeat(0.999 * range_max / peak, sizes)
     return diag * scale, edge * scale
@@ -174,7 +164,15 @@ def random_psd_with_pattern(g: Graph, range_max: float, seed: int) -> np.ndarray
 
 
 def format_matrix(a: np.ndarray) -> str:
-    a = check_symmetric(a)
+    """The text of a finite, exactly symmetric matrix: n, then "i j value"
+    for each nonzero entry with i <= j, row by row."""
+    return format_square(check_symmetric(a))
+
+
+def format_square(a: np.ndarray) -> str:
+    """format_matrix's text of the upper triangle of a square array, with no
+    check: NaN and +-inf entries print as nan and inf, which parse_matrix
+    reads back."""
     n = a.shape[0]
     lines = [str(n)]
     for i in range(n):

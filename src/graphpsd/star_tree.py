@@ -178,25 +178,25 @@ def tree_psd_check(a: np.ndarray, t: Graph, tol: float = DEFAULT_PSD_TOL) -> boo
     return plan_psd_check(plan, np.diag(a), edge, tol)
 
 
-def random_star(d: int, rng: np.random.Generator) -> StarMatrix:
-    """Star matrix with i.i.d. uniform entries on [-2, 2) (not necessarily PSD)."""
-    return StarMatrix(tuple(rng.uniform(-2.0, 2.0, d + 1)), tuple(rng.uniform(-2.0, 2.0, d)))
+def random_star(b: int, d: int, rng: np.random.Generator):
+    """b stars of degree d with i.i.d. uniform entries on [-2, 2), not
+    necessarily PSD, stacked as rows (p, alpha) of shapes (b, d+1), (b, d)."""
+    return rng.uniform(-2.0, 2.0, (b, d + 1)), rng.uniform(-2.0, 2.0, (b, d))
 
 
-def random_psd_star(d: int, rng: np.random.Generator) -> StarMatrix:
-    """PSD star sample; with probability 0.3 the center diagonal sits exactly
-    at the leaf load, which is where nontrivial kernels live.  Some draws also
-    force alpha_i = p_i on a leaf to populate the joint kernel."""
-    p_leaf = rng.uniform(0.1, 2.0, d)
-    alpha = rng.uniform(-1.0, 1.0, d) * np.sqrt(p_leaf)
-    if d >= 1 and rng.uniform() < 0.3:
-        i = int(rng.integers(d))
-        alpha[i] = p_leaf[i]
+def random_psd_star(b: int, d: int, rng: np.random.Generator):
+    """b PSD stars of degree d >= 1, stacked as random_star's are.  In about
+    30 % of the rows a random leaf has alpha_i = p_i, which populates the
+    joint kernel; in about 30 % the center diagonal sits exactly at the leaf
+    load, which is where nontrivial kernels live."""
+    p_leaf = rng.uniform(0.1, 2.0, (b, d))
+    alpha = rng.uniform(-1.0, 1.0, (b, d)) * np.sqrt(p_leaf)
+    rows = np.flatnonzero(rng.uniform(size=b) < 0.3)
+    leaf = rng.integers(d, size=rows.size)
+    alpha[rows, leaf] = p_leaf[rows, leaf]
     # the criterion's own load, so boundary draws land on its notion of
     # equality, not one ulp below it
     load = leaf_load(p_leaf, alpha)
-    if rng.uniform() < 0.3:
-        p1 = load
-    else:
-        p1 = load * (1.0 + rng.uniform(0.0, 1.0)) + rng.uniform(0.0, 0.5)
-    return StarMatrix((p1,) + tuple(p_leaf), tuple(alpha))
+    at_load = rng.uniform(size=b) < 0.3
+    above = load * (1.0 + rng.uniform(0.0, 1.0, b)) + rng.uniform(0.0, 0.5, b)
+    return np.column_stack([np.where(at_load, load, above), p_leaf]), alpha

@@ -7,7 +7,8 @@ factorization and equal-leaf eigenvalues against the dense matrix, eta and the
 randomized witness search against the witness constructions, and the
 thresholding counterexample against the open-triangle search.  The
 sample-by-sample and trial-by-trial loops at the end are the references for
-the stacked star-suite and the chunked preservation trials.
+the stacked star-suite and the chunked preservation trials; they check the
+samples the commands draw, one at a time.
 """
 
 import math
@@ -23,17 +24,18 @@ from graphpsd.functions import (
     Verdict,
     _grid_count,
 )
-from graphpsd.graphs import Graph, GraphError, find_open_triangle, format_graph, random_tree_plan
+from graphpsd.graphs import Graph, GraphError, find_open_triangle, format_graph
 from graphpsd.matrices import (
     MatrixError,
     check_symmetric,
     dense_from_plan,
     format_matrix,
+    format_square,
     hadamard_power,
     quadratic_form,
-    random_psd_plan_entries,
+    stacked_psd_plan_entries,
 )
-from graphpsd.star_tree import plan_psd_check, random_psd_star, random_star, star_psd_check
+from graphpsd.star_tree import StarMatrix, plan_psd_check, star_psd_check
 from graphpsd.witnesses import nk_membership
 
 
@@ -220,15 +222,18 @@ def kernel_stability_loop(s, m_max):
     return True
 
 
-def star_suite_loop(seed, trials, tol):
-    """(verdict, certificate) of star-suite, one sample at a time: draw, then
-    is_psd's spectral verdicts, the criterion and kernel stability, stopping
-    at the first failure."""
+def star_sample(sampler, d, rng):
+    """One star of degree d from random_star or random_psd_star."""
+    p, alpha = sampler(1, d, rng)
+    return StarMatrix(p[0], alpha[0])
+
+
+def star_suite_loop(stars, tol):
+    """(verdict, certificate) of star-suite on the StarMatrix samples stars,
+    in index order, one sample at a time: is_psd's spectral verdicts, the
+    criterion and kernel stability, stopping at the first failure."""
     checked = boundary = 0
-    for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        d = int(rng.integers(1, 9))
-        s = random_star(d, rng) if rng.random() < 0.5 else random_psd_star(d, rng)
+    for s in stars:
         dense = s.to_dense()
         eigs = np.linalg.eigvalsh(dense)
         if abs(eigs[0]) <= tol * max(1.0, abs(eigs[-1])):  # the boundary band
@@ -245,22 +250,13 @@ def star_suite_loop(seed, trials, tol):
     return "pass", {"checked": checked, "boundary_skipped": boundary}
 
 
-def random_tree_draw(n_max, trial_seed):
-    """Plan and entry seed of one preserver-test trial: a random tree on
-    2..n_max vertices, from the trial's own stream."""
-    rng = np.random.default_rng(trial_seed)
-    n = int(rng.integers(2, n_max + 1))
-    plan = random_tree_plan(n, int(rng.integers(0, 2 ** 31)))
-    return plan, int(rng.integers(0, 2 ** 31))
-
-
 def trial_loop(f, trials, draw, range_max, tol):
     """The preservation trials one at a time, stopping at the first failure:
-    the certificate of the first failing trial, or None.  draw(i) gives trial
-    i's elimination plan and entry seed."""
-    for i in range(trials):
-        plan, entry_seed = draw(i)
-        diag, edge = random_psd_plan_entries(plan, range_max, entry_seed)
+    the certificate of the first failing trial, or None.  Each call of draw()
+    gives the next trial's elimination plan and (2, n) block of uniforms."""
+    for _ in range(trials):
+        plan, uniforms = draw()
+        diag, edge = stacked_psd_plan_entries([plan], range_max, uniforms)
         # f on the diagonal and the tree edges; roots carry no edge entry
         fdiag = f.value(diag)
         fedge = np.where(np.array(plan.parent) >= 0, f.value(edge), 0.0)
@@ -269,6 +265,6 @@ def trial_loop(f, trials, draw, range_max, tol):
         return {
             "tree": format_graph(plan.graph()),
             "matrix": format_matrix(dense_from_plan(plan, diag, edge)),
-            "image": format_matrix(dense_from_plan(plan, fdiag, fedge)),
+            "image": format_square(dense_from_plan(plan, fdiag, fedge)),
         }
     return None

@@ -17,6 +17,7 @@ from oracles import (
     forward_difference,
     psi,
     star_eigenvalues_equal_p,
+    star_sample,
     thresholding_counterexample,
     witness_search,
 )
@@ -35,7 +36,7 @@ def test_01_star_criterion_oracle_equivalence():
     for seed in range(10_000):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 11))
-        s = star_tree.random_star(d, rng)
+        s = star_sample(star_tree.random_star, d, rng)
         oracle = matrices.is_psd(s.to_dense())
         if oracle.boundary:
             continue
@@ -215,7 +216,7 @@ def test_07_kernel_stability():
     for seed in range(10_000):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 9))
-        s = star_tree.random_psd_star(d, rng)
+        s = star_sample(star_tree.random_psd_star, d, rng)
         if not witnesses.star_kernel_stability(s, m_max=8):
             ok = False
     _report("joint kernel of the first two powers kills all higher powers "
@@ -258,7 +259,7 @@ def test_09_star_det_and_eigs():
     for seed in range(10_000):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 9))
-        s = star_tree.random_star(d, rng)
+        s = star_sample(star_tree.random_star, d, rng)
         lhs = star_tree.star_det(s)
         rhs = float(np.linalg.det(s.to_dense()))
         if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs), abs(rhs)):

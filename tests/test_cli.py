@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from graphpsd import cli, graphs
@@ -7,6 +8,7 @@ from graphpsd.cli import main
 from graphpsd.functions import parse_function
 from graphpsd.graphs import parse_graph
 from graphpsd.matrices import apply_entrywise, is_psd, parse_matrix
+from graphpsd.star_tree import tree_psd_check
 
 
 def run(capsys, *argv):
@@ -126,10 +128,16 @@ def test_star_suite_zero_trials_usage_error():
     assert main(["star-suite", "--trials", "0"]) == 2
 
 
-def test_determinism_modulo_elapsed(capsys):
+@pytest.mark.parametrize("argv", [
+    ("star-suite", "--trials", "50", "--seed", "7"),
+    ("preserver-test", "1*x^1, 1*x^2", "--trials", "200", "--seed", "7"),
+    ("preserver-test", "1*x^0.97", "--trials", "200", "--seed", "7"),
+    ("critical-exponent", "random_tree 12", "0.5", "1.0", "2.5", "--trials", "70", "--seed", "7"),
+])
+def test_determinism_modulo_elapsed(capsys, argv):
     reps = []
     for _ in range(2):
-        code, rep = run(capsys, "star-suite", "--trials", "50", "--seed", "7")
+        code, rep = run(capsys, *argv)
         rep.pop("elapsed_ms")
         reps.append(rep)
     assert reps[0] == reps[1]
@@ -228,3 +236,17 @@ def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_witness", fake)
     code, rep = run(capsys, "witness", "star 4")
     assert code == 0 and seen == ["star 4"] and rep["certificate"] is None
+
+
+def test_overflowing_image_still_gives_the_trial_certificate(capsys):
+    # f[A] overflows to inf - inf = NaN on entries near 8; the certificate
+    # prints those as nan, the sampled matrix stays finite, and the exit is 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, rep = run(capsys, "preserver-test", "--trials", "50", "--", "1*x^400, -1*x^401")
+    assert code == 1 and rep["verdict"] == "fail"
+    cert = rep["certificate"]
+    t, a, image = (parse_graph(cert["tree"]), parse_matrix(cert["matrix"]),
+                   parse_matrix(cert["image"]))
+    assert np.isfinite(a).all() and is_psd(a).is_psd
+    assert "nan" in cert["image"] and np.isnan(image).any()
+    assert not tree_psd_check(image, t)

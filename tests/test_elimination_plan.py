@@ -59,8 +59,8 @@ def reference_random_tree_edges(n, seed):
     """The edges of a random tree as drawn and decoded edge by edge."""
     if n == 1:
         return frozenset()
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    rng = np.random.default_rng(seed)
+    seq = [int(rng.integers(n)) for _ in range(n - 2)]
     return frozenset(reference_prufer_edges(seq, n))
 
 
@@ -106,20 +106,23 @@ def reference_walk(g):
 
 
 def reference_sampler(g, range_max, seed):
-    """Scalar sampler loop: (diag, off) with off keyed by (i, j), i < j."""
-    order, parent = reference_walk(g)
+    """Scalar sampler loop: (diag, off) with off keyed by (i, j), i < j.
+
+    Column v of L holds l_vv, drawn for every vertex, and l_uv at its parent
+    u, drawn for every vertex after those; each diagonal entry of L L^T is
+    l_vv^2 plus its children's l_uv^2, summed in vertex order."""
+    _, parent = reference_walk(g)
     rng = np.random.default_rng(seed)
-    diag = np.zeros(g.n)
+    lvv = [rng.uniform(0.3, 1.5) for _ in range(g.n)]
+    luv = [rng.uniform(0.0, 1.0) for _ in range(g.n)]
+    load = np.zeros(g.n)
     off = {}
-    for v in order:
-        lvv = rng.uniform(0.3, 1.5)
-        diag[v] += lvv * lvv
+    for v in range(g.n):
         u = parent[v]
         if u >= 0:
-            luv = rng.uniform(0.0, 1.0)
-            diag[u] += luv * luv
-            key = (min(u, v), max(u, v))
-            off[key] = off.get(key, 0.0) + lvv * luv
+            load[u] += luv[v] * luv[v]
+            off[(min(u, v), max(u, v))] = lvv[v] * luv[v]
+    diag = np.array([x * x for x in lvv]) + load
     peak = max(diag.max(), max(off.values(), default=0.0))
     scale = 0.999 * range_max / peak
     diag *= scale

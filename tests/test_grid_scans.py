@@ -20,8 +20,8 @@ from graphpsd.functions import (
     Verdict,
     _BLOCK_PAIRS,
     _grid_cap,
+    check_abs_monotonic,
     check_mult_midpoint_convex,
-    check_nonnegative,
     check_superadditive,
     parse_function,
     power_function,
@@ -180,17 +180,22 @@ def test_midpoint_scan_memory_is_one_block():
     assert peak < 2 * 1024 * 1024
 
 
+def nonnegative(f, bound=8.0):
+    """preserver-test's f >= 0 scan: the order-0 forward differences."""
+    return check_abs_monotonic(f, 0, step=1.0 / 64.0, bound=bound)
+
+
 def test_nonnegative_scan():
-    assert check_nonnegative(parse_function("1*x^2, -1*x^1, 0.25*x^0")).holds  # (x - 1/2)^2
-    v = check_nonnegative(parse_function("1*x^2, -1*x^1"))  # negative on (0, 1)
-    assert (v.holds, v.witness) == (False, (1 / 64,))
+    assert nonnegative(parse_function("1*x^2, -1*x^1, 0.25*x^0")).holds  # (x - 1/2)^2
+    v = nonnegative(parse_function("1*x^2, -1*x^1"))  # negative on (0, 1)
+    assert (v.holds, v.witness) == (False, (0, 1 / 64, 1 / 64))
     assert v.margin == min((i / 64) ** 2 - i / 64 for i in range(513))
     # superadditive and midpoint convex on the grid, and still negative
     f = parse_function("-1*x^1")
     assert check_superadditive(f).holds and check_mult_midpoint_convex(f).holds
-    assert check_nonnegative(f).witness == (1 / 64,)
-    assert check_nonnegative(parse_function("-1*x^0, 1*x^3")).witness == (0.0,)
+    assert nonnegative(f).witness == (0, 1 / 64, 1 / 64)
+    assert nonnegative(parse_function("-1*x^0, 1*x^3")).witness == (0, 0.0, 1 / 64)
     # the scan reads the grid up to bound, not past it
-    assert check_nonnegative(parse_function("1*x^1, -0.25*x^2"), bound=4.0).holds
-    assert check_nonnegative(parse_function("1*x^1, -0.25*x^2"), bound=5.0).witness == \
-        (4.015625,)
+    assert nonnegative(parse_function("1*x^1, -0.25*x^2"), bound=4.0).holds
+    assert nonnegative(parse_function("1*x^1, -0.25*x^2"), bound=5.0).witness == \
+        (0, 4.015625, 1 / 64)

@@ -1,0 +1,143 @@
+"""One seeded generator per randomized command.
+
+preserver-test, critical-exponent and star-suite each make one
+default_rng(--seed) and read every draw from it in a fixed order.  These
+tests count the generators a command makes, compare the samples of adjacent
+seeds, and check that a trial's sample, and so a failing trial's report,
+does not depend on --trials.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from graphpsd import cli, star_tree
+
+COMMANDS = {
+    "preserver-test": ("preserver-test", "1*x^1, 1*x^2"),
+    "critical-exponent": ("critical-exponent", "random_tree 12", "0.5", "1.0", "2.5"),
+    "star-suite": ("star-suite",),
+}
+
+
+def run(capsys, argv):
+    code = cli.main(list(argv))
+    rep = json.loads(capsys.readouterr().out)
+    rep.pop("elapsed_ms")
+    return code, rep
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("trials", [1, 70, 300])
+def test_one_generator_per_command(capsys, monkeypatch, command, trials):
+    made = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        rng = real(*args, **kwargs)
+        if not any(rng is m for m in made):  # default_rng returns a Generator as it is
+            made.append(rng)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    code, _ = run(capsys, COMMANDS[command] + ("--trials", str(trials), "--seed", "3"))
+    assert code == 0 and len(made) == 1
+
+
+def trial_samples(monkeypatch, argv):
+    """The uniform blocks a tree command's trials draw, as bytes, in order;
+    the trials themselves are not run."""
+    seen = []
+
+    def spy(f, trials, draw, range_max, tol):
+        seen.extend(draw()[1].tobytes() for _ in range(trials))
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_first_failing_trial", spy)
+        assert cli.main(list(argv)) == 0
+    return seen
+
+
+def star_samples(monkeypatch, argv):
+    """The (p, alpha) rows star-suite checks, as bytes."""
+    seen = []
+    stacked_dense = star_tree.stacked_dense
+
+    def spy(p, alpha):
+        seen.extend(pr.tobytes() + ar.tobytes() for pr, ar in zip(p, alpha))
+        return stacked_dense(p, alpha)
+
+    with monkeypatch.context() as m:
+        m.setattr(star_tree, "stacked_dense", spy)
+        assert cli.main(list(argv)) == 0
+    return seen
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("seed", [0, 41])
+def test_adjacent_seeds_share_no_sample(capsys, monkeypatch, command, seed):
+    samples = star_samples if command == "star-suite" else trial_samples
+    here, next_seed = (samples(monkeypatch, COMMANDS[command] + ("--trials", "200", "--seed", s))
+                       for s in (str(seed), str(seed + 1)))
+    capsys.readouterr()
+    # 200 stars, or 200 trials per tree test (critical-exponent has two rows)
+    assert len(here) == len(next_seed) == (400 if command == "critical-exponent" else 200)
+    assert len(set(here)) == len(here) and not set(here) & set(next_seed)
+
+
+@pytest.mark.parametrize("argv", [COMMANDS["preserver-test"],
+                                  ("critical-exponent", "random_tree 12", "2.0")])
+def test_trial_samples_do_not_depend_on_trials(capsys, monkeypatch, argv):
+    # (a second alpha row of critical-exponent draws after all of the first
+    # row's trials, so its samples do depend on --trials)
+    few, many = (trial_samples(monkeypatch, argv + ("--trials", t, "--seed", "5"))
+                 for t in ("10", "150"))
+    capsys.readouterr()
+    assert few == many[:10]
+
+
+def test_a_failing_trial_gives_one_report_for_any_longer_run(capsys):
+    # 1*x^0.97 first fails at trial 6 under seed 18; later trials are never
+    # drawn, so every --trials above 6 gives the same report
+    reports = []
+    for trials in (7, 8, 64, 200, 1000):
+        code, rep = run(capsys, ("preserver-test", "1*x^0.97", "--seed", "18",
+                                 "--trials", str(trials)))
+        assert code == 1 and rep.pop("trials") == trials
+        reports.append(rep)
+    assert all(rep == reports[0] for rep in reports)
+    assert "image" in reports[0]["certificate"]
+    # with 6 trials every trial passes, and the superadditivity scan fails
+    code, rep = run(capsys, ("preserver-test", "1*x^0.97", "--seed", "18", "--trials", "6"))
+    assert code == 1 and "grid_witness" in rep["certificate"]
+
+
+def test_tree_spec_is_the_first_draw(capsys, monkeypatch):
+    # critical-exponent draws its random tree first, from the command's
+    # generator; witness reads the same spec from --seed alone
+    seen = []
+    real = cli._parse_graph_spec
+
+    def parse(spec, seed):
+        seen.append(real(spec, seed))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_parse_graph_spec", parse)
+    run(capsys, ("critical-exponent", "random_tree 12", "2.0", "--trials", "5", "--seed", "8"))
+    run(capsys, ("witness", "random_tree 12", "--seed", "8"))
+    assert seen[0] == seen[1]
+    assert seen[0].edges != real("random_tree 12", 9).edges
+
+
+def test_star_suite_passes_over_many_seeds():
+    # about 15 % of the samples fall in the boundary band and are skipped
+    checked = skipped = 0
+    for seed in range(200):
+        rep = cli.cmd_star_suite(cli.build_parser().parse_args(
+            ["star-suite", "--seed", str(seed)]))
+        assert rep.verdict == "pass", seed
+        checked += rep.certificate["checked"]
+        skipped += rep.certificate["boundary_skipped"]
+    assert checked + skipped == 200 * 1000
+    assert 0.13 < skipped / (checked + skipped) < 0.17

@@ -1,10 +1,11 @@
 """The stacked star-suite against the sample-by-sample reference.
 
-star-suite draws every sample from its own generator, then checks the
-samples in one stack per star degree.  These tests hold its reports to the
-loop in tests/oracles.py, its stacked criterion and kernel-stability test to
-the one-star loops there, and the stacked LAPACK calls to the per-matrix
-calls they replace.
+star-suite draws its samples from one generator, degree by degree, then
+checks them in one stack per star degree.  These tests hold its draws to the
+order it states, its reports to the loop in tests/oracles.py on the same
+samples, its stacked criterion and kernel-stability test to the one-star
+loops there, and the stacked LAPACK calls to the per-matrix calls they
+replace.
 """
 
 import argparse
@@ -32,8 +33,33 @@ from oracles import kernel_stability_loop, star_criterion_loop, star_suite_loop
 def _stars(d, count, seed):
     """count stars of degree d from both samplers, stacked as (p, alpha)."""
     rng = np.random.default_rng(seed)
-    stars = [random_star(d, rng) if k % 2 else random_psd_star(d, rng) for k in range(count)]
-    return np.array([s.p for s in stars]), np.array([s.alpha for s in stars])
+    p, alpha = zip(random_star(count // 2, d, rng), random_psd_star(count - count // 2, d, rng))
+    return np.concatenate(p), np.concatenate(alpha)
+
+
+def drawn_stars(seed, trials):
+    """The samples of star-suite --seed seed --trials trials, in index order."""
+    stars = [None] * trials
+    for idx, p, alpha in cli._draw_stars(np.random.default_rng(seed), trials):
+        for i, pr, ar in zip(idx.tolist(), p, alpha):
+            stars[i] = StarMatrix(pr, ar)
+    return stars
+
+
+@pytest.mark.parametrize("seed,trials", [(0, 1), (5, 40), (8, 1000)])
+def test_draws_follow_the_stated_order(seed, trials):
+    rng = np.random.default_rng(seed)
+    degree = rng.integers(1, 9, trials)
+    psd_kind = rng.random(trials) >= 0.5
+    want = {}
+    for d in range(1, 9):
+        plain = np.flatnonzero((degree == d) & ~psd_kind).tolist()
+        psd = np.flatnonzero((degree == d) & psd_kind).tolist()
+        for sampler, rows in ((random_star, plain), (random_psd_star, psd)):
+            p, alpha = sampler(len(rows), d, rng)
+            want.update((i, (pr.tolist(), ar.tolist())) for i, pr, ar in zip(rows, p, alpha))
+    got = {i: (list(s.p), list(s.alpha)) for i, s in enumerate(drawn_stars(seed, trials))}
+    assert got == want
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11, 250])
@@ -42,17 +68,17 @@ def test_report_matches_the_loop(capsys, seed, trials):
     code = cli.main(["star-suite", "--trials", str(trials), "--seed", str(seed)])
     rep = json.loads(capsys.readouterr().out)
     assert (code, rep["verdict"], rep["certificate"]) == \
-        (0, *star_suite_loop(seed, trials, DEFAULT_PSD_TOL))
+        (0, *star_suite_loop(drawn_stars(seed, trials), DEFAULT_PSD_TOL))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 777])
 def test_fail_path_matches_the_loop(seed):
     # main refuses --tol 1; at that band the oracle parts from the exact
-    # criterion, at sample 10 for seed 1, and the handler must stop where the
+    # criterion within the first samples, and the handler must stop where the
     # loop stops, with the same certificate
     rep = cli.cmd_star_suite(argparse.Namespace(trials=200, seed=seed, tol=1.0))
     assert rep.verdict == "fail" and "criterion" in rep.certificate
-    assert (rep.verdict, rep.certificate) == star_suite_loop(seed, 200, 1.0)
+    assert (rep.verdict, rep.certificate) == star_suite_loop(drawn_stars(seed, 200), 1.0)
 
 
 def test_kernel_failure_is_reported_at_the_first_failing_sample(monkeypatch):
@@ -62,7 +88,7 @@ def test_kernel_failure_is_reported_at_the_first_failing_sample(monkeypatch):
                         lambda a, m_max: np.zeros(len(a), dtype=bool))
     rep = cli.cmd_star_suite(argparse.Namespace(trials=50, seed=9, tol=1e-9))
     monkeypatch.setattr(oracles, "kernel_stability_loop", lambda s, m_max: False)
-    want = star_suite_loop(9, 50, 1e-9)
+    want = star_suite_loop(drawn_stars(9, 50), 1e-9)
     assert want[1].get("kernel_stability") is False
     assert (rep.verdict, rep.certificate) == want
 

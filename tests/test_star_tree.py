@@ -8,14 +8,16 @@ from graphpsd.graphs import path_graph, star_graph
 from graphpsd.matrices import MatrixError, hadamard_power, is_psd
 from graphpsd.star_tree import (
     StarMatrix,
+    leaf_load,
     random_psd_star,
     random_star,
+    stacked_criterion,
     star_det,
     star_psd_check,
     tree_psd_check,
     tree_psd_check_sparse,
 )
-from oracles import star_eigenvalues_equal_p, star_factor, star_factor_am
+from oracles import star_eigenvalues_equal_p, star_factor, star_factor_am, star_sample
 
 
 def test_star_psd_boundary_equality():
@@ -65,7 +67,7 @@ def test_star_factor_zero_p_convention():
 @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 10_000))
 def test_star_factor_reproduces_power(d, m, seed):
     rng = np.random.default_rng(seed)
-    s = random_psd_star(d, rng)
+    s = star_sample(random_psd_star, d, rng)
     lm = star_factor(s, m)
     assert np.allclose(lm @ lm.T, hadamard_power(s.to_dense(), m), atol=1e-9)
 
@@ -122,7 +124,7 @@ def test_tree_sparse_zero_pivot_branch():
 @given(st.integers(1, 10), st.integers(0, 10_000))
 def test_star_check_agrees_with_oracle(d, seed):
     rng = np.random.default_rng(seed)
-    s = random_star(d, rng)
+    s = star_sample(random_star, d, rng)
     oracle = is_psd(s.to_dense())
     if oracle.boundary:
         return
@@ -132,8 +134,30 @@ def test_star_check_agrees_with_oracle(d, seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10_000))
 def test_random_psd_star_is_psd(d, seed):
-    s = random_psd_star(d, np.random.default_rng(seed))
-    assert star_psd_check(s).is_psd
+    p, alpha = random_psd_star(40, d, np.random.default_rng(seed))
+    assert p.shape == (40, d + 1) and alpha.shape == (40, d)
+    assert all(star_psd_check(StarMatrix(pr, ar)).is_psd for pr, ar in zip(p, alpha))
+    assert (stacked_criterion(p, alpha) == 0).all()
+
+
+def test_random_psd_star_boundary_rows_sit_exactly_at_the_load():
+    # about 30 % of the rows have p1 equal to the criterion's own load, and
+    # about 30 % have a leaf with alpha_i = p_i
+    p, alpha = random_psd_star(2000, 5, np.random.default_rng(1))
+    at_load = p[:, 0] == leaf_load(p[:, 1:], alpha)
+    tied = (alpha == p[:, 1:]).any(axis=1)
+    assert 0.25 < at_load.mean() < 0.35 and 0.25 < tied.mean() < 0.35
+    assert (stacked_criterion(p[at_load], alpha[at_load]) == 0).all()
+    assert (stacked_criterion(np.column_stack([np.nextafter(p[at_load, 0], -1.0),
+                                               p[at_load, 1:]]), alpha[at_load]) == 3).all()
+
+
+def test_random_star_rows():
+    p, alpha = random_star(500, 3, np.random.default_rng(2))
+    assert p.shape == (500, 4) and alpha.shape == (500, 3)
+    assert -2.0 <= min(p.min(), alpha.min()) and max(p.max(), alpha.max()) < 2.0
+    # both verdicts of the criterion occur
+    assert {0, 1} <= set(stacked_criterion(p, alpha).tolist())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -3,8 +3,8 @@
 preserver-test and critical-exponent run their trials in chunks of 1, 2, 4,
 ..., 64, then 64 trials: one stacked sampler call and one f evaluation per
 chunk, then the Schur loop trial by trial.  These tests hold their reports to
-the loop in tests/oracles.py, which draws, maps and checks one trial at a
-time, and the stacked sampler to the one-plan sampler.
+the loop in tests/oracles.py, which maps and checks one trial at a time on
+the same draws, and the stacked sampler to the one-plan sampler.
 """
 
 import argparse
@@ -16,8 +16,27 @@ import pytest
 from graphpsd import cli, functions, graphs
 from graphpsd.matrices import random_psd_plan_entries, stacked_psd_plan_entries
 
-from oracles import random_tree_draw, trial_loop
+from oracles import trial_loop
 from test_elimination_plan import random_forest
+
+
+def preserver_draw(seed, tree_n):
+    """The trial draws of preserver-test --seed seed --tree-n tree_n: per
+    trial a size, a Pruefer sequence and a (2, n) block of uniforms, all from
+    one default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        n = int(rng.integers(2, tree_n + 1))
+        return graphs.random_tree_plan(n, rng), rng.random((2, n))
+    return draw
+
+
+def fixed_tree_draw(plan, seed):
+    """The trial draws of critical-exponent on a path or star spec, which
+    draws no tree: a (2, n) block of uniforms per trial."""
+    rng = np.random.default_rng(seed)
+    return lambda: (plan, rng.random((2, len(plan.parent))))
 
 
 def run_main(capsys, argv):
@@ -40,9 +59,27 @@ def run_both(capsys, monkeypatch, argv):
 def first_failure(f, draw, limit=1000, range_max=8.0):
     """Index of the reference loop's first failing trial, or None."""
     for k in range(limit):
-        if trial_loop(f, 1, lambda _: draw(k), range_max, 1e-9) is not None:
+        sample = draw()
+        if trial_loop(f, 1, lambda: sample, range_max, 1e-9) is not None:
             return k
     return None
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("preserver-test", "1*x^2", "--tree-n", "20"), lambda: preserver_draw(4, 20)),
+    (("critical-exponent", "path 6", "2.0"),
+     lambda: fixed_tree_draw(graphs.elimination_plan(graphs.path_graph(6)), 4)),
+])
+def test_trials_draw_in_the_stated_order(capsys, monkeypatch, argv, want):
+    seen = []
+    monkeypatch.setattr(cli, "_first_failing_trial", lambda f, trials, draw, *rest:
+                        seen.extend(draw() for _ in range(trials)))
+    assert cli.main(list(argv) + ["--trials", "30", "--seed", "4"]) == 0
+    draw = want()
+    for plan, block in seen:
+        want_plan, want_block = draw()
+        assert plan == want_plan and block.tobytes() == want_block.tobytes()
+    assert len(seen) == 30
 
 
 def test_chunk_schedule():
@@ -54,14 +91,14 @@ def test_chunk_schedule():
 
 # command seeds whose first failing trial is the key, found with the
 # reference loop; the test checks the index before it compares reports
-X097_SEEDS = {0: 3, 1: 2, 2: 1, 3: 0, 6: 85, 7: 84, 63: 28, 64: 27, 126: 423, 127: 422}
+X097_SEEDS = {0: 5, 1: 36, 2: 11, 3: 4, 6: 18, 7: 51, 63: 910, 64: 190, 126: 168, 127: 401}
 
 
 @pytest.mark.parametrize("index", sorted(X097_SEEDS))
 def test_preserver_first_failure_at_chunk_edges(capsys, monkeypatch, index):
     seed = X097_SEEDS[index]
     f = functions.parse_function("1*x^0.97")
-    assert first_failure(f, lambda k: random_tree_draw(12, seed + k)) == index
+    assert first_failure(f, preserver_draw(seed, 12)) == index
     got, want = run_both(capsys, monkeypatch, ("preserver-test", "1*x^0.97", "--trials", "200",
                                                "--seed", str(seed)))
     assert got == want and got[0] == 1
@@ -69,8 +106,8 @@ def test_preserver_first_failure_at_chunk_edges(capsys, monkeypatch, index):
 
 # critical-exponent on "path 6", with power_function replaced by a function
 # that fails on some trials: seeds as above
-PATH6_SEEDS = {0: 113, 1: 112, 2: 111, 3: 110, 6: 107, 7: 106, 63: 50, 64: 49,
-               126: 796, 127: 795}
+PATH6_SEEDS = {0: 25, 1: 6, 2: 61, 3: 65, 6: 11, 7: 39, 63: 206, 64: 167,
+               126: 3327, 127: 149}
 RARE_FAILURE = "1*x^1, -1.9*x^2, 1*x^3"
 
 
@@ -79,13 +116,13 @@ def test_critical_exponent_first_failure_at_chunk_edges(capsys, monkeypatch, ind
     seed = PATH6_SEEDS[index]
     f = functions.parse_function(RARE_FAILURE)
     plan = graphs.elimination_plan(graphs.path_graph(6))
-    assert first_failure(f, lambda k: (plan, seed + k)) == index
+    assert first_failure(f, fixed_tree_draw(plan, seed)) == index
     monkeypatch.setattr(functions, "power_function", lambda alpha: f)
     got, want = run_both(capsys, monkeypatch, ("critical-exponent", "path 6", "2.0",
                                                "--trials", "150", "--seed", str(seed)))
     assert got == want and got[0] == 1
     assert json.loads(got[1]["rows"][0]["certificate"]) == \
-        trial_loop(f, 150, lambda k: (plan, seed + k), 8.0, 1e-9)
+        trial_loop(f, 150, fixed_tree_draw(plan, seed), 8.0, 1e-9)
 
 
 FUNCTIONS = [
@@ -153,10 +190,11 @@ def test_wide_band_handler_matches_the_loop(monkeypatch, lit, tol, range_max, tr
 def test_first_failure_in_a_chunk_is_reported():
     # trials 1 and 2 share the second chunk and both fail
     f = functions.parse_function("1*x^0.9")
-    draw = lambda k: random_tree_draw(12, k)  # noqa: E731
-    assert [trial_loop(f, 1, lambda _: draw(k), 8.0, 1e-9) is not None for k in range(3)] \
+    draw = preserver_draw(7, 12)
+    assert [trial_loop(f, 1, draw, 8.0, 1e-9) is not None for _ in range(3)] \
         == [False, True, True]
-    assert cli._first_failing_trial(f, 3, draw, 8.0, 1e-9) == trial_loop(f, 3, draw, 8.0, 1e-9)
+    assert cli._first_failing_trial(f, 3, preserver_draw(7, 12), 8.0, 1e-9) == \
+        trial_loop(f, 3, preserver_draw(7, 12), 8.0, 1e-9)
 
 
 def _plans(seed):
@@ -175,17 +213,27 @@ def _plans(seed):
 @pytest.mark.parametrize("seed", range(25))
 def test_stacked_sampler_is_the_one_plan_sampler(seed):
     plans = _plans(seed)
-    seeds = [seed * 1000 + j for j in range(len(plans))]
+    rng = np.random.default_rng(seed + 1000)
+    blocks = [rng.random((2, len(p.order))) for p in plans]
     range_max = 0.5 + seed
-    diag, edge = stacked_psd_plan_entries(plans, range_max, seeds)
+    diag, edge = stacked_psd_plan_entries(plans, range_max, np.concatenate(blocks, axis=1))
     lo = 0
-    for plan, s in zip(plans, seeds):
+    for plan, block in zip(plans, blocks):
         hi = lo + len(plan.order)
-        want_diag, want_edge = random_psd_plan_entries(plan, range_max, s)
+        want_diag, want_edge = stacked_psd_plan_entries([plan], range_max, block)
         assert diag[lo:hi].tobytes() == want_diag.tobytes()
         assert edge[lo:hi].tobytes() == want_edge.tobytes()
         lo = hi
     assert lo == len(diag) == len(edge)
+
+
+def test_one_plan_sampler_reads_one_block_of_uniforms():
+    plan = graphs.random_tree_plan(30, 4)
+    block = np.random.default_rng(9).random((2, 30))
+    want = stacked_psd_plan_entries([plan], 3.0, block)
+    for seed in (9, np.random.default_rng(9)):
+        got = random_psd_plan_entries(plan, 3.0, seed)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_negative_function_fails_on_the_grid_when_trials_pass(capsys, monkeypatch):
