@@ -159,10 +159,9 @@ def cmd_preserver_test(args) -> Report:
     if args.tree_n < 2:
         raise UsageError("--tree-n must be >= 2")
     rep = Report("preserver-test", args.seed, args.tol, args.trials, "pass")
-    # f >= 0 is the order-0 forward difference
-    nonneg = functions.check_abs_monotonic(f, 0, step=args.grid, bound=args.range)
-    sup = functions.check_superadditive(f, step=args.grid, bound=args.range)
-    mid = functions.check_mult_midpoint_convex(f, step=args.grid, bound=args.range)
+    # the grid checks run only after the trials pass, but an empty grid is a
+    # usage error whatever the trials say (superadditivity needs two steps)
+    functions._grid_count(f, args.grid, args.range, 2)
     rng = np.random.default_rng(args.seed)
 
     def draw():
@@ -171,8 +170,15 @@ def cmd_preserver_test(args) -> Report:
         return graphs.random_tree_plan(n, rng), rng.random((2, n))
 
     cert = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
+    if cert is not None:
+        rep.verdict, rep.certificate = "fail", cert
+        return rep
+    # f >= 0 is the order-0 forward difference
+    nonneg = functions.check_abs_monotonic(f, 0, step=args.grid, bound=args.range)
+    sup = functions.check_superadditive(f, step=args.grid, bound=args.range)
+    mid = functions.check_mult_midpoint_convex(f, step=args.grid, bound=args.range)
     bad = next((v for v in (nonneg, sup, mid) if not v.holds), None)
-    if cert is None and bad is not None:
+    if bad is not None:
         # a grid violation pins down a concrete bad matrix
         witness = bad.witness
         if bad is nonneg:
@@ -195,15 +201,14 @@ def cmd_preserver_test(args) -> Report:
             t = graphs.path_graph(2)
         fm = matrices.apply_entrywise(f.value, mat, t)
         if not star_tree.tree_psd_check(fm, t, tol=args.tol):
-            cert = {"tree": graphs.format_graph(t),
-                    "matrix": matrices.format_matrix(mat),
-                    "grid_witness": list(witness)}
-    if cert is not None:
-        rep.verdict = "fail"
-        rep.certificate = cert
-    rep.certificate = rep.certificate or {"grid_superadditive": sup.holds,
-                                          "grid_mult_convex": mid.holds,
-                                          "grid_nonnegative": nonneg.holds}
+            rep.verdict = "fail"
+            rep.certificate = {"tree": graphs.format_graph(t),
+                               "matrix": matrices.format_matrix(mat),
+                               "grid_witness": list(witness)}
+            return rep
+    rep.certificate = {"grid_superadditive": sup.holds,
+                       "grid_mult_convex": mid.holds,
+                       "grid_nonnegative": nonneg.holds}
     return rep
 
 

@@ -67,8 +67,10 @@ class EntrywiseFunction:
         """Vectorized evaluation; scalar in, scalar out."""
         x = self._check_domain(x)
         out = np.zeros_like(x, dtype=float)
-        for c, e in self.terms:
-            out += c * np.power(x, e)  # np.power(0., 0.) == 1.
+        # an overflow gives inf (inf - inf gives NaN), which callers read
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, e in self.terms:
+                out += c * np.power(x, e)  # np.power(0., 0.) == 1.
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, x):
@@ -150,42 +152,47 @@ def _grid_values(f: EntrywiseFunction, step: float, bound: float, min_count: int
     return xs, f.value(xs)
 
 
-# pairs per row block of a triangle scan: big enough that per-block numpy
+# entries per row block of a triangle scan: big enough that per-block numpy
 # overhead is small, small enough that the temporaries stay in cache
 _BLOCK_PAIRS = 8192
 
 
-def _scan_rows(rows, stops, block):
-    """Scan the pairs (i, j), i in rows and i <= j < stop, in row-major order.
+def _scan_rows(first, stops, block):
+    """Scan the pairs (i, j), i = first, first + 1, ... and
+    i <= j < stops[i - first], in row-major order.
 
-    Every row must be nonempty.  Consecutive whole rows are taken in blocks of
-    at most _BLOCK_PAIRS pairs (a longer row makes a block alone), and
-    block(i, j) maps the flat index arrays of a block to (lhs, bad).  Returns
-    (margin, witness): margin is the least row minimum of lhs over every row
-    up to and including the one holding the first bad pair, and witness is
-    that pair (i, j), or None.  A row whose minimum is NaN leaves the margin
-    as it was, as a row-by-row min() would.
+    Every row must be nonempty and stops must not increase, so a block of
+    whole rows starting at row r lies in the rectangle r <= j < stops[r - first].
+    Rows are taken in blocks whose rectangle holds at most _BLOCK_PAIRS
+    entries (a longer row makes a block alone).  block(rows, cols) maps the
+    rectangle's row and column slices to fresh 2-D arrays (lhs, bad), which
+    the walker masks in place: j < i only occurs in the first m - 1 columns
+    of an m-row block, and j >= stop only past the last row's stop.
+
+    Returns (margin, witness): margin is the least row minimum of lhs over
+    every row up to and including the one holding the first bad pair, and
+    witness is that pair (i, j), or None.  A row whose minimum is NaN leaves
+    the margin as it was, as a row-by-row min() would.
     """
-    lengths = stops - rows
-    ends = np.cumsum(lengths)
     margin = math.inf
     k = 0
-    while k < rows.size:
-        base = int(ends[k] - lengths[k])
-        m = max(k + 1, int(np.searchsorted(ends, base + _BLOCK_PAIRS, side="right")))
-        lens = lengths[k:m]
-        starts = ends[k:m] - lens - base  # each row's offset in the block
-        i = np.repeat(rows[k:m], lens)
-        j = i + (np.arange(int(ends[m - 1]) - base) - np.repeat(starts, lens))
-        lhs, bad = block(i, j)
-        row_min = np.minimum.reduceat(lhs, starts).tolist()
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            h = int(hits[0])
-            margin = min(margin, *row_min[: int(np.searchsorted(starts, h, side="right"))])
-            return margin, (int(i[h]), int(j[h]))
+    while k < stops.size:
+        lo, hi = first + k, int(stops[k])
+        m = min(stops.size - k, max(1, _BLOCK_PAIRS // (hi - lo)))
+        lhs, bad = block(slice(lo, lo + m), slice(lo, hi))
+        i, stop = np.arange(lo, lo + m)[:, None], stops[k : k + m, None]
+        for a, b in ((lo, min(lo + m - 1, hi)), (int(stops[k + m - 1]), hi)):
+            if a < b:
+                j = np.arange(a, b)
+                outside = (j < i) | (j >= stop)
+                np.putmask(lhs[:, a - lo : b - lo], outside, math.inf)
+                np.putmask(bad[:, a - lo : b - lo], outside, False)
+        row_min = lhs.min(axis=1).tolist()
+        if bad.any():
+            r, c = divmod(int(bad.argmax()), hi - lo)
+            return min(margin, *row_min[: r + 1]), (lo + r, lo + c)
         margin = min(margin, *row_min)
-        k = m
+        k += m
     return margin, None
 
 
@@ -200,16 +207,20 @@ def check_superadditive(
     pair (x, y)."""
     xs, vals = _grid_values(f, step, bound, 2)
     count = xs.size - 1
+    # sums[i, j] = vals[i + j], a view; past the grid it reads zeros, which
+    # fall in a block's masked entries
+    sums = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([vals, np.zeros(count // 2)]), count + 1)
 
-    def block(i, j):
-        total = vals[i + j]
-        lhs = total - vals[i] - vals[j]
+    def block(rows, cols):
+        total = sums[rows, cols]
+        lhs = total - vals[rows, None] - vals[cols]
         return lhs, lhs < -REL_SLACK * (1.0 + np.abs(total))
 
     # x ascending, then y ascending: the first hit is the lexicographically
     # smallest violating pair
-    rows = np.arange(1, count // 2 + 1)
-    margin, hit = _scan_rows(rows, count - rows + 1, block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin, hit = _scan_rows(1, count + 1 - np.arange(1, count // 2 + 1), block)
     if hit is None:
         return Verdict(True, None, margin)
     return Verdict(False, (hit[0] * step, float(hit[1]) * step), margin)
@@ -222,17 +233,25 @@ def check_mult_midpoint_convex(
 ) -> Verdict:
     """Grid check of f(sqrt(xy))^2 <= f(x) f(y) on {0, h, 2h, ...} up to bound.
 
-    The witness, when present, is the lexicographically smallest violating
-    pair (x, y) with x <= y."""
+    For x, y >= 0, f(sqrt(xy)) = sum_k c_k x^{e_k/2} y^{e_k/2}, and 0^0 = 1
+    keeps f(0) = c_0.  So the midpoint values on the grid form the Gram
+    matrix S diag(c) S^T with S[i, k] = x_i^{e_k/2}: one half-power table
+    per scan and one (rows x K) by (K x cols) product per row block, not one
+    evaluation of f per pair.  The witness, when present, is the
+    lexicographically smallest violating pair (x, y) with x <= y."""
     xs, vals = _grid_values(f, step, bound, 1)
 
-    def block(i, j):
-        mids = f.value(np.sqrt(xs[i] * xs[j]))
-        lhs = vals[i] * vals[j] * (1.0 + REL_SLACK) - mids * mids
+    def block(rows, cols):
+        # einsum sums over k in the same order whatever the block's shape,
+        # so an entry does not depend on the block it falls in
+        mids = np.einsum("ik,kj->ij", left[rows], half[:, cols])
+        lhs = vals[rows, None] * vals[cols] * (1.0 + REL_SLACK) - mids * mids
         return lhs, lhs < 0.0
 
-    rows = np.arange(xs.size)
-    margin, hit = _scan_rows(rows, np.full(xs.size, xs.size), block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.array([np.power(xs, e / 2.0) for _, e in f.terms])  # (K, n)
+        left = np.ascontiguousarray((np.array([c for c, _ in f.terms])[:, None] * half).T)
+        margin, hit = _scan_rows(0, np.full(xs.size, xs.size), block)
     if hit is None:
         return Verdict(True, None, margin)
     return Verdict(False, (float(xs[hit[0]]), float(xs[hit[1]])), margin)
@@ -256,11 +275,12 @@ def check_abs_monotonic(
             break
         diff = np.zeros(length)
         scale = np.zeros(length)
-        for m in range(n + 1):
-            coef = (-1) ** (n - m) * math.comb(n, m)
-            window = vals[m : m + length]
-            diff += coef * window
-            scale += abs(coef) * np.abs(window)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(n + 1):
+                coef = (-1) ** (n - m) * math.comb(n, m)
+                window = vals[m : m + length]
+                diff += coef * window
+                scale += abs(coef) * np.abs(window)
         bad = np.nonzero(diff < -REL_SLACK * (1.0 + scale))[0]
         margin = min(margin, float(np.min(diff)))
         if bad.size:

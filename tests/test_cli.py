@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from graphpsd import cli, graphs
+from graphpsd import cli, functions, graphs
 from graphpsd.cli import main
 from graphpsd.functions import parse_function
 from graphpsd.graphs import parse_graph
@@ -184,6 +185,8 @@ def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
     ("construct", "poly", "--tol", "-1"),
     ("preserver-test", "1*x^2, -1*x^1", "--tol", "0.5", "--trials", "50"),
     ("star-suite", "--tol", "1", "--trials", "200"),
+    # an empty grid, though the first trial fails
+    ("preserver-test", "1*x^0.5", "--grid", "5", "--trials", "5"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(list(argv)) == 2
@@ -250,3 +253,27 @@ def test_overflowing_image_still_gives_the_trial_certificate(capsys):
     assert np.isfinite(a).all() and is_psd(a).is_psd
     assert "nan" in cert["image"] and np.isnan(image).any()
     assert not tree_psd_check(image, t)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("preserver-test", "--trials", "50", "--", "1*x^400, -1*x^401"), 1),
+    (("preserver-test", "1*x^400"), 0),
+])
+def test_overflow_prints_no_numpy_warning(capsys, argv, code):
+    # numpy warns on overflow and on inf - inf; raised as an error, such a
+    # warning would end the command with exit 2 and a message on stderr
+    with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(list(argv)) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_a_failing_trial_skips_the_grid_scans(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("grid scan after a failing trial")
+
+    for name in ("check_abs_monotonic", "check_superadditive", "check_mult_midpoint_convex"):
+        monkeypatch.setattr(functions, name, no_scan)
+    code, rep = run(capsys, "preserver-test", "1*x^0.5", "--trials", "50")
+    assert code == 1 and "image" in rep["certificate"]
+

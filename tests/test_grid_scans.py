@@ -3,6 +3,8 @@
 The references below are the loops that evaluated one grid row at a time.
 The block scans use the same elementwise expressions in the same operand
 order, so every Verdict (holds, witness and margin) must be equal, not close.
+The midpoint reference evaluates f(sqrt(xy)) in the scan's Gram form; a
+second check holds that form to the direct evaluation f.value(sqrt(xy)).
 """
 
 import math
@@ -50,7 +52,19 @@ def reference_superadditive(f, step, bound):
     return Verdict(True, None, margin)
 
 
-def reference_mult_midpoint_convex(f, step, bound):
+def gram_midpoints(f, xs):
+    """f(sqrt(x_i x_j)), j >= i, as the Gram form sum_k (c_k x_i^{e_k/2}) x_j^{e_k/2}."""
+    half = np.array([np.power(xs, e / 2.0) for _, e in f.terms])
+    left = np.ascontiguousarray((np.array([c for c, _ in f.terms])[:, None] * half).T)
+    return lambda i: np.einsum("ik,kj->ij", left[i : i + 1], half[:, i:])[0]
+
+
+def direct_midpoints(f, xs):
+    """f(sqrt(x_i x_j)), j >= i, evaluated at each midpoint."""
+    return lambda i: f.value(np.sqrt(xs[i] * xs[i:]))
+
+
+def reference_mult_midpoint_convex(f, step, bound, midpoints=gram_midpoints):
     if step <= 0:
         raise FunctionError("grid step must be positive")
     cap = _grid_cap(f, bound)
@@ -59,10 +73,11 @@ def reference_mult_midpoint_convex(f, step, bound):
         raise FunctionError("grid is empty for the given step and bound")
     xs = np.arange(count + 1) * step
     vals = f.value(xs)
+    row_midpoints = midpoints(f, xs)
     margin = math.inf
     for i in range(count + 1):
         ys = xs[i:]
-        mids = f.value(np.sqrt(xs[i] * ys))
+        mids = row_midpoints(i)
         lhs = vals[i] * vals[i:] * (1.0 + REL_SLACK) - mids * mids
         margin = min(margin, float(np.min(lhs)))
         bad = np.nonzero(lhs < 0.0)[0]
@@ -147,6 +162,45 @@ def test_power_sums_match_reference(terms, grid):
     f = EntrywiseFunction(tuple(terms))
     for scan, reference in SCANS:
         assert_same(scan, reference, f, *grid)
+    assert_gram_form_agrees(f, *grid)
+
+
+def assert_gram_form_agrees(f, step, bound):
+    # the Gram form rounds differently: the verdict and witness must be the
+    # same, a finite margin may move in the last bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = check_mult_midpoint_convex(f, step, bound)
+        want = reference_mult_midpoint_convex(f, step, bound, midpoints=direct_midpoints)
+    assert (got.holds, got.witness) == (want.holds, want.witness), (f.literal(), step, bound)
+    if math.isfinite(want.margin):
+        assert got.margin == pytest.approx(want.margin, rel=1e-9, abs=0.0)
+    else:
+        assert got.margin == want.margin
+
+
+PERFECT_SQUARES = ["1*x^2, -2*x^1, 1*x^0", "1*x^4, -4*x^3, 6*x^2, -4*x^1, 1*x^0"]
+
+
+@pytest.mark.parametrize("step,bound", GRIDS)
+@pytest.mark.parametrize("f", FIXED + [parse_function(lit) for lit in PERFECT_SQUARES],
+                         ids=lambda f: f.literal()[:40])
+def test_gram_form_agrees_with_direct_evaluation(f, step, bound):
+    assert_gram_form_agrees(f, step, bound)
+
+
+def test_midpoint_scan_evaluates_f_once(monkeypatch):
+    # 2049 grid points take hundreds of row blocks, and f is evaluated once,
+    # on the grid: the midpoints come from the half-power table
+    sizes = []
+    value = EntrywiseFunction.value
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return value(self, x)
+
+    monkeypatch.setattr(EntrywiseFunction, "value", counted)
+    assert check_mult_midpoint_convex(power_function(2), step=1.0 / 256.0, bound=8.0).holds
+    assert sizes == [2049]
 
 
 @pytest.mark.parametrize("scan,reference", SCANS)
