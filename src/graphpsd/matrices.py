@@ -68,18 +68,19 @@ def is_psd(a: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     if tol <= 0:
         raise MatrixError("tolerance must be positive")
     a = check_symmetric(a)
-    psd, boundary, lam_min = spectral_boundary_band(a[None], tol)
-    return PsdVerdict(bool(psd[0]), float(lam_min[0]), tol, bool(boundary[0]))
+    psd, boundary, eigs = spectral_boundary_band(a[None], tol)
+    return PsdVerdict(bool(psd[0]), float(eigs[0, 0]), tol, bool(boundary[0]))
 
 
 def spectral_boundary_band(a: np.ndarray, tol: float = DEFAULT_PSD_TOL):
     """is_psd's verdicts for a stack (B, n, n) of symmetric matrices, n >= 1,
-    from one eigvalsh: (is_psd, boundary, lambda_min), each of shape (B,)."""
+    from one eigvalsh: (is_psd, boundary, eigs), the first two of shape (B,)
+    and eigs the ascending eigenvalues, of shape (B, n)."""
     eigs = np.linalg.eigvalsh(a)
     lam_min = eigs[:, 0]
     radius = np.abs(eigs).max(axis=1)
     boundary = np.abs(lam_min) <= tol * np.maximum(1.0, np.abs(eigs[:, -1]))
-    return lam_min >= -tol * np.maximum(1.0, radius), boundary, lam_min
+    return lam_min >= -tol * np.maximum(1.0, radius), boundary, eigs
 
 
 def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Graph) -> np.ndarray:

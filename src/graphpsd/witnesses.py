@@ -30,6 +30,9 @@ from .star_tree import StarMatrix, star_psd_check
 
 KERNEL_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
+# singular values of [A; A^(2)] at or below RANK_CUTOFF * max(1, sigma_max)
+# count as zero in the kernel-stability test
+RANK_CUTOFF = 1e-10
 
 
 class WitnessError(Exception):
@@ -48,6 +51,7 @@ class WitnessRecord:
 class WitnessSet:
     matrix: np.ndarray
     witnesses: Tuple[WitnessRecord, ...]
+    factor: Optional[np.ndarray]  # a with matrix = a a^T for a rank-one set, else None
 
     def to_json(self) -> str:
         payload = {
@@ -65,7 +69,17 @@ class WitnessSet:
         return json.dumps(payload, indent=2)
 
     def recertify(self) -> bool:
-        return all(nk_membership(self.matrix, np.asarray(w.beta), w.k) for w in self.witnesses)
+        """Every witness certified again, in the arithmetic that certified it:
+        the closed form of a rank-one set, the matrix's forms otherwise."""
+        for w in self.witnesses:
+            beta = np.asarray(w.beta)
+            if self.factor is None:
+                residuals = nk_residuals(self.matrix, beta, w.k)
+            else:
+                residuals = _rank_one_residuals(self.factor, beta, w.k)
+            if not _certify(residuals)[0]:
+                return False
+        return True
 
 
 def nk_residuals(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]:
@@ -88,13 +102,30 @@ def nk_residuals(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]
     return resid, margin
 
 
-def _certify(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[bool, float, float]:
-    """(certified, kernel residual, positivity margin): certified iff beta
-    kills the quadratic forms of A^(0)..A^(k-1) within KERNEL_TOL and is
-    strictly positive on A^(k), past POSITIVITY_TOL.  The positivity cutoff is
-    deliberately two decades looser than the kernel tolerance; a zero beta
-    has margin 0 and is never certified."""
-    resid, margin = nk_residuals(a, beta, k)
+def _rank_one_residuals(factor: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]:
+    """nk_residuals for A = a a^T, a = factor without zero entries, from the
+    closed form: A^(m) = a^(m) a^(m)^T, so Q_{A^(m)}(beta) = (beta . a^(m))^2
+    and ||A^(m)||_F = ||a^(m)||^2, with a^(0) the all-ones support vector.
+    Each form is a square, so no cancellation can make the margin negative,
+    as it can in beta^T A^(k) beta."""
+    nrm2 = float(beta @ beta)
+    if nrm2 == 0.0:
+        return 0.0, 0.0
+    powers = factor ** np.arange(k + 1)[:, None]  # row m is a^(m)
+    forms = (powers @ beta) ** 2
+    norms = np.maximum(np.sum(powers ** 2, axis=1), np.finfo(float).tiny)
+    resid = float(np.max(forms[:k] / (nrm2 * norms[:k]), initial=0.0))
+    return resid, float(forms[k]) / nrm2
+
+
+def _certify(residuals: Tuple[float, float]) -> Tuple[bool, float, float]:
+    """(certified, kernel residual, positivity margin) from the pair that
+    nk_residuals returns: certified iff beta kills the quadratic forms of
+    A^(0)..A^(k-1) within KERNEL_TOL and is strictly positive on A^(k), past
+    POSITIVITY_TOL.  The positivity cutoff is deliberately two decades looser
+    than the kernel tolerance; a zero beta has margin 0 and is never
+    certified."""
+    resid, margin = residuals
     return resid <= KERNEL_TOL and margin > POSITIVITY_TOL, resid, margin
 
 
@@ -103,7 +134,7 @@ def nk_membership(a: np.ndarray, beta: np.ndarray, k: int) -> bool:
     the support matrix only."""
     if k < 0:
         raise WitnessError("order must be nonnegative")
-    return _certify(a, beta, k)[0]
+    return _certify(nk_residuals(a, beta, k))[0]
 
 
 def _orthonormalize(vectors: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -125,8 +156,8 @@ def _project_perp(v: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
     return w
 
 
-def _certified_record(a: np.ndarray, beta: np.ndarray, k: int) -> WitnessRecord:
-    ok, resid, margin = _certify(a, beta, k)
+def _certified_record(residuals: Tuple[float, float], beta: np.ndarray, k: int) -> WitnessRecord:
+    ok, resid, margin = _certify(residuals)
     if not ok:
         raise WitnessError(
             f"order-{k} witness failed certification "
@@ -139,8 +170,9 @@ def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
     """Witnesses of every order 1..n-1 for the rank-one matrix A = aa^T built
     from distinct nonzero alphas.  beta_k is the component of the k-th power
     vector orthogonal to the lower ones; Vandermonde independence makes it
-    nonzero and (beta . alpha^(k))^2 > 0."""
-    al = np.asarray(alphas, dtype=float)
+    nonzero and (beta . alpha^(k))^2 > 0.  The witnesses are certified from
+    that closed form, and so is the set's recertify."""
+    al = np.array(alphas, dtype=float)  # a copy: the set holds it as its factor
     n = al.size
     if np.any(al == 0.0) or np.unique(al).size != n:
         raise WitnessError("alphas must be distinct and nonzero")
@@ -151,9 +183,9 @@ def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
         pk = al ** k
         beta = _project_perp(pk, basis)
         beta /= np.linalg.norm(beta)
-        records.append(_certified_record(a, beta, k))
+        records.append(_certified_record(_rank_one_residuals(al, beta, k), beta, k))
         basis = _orthonormalize(basis + [pk])
-    return WitnessSet(a, tuple(records))
+    return WitnessSet(a, tuple(records), al)
 
 
 def _star_power_vector(alphas: np.ndarray, k: int, n: int, idx: np.ndarray) -> np.ndarray:
@@ -218,7 +250,7 @@ def star_witnesses(
             beta = _project_perp(power[d], basis)
             beta /= np.linalg.norm(beta)
         try:
-            records.append(_certified_record(a, beta, k))
+            records.append(_certified_record(nk_residuals(a, beta, k), beta, k))
         except WitnessError as exc:
             if k == d and al[0] <= al[1:].max():
                 raise WitnessError(
@@ -226,7 +258,7 @@ def star_witnesses(
                     "leaf alphas (certification failed at the final step)"
                 ) from exc
             raise
-    return WitnessSet(a, tuple(records))
+    return WitnessSet(a, tuple(records), None)
 
 
 @dataclass(frozen=True)
@@ -253,7 +285,7 @@ def k_lower_bound(g: Graph) -> KBoundReport:
         a[u, v] = a[v, u] = off
         beta = np.zeros(n)
         beta[u], beta[v] = 1.0, -1.0
-        sets.append(WitnessSet(a, (_certified_record(a, beta, j),)))
+        sets.append(WitnessSet(a, (_certified_record(nk_residuals(a, beta, j), beta, j),), None))
     adj = g.adjacency()
     center = max(range(n), key=lambda w: len(adj[w]))  # the first of maximum degree
     leaves = adj[center]  # sorted ascending
@@ -273,18 +305,36 @@ def star_kernel_stability(s: StarMatrix, m_max: int) -> bool:
     1e-9 relative to max(1, ||A^(m)||_F)."""
     if not star_psd_check(s).is_psd:
         raise MatrixError("kernel stability is only claimed for PSD stars")
-    return bool(stacked_kernel_stability(s.to_dense()[None], m_max)[0])
+    a = s.to_dense()
+    return bool(stacked_kernel_stability(a[None], m_max, np.linalg.eigvalsh(a)[None])[0])
 
 
-def stacked_kernel_stability(a: np.ndarray, m_max: int) -> np.ndarray:
-    """star_kernel_stability for a stack (B, n, n) of dense PSD star matrices,
-    with one SVD of the stacked [A; A^(2)]: one verdict per matrix."""
+def stacked_kernel_stability(a: np.ndarray, m_max: int, eigs: np.ndarray) -> np.ndarray:
+    """star_kernel_stability for a stack (B, n, n) of dense PSD star matrices
+    with ascending eigenvalues eigs (B, n): one verdict per matrix.
+
+    sigma_min([A; A^(2)]) >= lambda_min(A), and for a PSD A,
+    ||A^(2)|| <= max a_ii ||A|| <= ||A||^2 (Schur), so sigma_max <= ||A||
+    sqrt(1 + ||A||^2).  A matrix whose lambda_min exceeds twice RANK_CUTOFF
+    times max(1, that bound) has full rank at the SVD's cutoff, hence no joint
+    null space, and is stable; the factor 2 absorbs eigvalsh's backward error,
+    about n eps ||A||.  The other matrices go to one SVD of the stacked
+    [A; A^(2)]."""
+    norm = np.abs(eigs).max(axis=1)
+    bound = 2.0 * RANK_CUTOFF * np.maximum(1.0, norm * np.sqrt(1.0 + norm ** 2))
+    rows = np.flatnonzero(eigs[:, 0] <= bound)
+    stable = np.ones(len(a), dtype=bool)
+    if rows.size == 0:
+        return stable
+    a = a[rows]
     _, sv, vt = np.linalg.svd(np.concatenate([a, hadamard_power(a, 2)], axis=1))
-    cutoff = 1e-10 * np.maximum(1.0, sv[:, :1])
+    cutoff = RANK_CUTOFF * np.maximum(1.0, sv[:, :1])
     # rows of vt past the numerical rank span the joint null space; only the
     # few matrices that have one have forms to check
     null = np.arange(a.shape[1]) >= np.sum(sv > cutoff, axis=1, keepdims=True)
     some = np.any(null, axis=1)
+    if not some.any():
+        return stable
     a, vt, null = a[some], vt[some], null[some]
     off = np.zeros(len(a), dtype=bool)
     for m in range(3, m_max + 1):
@@ -292,8 +342,7 @@ def stacked_kernel_stability(a: np.ndarray, m_max: int) -> np.ndarray:
         scale = np.maximum(1.0, np.linalg.norm(am, axis=(1, 2)))[:, None]
         forms = np.sum((vt @ am) * vt, axis=2)  # forms[b, k] = vt[b, k] A^(m) vt[b, k]
         off |= np.any(null & (np.abs(forms) > 1e-9 * scale), axis=1)
-    stable = ~some
-    stable[some] = ~off
+    stable[rows[some]] = ~off
     return stable
 
 

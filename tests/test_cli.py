@@ -1,5 +1,6 @@
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,29 @@ def test_witness_complete4_includes_vandermonde(capsys):
     assert code == 0
     assert rep["certificate"]["lower_bound"] == 3
     assert any(len(s["witnesses"]) == 3 for s in rep["certificate"]["witness_sets"])
+
+
+@pytest.mark.parametrize("n", [20, 25])
+def test_witness_large_complete_certifies_exactly(capsys, n):
+    # in floats, beta^T A^(k) beta of A = aa^T cancelled to a negative margin
+    # (order 19 at n = 20, order 16 at n = 25); the Vandermonde set is
+    # certified from the square (beta . a^(k))^2, and its witnesses hold in
+    # exact arithmetic, where that square is the form itself
+    code, rep = run(capsys, "witness", f"complete {n}")
+    assert code == 0 and rep["verdict"] == "pass"
+    vandermonde = rep["certificate"]["witness_sets"][-1]
+    a = list(range(1, n + 1))
+    assert parse_matrix(vandermonde["matrix"]).tolist() == np.outer(a, a).tolist()
+    assert [w["k"] for w in vandermonde["witnesses"]] == list(range(1, n))
+    for w in vandermonde["witnesses"]:
+        beta = [Fraction(b) for b in w["beta"]]
+        nrm2 = sum(b * b for b in beta)
+
+        def form(m):
+            return sum(b * x ** m for b, x in zip(beta, a)) ** 2
+
+        resid = max(form(m) / (nrm2 * sum(x ** (2 * m) for x in a)) for m in range(w["k"]))
+        assert resid <= Fraction(1, 10 ** 10) and form(w["k"]) > 0
 
 
 def test_witness_path2_sharp(capsys):

@@ -4,8 +4,8 @@ star-suite draws its samples from one generator, degree by degree, then
 checks them in one stack per star degree.  These tests hold its draws to the
 order it states, its reports to the loop in tests/oracles.py on the same
 samples, its stacked criterion and kernel-stability test to the one-star
-loops there, and the stacked LAPACK calls to the per-matrix calls they
-replace.
+loops there, the spectral rank bound to the SVD it skips, and the stacked
+LAPACK calls to the per-matrix calls they replace.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from graphpsd import cli, star_tree, witnesses
-from graphpsd.matrices import DEFAULT_PSD_TOL
+from graphpsd.matrices import DEFAULT_PSD_TOL, format_matrix, is_psd
 from graphpsd.star_tree import (
     StarMatrix,
     leaf_load,
@@ -85,12 +85,28 @@ def test_kernel_failure_is_reported_at_the_first_failing_sample(monkeypatch):
     # no star breaks kernel stability, so break the test and see that the
     # first sample to reach it, in index order, is the one reported
     monkeypatch.setattr(witnesses, "stacked_kernel_stability",
-                        lambda a, m_max: np.zeros(len(a), dtype=bool))
+                        lambda a, m_max, eigs: np.zeros(len(a), dtype=bool))
     rep = cli.cmd_star_suite(argparse.Namespace(trials=50, seed=9, tol=1e-9))
     monkeypatch.setattr(oracles, "kernel_stability_loop", lambda s, m_max: False)
     want = star_suite_loop(drawn_stars(9, 50), 1e-9)
     assert want[1].get("kernel_stability") is False
     assert (rep.verdict, rep.certificate) == want
+
+
+def test_kernel_stability_reaches_stars_in_the_boundary_band(monkeypatch):
+    # the band excuses only the comparison of criterion and oracle: sample 1
+    # of seed 4 is the first star the criterion calls PSD, it lies in the
+    # band, and with kernel stability broken it is the one reported
+    monkeypatch.setattr(witnesses, "stacked_kernel_stability",
+                        lambda a, m_max, eigs: np.zeros(len(a), dtype=bool))
+    rep = cli.cmd_star_suite(argparse.Namespace(trials=50, seed=4, tol=1e-9))
+    stars = drawn_stars(4, 50)
+    assert [star_tree.star_psd_check(s).is_psd for s in stars[:2]] == [False, True]
+    assert is_psd(stars[1].to_dense(), 1e-9).boundary
+    assert (rep.verdict, rep.certificate) == \
+        ("fail", {"matrix": format_matrix(stars[1].to_dense()), "kernel_stability": False})
+    monkeypatch.setattr(oracles, "kernel_stability_loop", lambda s, m_max: False)
+    assert star_suite_loop(stars, 1e-9) == (rep.verdict, rep.certificate)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -125,9 +141,77 @@ def test_stacked_criterion_matches_the_loop(d):
 def test_stacked_kernel_stability_matches_the_loop(d):
     p, alpha = _stars(d, 60, seed=200 + d)
     psd = stacked_criterion(p, alpha) == 0
-    got = witnesses.stacked_kernel_stability(stacked_dense(p[psd], alpha[psd]), 8)
+    dense = stacked_dense(p[psd], alpha[psd])
+    got = witnesses.stacked_kernel_stability(dense, 8, np.linalg.eigvalsh(dense))
     want = [kernel_stability_loop(StarMatrix(pr, ar), 8) for pr, ar in zip(p[psd], alpha[psd])]
     assert got.tolist() == want and all(want)
+
+
+def _svd_stacks(monkeypatch):
+    """The stacks np.linalg.svd is called on, from here on."""
+    stacks, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *args, **kw: stacks.append(m) or svd(m, *args, **kw))
+    return stacks
+
+
+def _has_null_row(a):
+    """kernel_stability_loop's rank test: [A; A^(2)] has a singular value at
+    or below 1e-10 max(1, sigma_max)."""
+    sv = np.linalg.svd(np.vstack([a, a ** 2.0]), compute_uv=False)
+    return bool(np.sum(sv > 1e-10 * max(1.0, sv[0])) < len(a))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_rank_certificate_matches_the_loop(monkeypatch, seed):
+    # every criterion-PSD star of star-suite's draws, and the same stars
+    # scaled by 25, most with ||A|| > 10, where the SVD cutoff lies above the
+    # boundary band: the verdicts equal the loop's, and every star whose
+    # [A; A^(2)] has a null row reaches the SVD
+    stacks = [(p, alpha) for _, p, alpha in cli._draw_stars(np.random.default_rng(seed), 200)]
+    stacks += [(25.0 * p, 25.0 * alpha) for p, alpha in stacks]
+    large = 0
+    for p, alpha in stacks:
+        psd = stacked_criterion(p, alpha) == 0
+        dense = stacked_dense(p[psd], alpha[psd])
+        eigs = np.linalg.eigvalsh(dense)
+        large += int(np.sum(eigs[:, -1] > 10.0))
+        svd_stacks = _svd_stacks(monkeypatch)
+        got = witnesses.stacked_kernel_stability(dense, 8, eigs)
+        monkeypatch.undo()
+        want = [kernel_stability_loop(StarMatrix(pr, ar), 8) for pr, ar in zip(p[psd], alpha[psd])]
+        assert got.tolist() == want
+        reached = [a for stack in svd_stacks for a in stack[:, :p.shape[1]]]
+        for a in dense:
+            if _has_null_row(a):
+                assert any(np.array_equal(a, r) for r in reached)
+    assert large > 50
+
+
+def test_strictly_definite_stars_make_no_svd(monkeypatch):
+    p, alpha = random_psd_star(200, 6, np.random.default_rng(5))
+    p[:, 0] = leaf_load(p[:, 1:], alpha) + 0.5
+    dense = stacked_dense(p, alpha)
+    stacks = _svd_stacks(monkeypatch)
+    stable = witnesses.stacked_kernel_stability(dense, 8, np.linalg.eigvalsh(dense))
+    assert stable.all() and stacks == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+def test_rank_bound_sends_only_stars_below_it_to_the_svd(monkeypatch, scale):
+    # B is singular (p1 at the leaf load); B + tI has lambda_min = t.  Just
+    # above the bound, twice the SVD cutoff at the bound on sigma_max, the
+    # spectrum proves full rank; just below, the SVD decides, and finds full
+    # rank too
+    b = scale * stacked_dense(np.array([[2.0, 1.0, 1.0]]), np.array([[1.0, 1.0]]))[0]
+    norm = np.linalg.eigvalsh(b)[-1]
+    bound = 2.0 * witnesses.RANK_CUTOFF * max(1.0, norm * np.sqrt(1.0 + norm ** 2))
+    for t, calls in ((1.02 * bound, 0), (0.98 * bound, 1)):
+        a = b + t * np.eye(3)
+        stacks = _svd_stacks(monkeypatch)
+        assert witnesses.stacked_kernel_stability(a[None], 8, np.linalg.eigvalsh(a)[None]).tolist() == [True]
+        assert len(stacks) == calls
+        monkeypatch.undo()
+        assert kernel_stability_loop(StarMatrix(np.diag(a), a[0, 1:]), 8)
 
 
 def test_kernel_stability_catches_a_form_off_the_kernel(monkeypatch):
