@@ -12,6 +12,6 @@ from .matrices import MatrixError, is_psd, hadamard_power, apply_entrywise, quad
 from .star_tree import StarMatrix, star_psd_check, tree_psd_check, star_det
 from .functions import EntrywiseFunction, parse_function, power_function
 from .constructors import build_tree_preserver_poly, build_entire_function_partial
-from .witnesses import WitnessSet, nk_membership, vandermonde_witnesses, star_witnesses, k_lower_bound, star_kernel_stability, derivative_sign_estimate
+from .witnesses import WitnessSet, nk_membership, vandermonde_witnesses, star_witnesses, k_lower_bound, derivative_sign_estimate
 
 __version__ = "0.1.0"

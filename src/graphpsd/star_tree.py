@@ -34,9 +34,6 @@ class StarMatrix:
         if not all(map(math.isfinite, self.p + self.alpha)):
             raise MatrixError("star matrix has non-finite entries")
 
-    def to_dense(self) -> np.ndarray:
-        return stacked_dense(np.array([self.p]), np.array([self.alpha]))[0]
-
 
 def stacked_dense(p: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Dense star matrices (B, d+1, d+1) from rows of p (B, d+1) and alpha (B, d)."""

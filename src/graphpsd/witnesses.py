@@ -4,8 +4,8 @@ A vector beta is an order-k witness for a symmetric matrix A when it
 annihilates the quadratic forms of the Hadamard powers A^(0)..A^(k-1) and is
 strictly positive on that of A^(k).  This module certifies membership,
 constructs witnesses for rank-one (Vandermonde) and star matrices, derives
-order bounds per graph, and houses the kernel-stability and derivative-sign
-diagnostics built on the same quadratic forms.
+order bounds per graph, and houses the derivative-sign diagnostic built on the
+same quadratic forms.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,13 +26,9 @@ from .matrices import (
     hadamard_power,
     quadratic_form,
 )
-from .star_tree import StarMatrix, star_psd_check
 
 KERNEL_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
-# singular values of [A; A^(2)] at or below RANK_CUTOFF * max(1, sigma_max)
-# count as zero in the kernel-stability test
-RANK_CUTOFF = 1e-10
 
 
 class WitnessError(Exception):
@@ -44,14 +40,17 @@ class WitnessRecord:
     k: int
     beta: Tuple[float, ...]
     kernel_residual: float
-    positivity_margin: float
+    positivity_margin: Union[float, str]  # a decimal string beyond float range
 
 
 @dataclass(frozen=True)
 class WitnessSet:
     matrix: np.ndarray
     witnesses: Tuple[WitnessRecord, ...]
-    factor: Optional[np.ndarray]  # a with matrix = a a^T for a rank-one set, else None
+    # the closed form of the set: a with matrix = a a^T (rank one), or the center
+    # row of a hollow star with center its index; None: certified from matrix
+    factor: Optional[np.ndarray]
+    center: Optional[int] = None
 
     def to_json(self) -> str:
         payload = {
@@ -66,20 +65,20 @@ class WitnessSet:
                 for w in self.witnesses
             ],
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
     def recertify(self) -> bool:
         """Every witness certified again, in the arithmetic that certified it:
-        the closed form of a rank-one set, the matrix's forms otherwise."""
-        for w in self.witnesses:
-            beta = np.asarray(w.beta)
-            if self.factor is None:
-                residuals = nk_residuals(self.matrix, beta, w.k)
-            else:
-                residuals = _rank_one_residuals(self.factor, beta, w.k)
-            if not _certify(residuals)[0]:
-                return False
-        return True
+        the closed form of a rank-one or star set, the matrix's forms
+        otherwise."""
+        if self.factor is None:
+            return all(_certify(*nk_residuals(self.matrix, np.asarray(w.beta), w.k), w.k)
+                       for w in self.witnesses)
+        powers, base = _power_vectors(self.factor, self.center,
+                                      max((w.k for w in self.witnesses), default=0))
+        return all(_certify(*_closed_form_residuals(powers[:w.k + 1], np.asarray(w.beta), w.k,
+                                                    self.center), w.k, base)
+                   for w in self.witnesses)
 
 
 def nk_residuals(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]:
@@ -102,44 +101,92 @@ def nk_residuals(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]
     return resid, margin
 
 
-def _rank_one_residuals(factor: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]:
-    """nk_residuals for A = a a^T, a = factor without zero entries, from the
-    closed form: A^(m) = a^(m) a^(m)^T, so Q_{A^(m)}(beta) = (beta . a^(m))^2
-    and ||A^(m)||_F = ||a^(m)||^2, with a^(0) the all-ones support vector.
-    Each form is a square, so no cancellation can make the margin negative,
-    as it can in beta^T A^(k) beta."""
+def _power_vectors(factor: np.ndarray, center: Optional[int], k: int) -> Tuple[np.ndarray, float]:
+    """(rows m = 0..k, base): the powers a^(m) of a rank-one factor a (center
+    None), base 1; or, for a hollow star with center row factor, a^(m) / M^m,
+    base M = max |factor|, where a^(m) is factor^(m) on the support with the
+    center entry halved.  M^m is the largest |entry| of A^(m): dividing by it
+    keeps every entry at most 1 and leaves every span unchanged."""
+    if center is None:
+        return factor ** np.arange(k + 1)[:, None], 1.0
+    base = float(np.abs(factor).max())
+    powers = (factor != 0.0) * (factor / base) ** np.arange(k + 1)[:, None]
+    powers[:, center] /= 2.0
+    return powers, base
+
+
+def _closed_form_residuals(powers: np.ndarray, beta: np.ndarray, k: int,
+                           center: Optional[int]) -> Tuple[float, float]:
+    """nk_residuals from the rows a^(0..k) of _power_vectors.  Rank one:
+    A^(m) = a^(m) a^(m)^T, Q_{A^(m)}(beta) = (beta . a^(m))^2, a square that no
+    cancellation makes negative, and ||A^(m)||_F = ||a^(m)||^2.  Hollow star:
+    A^(m) = e_c a^(m)^T + a^(m) e_c^T, Q_{A^(m)}(beta) = 2 beta_c (beta . a^(m))
+    and ||A^(m)||_F^2 = 2 ||a^(m)||^2 + 2 a^(m)_c^2.  Scaling row m leaves the
+    residual unchanged and scales form m."""
     nrm2 = float(beta @ beta)
     if nrm2 == 0.0:
         return 0.0, 0.0
-    powers = factor ** np.arange(k + 1)[:, None]  # row m is a^(m)
-    forms = (powers @ beta) ** 2
-    norms = np.maximum(np.sum(powers ** 2, axis=1), np.finfo(float).tiny)
-    resid = float(np.max(forms[:k] / (nrm2 * norms[:k]), initial=0.0))
+    dots = powers @ beta
+    sq = (powers ** 2).sum(axis=1)
+    if center is None:
+        forms, norms = dots ** 2, sq
+    else:
+        forms = 2.0 * beta[center] * dots
+        norms = np.sqrt(2.0 * sq + 2.0 * powers[:, center] ** 2)
+    norms = np.maximum(norms[:k], np.finfo(float).tiny)
+    resid = float((np.abs(forms[:k]) / (nrm2 * norms)).max(initial=0.0))
     return resid, float(forms[k]) / nrm2
 
 
-def _certify(residuals: Tuple[float, float]) -> Tuple[bool, float, float]:
-    """(certified, kernel residual, positivity margin) from the pair that
-    nk_residuals returns: certified iff beta kills the quadratic forms of
-    A^(0)..A^(k-1) within KERNEL_TOL and is strictly positive on A^(k), past
-    POSITIVITY_TOL.  The positivity cutoff is deliberately two decades looser
-    than the kernel tolerance; a zero beta has margin 0 and is never
-    certified."""
-    resid, margin = residuals
-    return resid <= KERNEL_TOL and margin > POSITIVITY_TOL, resid, margin
+def _certify(resid: float, margin: float, k: int, base: float = 1.0) -> bool:
+    """True iff beta kills the quadratic forms of A^(0)..A^(k-1) within
+    KERNEL_TOL and its margin * base^k on A^(k) exceeds POSITIVITY_TOL, two
+    decades looser; decided as margin > POSITIVITY_TOL * base^-k, so that no
+    base^k is formed.  A zero beta has margin 0 and is never certified."""
+    try:
+        floor = POSITIVITY_TOL * base ** -k  # underflows to 0 where base^k is huge
+    except OverflowError:  # base < 1 and base^k below float range: no margin clears it
+        return False
+    return resid <= KERNEL_TOL and margin > floor
 
 
-def nk_membership(a: np.ndarray, beta: np.ndarray, k: int) -> bool:
+def _margin_value(margin: float, base: float, k: int) -> Union[float, str]:
+    """margin * base^k: a float, or, where it lies beyond float range, its
+    decimal string to 17 digits."""
+    try:
+        value = margin * base ** k
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # base^k alone is beyond float range
+        pass
+    # imported on first use, like fractions: each adds ~1 ms to every start-up
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:  # a decimal cannot overflow
+        ctx.prec = 17
+        exact = Decimal(margin) * Decimal(base) ** k
+    value = float(exact)
+    return value if math.isfinite(value) else f"{exact:e}"
+
+
+def nk_membership(a: np.ndarray, beta: np.ndarray, k: int,
+                  factor: Optional[np.ndarray] = None) -> bool:
     """True iff beta is an order-k witness for A.  k = 0 tests positivity on
-    the support matrix only."""
+    the support matrix only.  Given the factor a of a rank-one A = a a^T, the
+    forms come from the closed form, as the set's recertify takes them."""
     if k < 0:
         raise WitnessError("order must be nonnegative")
-    return _certify(nk_residuals(a, beta, k))[0]
+    beta = np.asarray(beta, dtype=float)
+    if factor is None:
+        return _certify(*nk_residuals(a, beta, k), k)
+    powers = np.asarray(factor, dtype=float) ** np.arange(k + 1)[:, None]
+    return _certify(*_closed_form_residuals(powers, beta, k, None), k)
 
 
-def _orthonormalize(vectors: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Modified Gram-Schmidt with a second pass; drops dependent vectors."""
-    basis: List[np.ndarray] = []
+def _orthonormalize(vectors: Sequence[np.ndarray],
+                    basis: Sequence[np.ndarray] = ()) -> List[np.ndarray]:
+    """Modified Gram-Schmidt with a second pass, extending the orthonormal
+    basis given; drops dependent vectors."""
+    basis = list(basis)
     for v in vectors:
         w = _project_perp(v, basis)
         nrm = np.linalg.norm(w)
@@ -156,14 +203,17 @@ def _project_perp(v: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
     return w
 
 
-def _certified_record(residuals: Tuple[float, float], beta: np.ndarray, k: int) -> WitnessRecord:
-    ok, resid, margin = _certify(residuals)
-    if not ok:
+def _certified_record(residuals: Tuple[float, float], beta: np.ndarray, k: int,
+                      base: float = 1.0) -> WitnessRecord:
+    """The record of a certified witness, whose margin is residuals[1] * base^k."""
+    resid, margin = residuals
+    value = _margin_value(margin, base, k)
+    if not _certify(resid, margin, k, base):
+        shown = f"{value:.3e}" if isinstance(value, float) else value
         raise WitnessError(
-            f"order-{k} witness failed certification "
-            f"(residual {resid:.3e}, margin {margin:.3e})"
+            f"order-{k} witness failed certification (residual {resid:.3e}, margin {shown})"
         )
-    return WitnessRecord(k, tuple(float(x) for x in beta), resid, margin)
+    return WitnessRecord(k, tuple(float(x) for x in beta), resid, value)
 
 
 def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
@@ -183,16 +233,10 @@ def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
         pk = al ** k
         beta = _project_perp(pk, basis)
         beta /= np.linalg.norm(beta)
-        records.append(_certified_record(_rank_one_residuals(al, beta, k), beta, k))
+        powers, _ = _power_vectors(al, None, k)
+        records.append(_certified_record(_closed_form_residuals(powers, beta, k, None), beta, k))
         basis = _orthonormalize(basis + [pk])
     return WitnessSet(a, tuple(records), al)
-
-
-def _star_power_vector(alphas: np.ndarray, k: int, n: int, idx: np.ndarray) -> np.ndarray:
-    v = np.zeros(n)
-    v[idx] = alphas ** k
-    v[idx[0]] = alphas[0] ** k / 2.0
-    return v
 
 
 def star_witnesses(
@@ -211,7 +255,9 @@ def star_witnesses(
     bisector of the projections of a^(k) and e_c onto the complement of the
     span of the lower power vectors; for k = d it spans the one-dimensional
     complement of that span inside the full power-vector space, which needs
-    alphas[0] to dominate the rest.
+    alphas[0] to dominate the rest.  Each a^(k) is scaled by _power_vectors,
+    so no order overflows; the witnesses are certified from the closed form,
+    and so is the set's recertify.
 
     vertices optionally places the star at [center, leaves...] coordinates of
     the ambient space (defaults to 0..d).
@@ -231,16 +277,16 @@ def star_witnesses(
     if not 1 <= max_order <= d:
         raise WitnessError("max_order must be between 1 and d")
 
-    e_c = np.zeros(ambient_n)
-    e_c[idx[0]] = 1.0
-    a1 = _star_power_vector(al, 1, ambient_n, idx)
-    a = np.outer(e_c, a1) + np.outer(a1, e_c)
+    c = int(idx[0])
+    a = np.zeros((ambient_n, ambient_n))
+    a[c, idx] = a[idx, c] = al
+    e_c = (np.arange(ambient_n) == c).astype(float)
 
     records = []
-    power = [_star_power_vector(al, k, ambient_n, idx) for k in range(d + 1)]
+    power, base = _power_vectors(a[c], c, d)
     basis: List[np.ndarray] = []
     for k in range(1, max_order + 1):
-        basis = _orthonormalize(power[:k])
+        basis = _orthonormalize(power[k - 1:k], basis)  # a basis of power[:k]
         if k < d:
             pa = _project_perp(power[k], basis)
             pe = _project_perp(e_c, basis)
@@ -250,7 +296,8 @@ def star_witnesses(
             beta = _project_perp(power[d], basis)
             beta /= np.linalg.norm(beta)
         try:
-            records.append(_certified_record(nk_residuals(a, beta, k), beta, k))
+            records.append(_certified_record(
+                _closed_form_residuals(power[:k + 1], beta, k, c), beta, k, base))
         except WitnessError as exc:
             if k == d and al[0] <= al[1:].max():
                 raise WitnessError(
@@ -258,7 +305,7 @@ def star_witnesses(
                     "leaf alphas (certification failed at the final step)"
                 ) from exc
             raise
-    return WitnessSet(a, tuple(records), None)
+    return WitnessSet(a, tuple(records), a[c], c)
 
 
 @dataclass(frozen=True)
@@ -298,54 +345,6 @@ def k_lower_bound(g: Graph) -> KBoundReport:
     return KBoundReport(max(2, delta), n + len(g.edges), tuple(sets))
 
 
-def star_kernel_stability(s: StarMatrix, m_max: int) -> bool:
-    """For a PSD star matrix, every vector in ker Q_A intersected with
-    ker Q_{A^(2)} also kills Q_{A^(m)} for all higher m; verified numerically
-    for m = 3..m_max on an SVD null-space basis of the stacked powers, to
-    1e-9 relative to max(1, ||A^(m)||_F)."""
-    if not star_psd_check(s).is_psd:
-        raise MatrixError("kernel stability is only claimed for PSD stars")
-    a = s.to_dense()
-    return bool(stacked_kernel_stability(a[None], m_max, np.linalg.eigvalsh(a)[None])[0])
-
-
-def stacked_kernel_stability(a: np.ndarray, m_max: int, eigs: np.ndarray) -> np.ndarray:
-    """star_kernel_stability for a stack (B, n, n) of dense PSD star matrices
-    with ascending eigenvalues eigs (B, n): one verdict per matrix.
-
-    sigma_min([A; A^(2)]) >= lambda_min(A), and for a PSD A,
-    ||A^(2)|| <= max a_ii ||A|| <= ||A||^2 (Schur), so sigma_max <= ||A||
-    sqrt(1 + ||A||^2).  A matrix whose lambda_min exceeds twice RANK_CUTOFF
-    times max(1, that bound) has full rank at the SVD's cutoff, hence no joint
-    null space, and is stable; the factor 2 absorbs eigvalsh's backward error,
-    about n eps ||A||.  The other matrices go to one SVD of the stacked
-    [A; A^(2)]."""
-    norm = np.abs(eigs).max(axis=1)
-    bound = 2.0 * RANK_CUTOFF * np.maximum(1.0, norm * np.sqrt(1.0 + norm ** 2))
-    rows = np.flatnonzero(eigs[:, 0] <= bound)
-    stable = np.ones(len(a), dtype=bool)
-    if rows.size == 0:
-        return stable
-    a = a[rows]
-    _, sv, vt = np.linalg.svd(np.concatenate([a, hadamard_power(a, 2)], axis=1))
-    cutoff = RANK_CUTOFF * np.maximum(1.0, sv[:, :1])
-    # rows of vt past the numerical rank span the joint null space; only the
-    # few matrices that have one have forms to check
-    null = np.arange(a.shape[1]) >= np.sum(sv > cutoff, axis=1, keepdims=True)
-    some = np.any(null, axis=1)
-    if not some.any():
-        return stable
-    a, vt, null = a[some], vt[some], null[some]
-    off = np.zeros(len(a), dtype=bool)
-    for m in range(3, m_max + 1):
-        am = hadamard_power(a, m)
-        scale = np.maximum(1.0, np.linalg.norm(am, axis=(1, 2)))[:, None]
-        forms = np.sum((vt @ am) * vt, axis=2)  # forms[b, k] = vt[b, k] A^(m) vt[b, k]
-        off |= np.any(null & (np.abs(forms) > 1e-9 * scale), axis=1)
-    stable[rows[some]] = ~off
-    return stable
-
-
 def _neville_at_zero(ts: np.ndarray, gs: np.ndarray) -> float:
     vals = list(gs)
     n = len(vals)
@@ -360,7 +359,7 @@ def derivative_sign_estimate(
     f: EntrywiseFunction,
     a: float,
     k: int,
-    witness: Tuple[np.ndarray, np.ndarray],
+    witness: Tuple[np.ndarray, ...],
     t_steps: Sequence[float],
 ) -> Tuple[float, float]:
     """(extrapolated limit, analytic value) for the order-k derivative
@@ -371,8 +370,14 @@ def derivative_sign_estimate(
     on the support only) tends to f^(k)(a) * Q_{A^(k)}(beta) as t -> 0+.  The
     limit is estimated by polynomial extrapolation through the sampled t's, so
     a negative k-th derivative at a shows up as a negative limit.
+
+    witness is (A, beta) or, for a rank-one A = a a^T, (A, beta, a): with a,
+    beta is certified from the closed form, as the set's recertify does, and
+    Q_{A^(k)}(beta) = (beta . a^(k))^2 with the dot taken exactly, since a
+    float dot would cancel down to the rounding of the powers.
     """
-    mat, beta = witness
+    mat, beta, *factor = witness
+    factor = np.asarray(factor[0], dtype=float) if factor else None
     mat = check_symmetric(mat)
     beta = np.asarray(beta, dtype=float)
     if a <= 0:
@@ -382,7 +387,7 @@ def derivative_sign_estimate(
     ts = np.asarray(sorted(t_steps, reverse=True), dtype=float)
     if ts.size < 2 or ts[-1] <= 0:
         raise WitnessError("need at least two positive step sizes")
-    if not nk_membership(mat, beta, k):
+    if not nk_membership(mat, beta, k, factor):
         raise WitnessError("witness failed certification for the given order")
     support = hadamard_power(mat, 0)
     mask = support != 0.0
@@ -398,5 +403,10 @@ def derivative_sign_estimate(
         fm[mask] = f.value(m[mask])
         gs.append(quadratic_form(fm, beta) * math.factorial(k) / t ** k)
     limit = _neville_at_zero(ts, np.asarray(gs))
-    analytic = f.deriv(a, k) * quadratic_form(hadamard_power(mat, k), beta)
+    if factor is None:
+        form = quadratic_form(hadamard_power(mat, k), beta)
+    else:
+        from fractions import Fraction
+        form = float(sum(Fraction(b) * Fraction(x) ** k for b, x in zip(beta, factor)) ** 2)
+    analytic = f.deriv(a, k) * form
     return limit, analytic

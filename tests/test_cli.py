@@ -1,6 +1,8 @@
 import json
 import warnings
+from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from graphpsd.functions import parse_function
 from graphpsd.graphs import parse_graph
 from graphpsd.matrices import apply_entrywise, is_psd, parse_matrix
 from graphpsd.star_tree import tree_psd_check
+from graphpsd.witnesses import KERNEL_TOL
 
 
 def run(capsys, *argv):
@@ -84,6 +87,55 @@ def test_witness_large_complete_certifies_exactly(capsys, n):
 
         resid = max(form(m) / (nrm2 * sum(x ** (2 * m) for x in a)) for m in range(w["k"]))
         assert resid <= Fraction(1, 10 ** 10) and form(w["k"]) > 0
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-standard NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("n", [8, 78, 200])
+def test_witness_large_star_certifies_exactly(capsys, n):
+    # the powers of the star's alphas reach 399^199 at n = 200: the star set
+    # is certified from the closed form on scaled power vectors, and every
+    # printed beta holds in exact arithmetic, with its margin printed to
+    # float accuracy (a decimal string beyond float range)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would exit 2
+        code = main(["witness", f"star {n}"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    rep = _strict_json(out)
+    star = rep["certificate"]["witness_sets"][-1]
+    row = [int(x) for x in parse_matrix(star["matrix"])[0]]
+    assert row == [2 * n - 1] + list(range(1, n))
+    assert [w["k"] for w in star["witnesses"]] == list(range(1, n))
+    # powers[m] is the center row of A^(m); the star's other entries are 0
+    powers = [[1] * n]
+    for _ in range(n - 1):
+        powers.append(list(map(mul, powers[-1], row)))
+    fro2 = [p[0] * p[0] + 2 * sum(map(mul, p[1:], p[1:])) for p in powers]
+    tol2 = Fraction(KERNEL_TOL) ** 2
+    beyond_floats = 0
+    for w in star["witnesses"]:
+        k = w["k"]
+        den = max(Fraction(b).denominator for b in w["beta"])
+        b = [int(Fraction(x) * den) for x in w["beta"]]  # beta * den, exactly
+        nrm2 = sum(map(mul, b, b))
+        # Q_{A^(m)}(beta) den^2 = b_c (A_cc^m b_c + 2 sum_j A_cj^m b_j)
+        forms = [b[0] * (p[0] * b[0] + 2 * sum(map(mul, p[1:], b[1:]))) for p in powers[:k + 1]]
+        # residual |Q_m| / (||beta||^2 ||A^(m)||_F) <= KERNEL_TOL, squared and
+        # cross-multiplied into integers
+        bound = tol2.numerator * nrm2 * nrm2
+        assert all(q * q * tol2.denominator <= bound * f2 for q, f2 in zip(forms[:k], fro2))
+        margin = Fraction(forms[k], nrm2)
+        assert margin > 0
+        shown = w["positivity_margin"]
+        beyond_floats += isinstance(shown, str)
+        assert abs(Fraction(Decimal(shown) if isinstance(shown, str) else shown) / margin - 1) < 1e-6
+    assert beyond_floats == (72 if n == 200 else 0)
 
 
 def test_witness_path2_sharp(capsys):

@@ -3,20 +3,24 @@
 star-suite draws its samples from one generator, degree by degree, then
 checks them in one stack per star degree.  These tests hold its draws to the
 order it states, its reports to the loop in tests/oracles.py on the same
-samples, its stacked criterion and kernel-stability test to the one-star
-loops there, the spectral rank bound to the SVD it skips, and the stacked
-LAPACK calls to the per-matrix calls they replace.
+samples (which also checks kernel stability in floats), its stacked criterion
+to the one-star loop there, and the stacked LAPACK calls to the per-matrix
+calls they replace.  The kernel-stability lemma that lets star-suite skip
+that check is tested exactly, on an enumerated grid of PSD stars, and
+against the float check on the stars star-suite draws.
 """
 
 import argparse
 import functools
+import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from graphpsd import cli, star_tree, witnesses
-from graphpsd.matrices import DEFAULT_PSD_TOL, format_matrix, is_psd
+from graphpsd import cli, star_tree
+from graphpsd.matrices import DEFAULT_PSD_TOL
 from graphpsd.star_tree import (
     StarMatrix,
     leaf_load,
@@ -26,7 +30,6 @@ from graphpsd.star_tree import (
     stacked_dense,
 )
 
-import oracles
 from oracles import kernel_stability_loop, star_criterion_loop, star_suite_loop
 
 
@@ -81,34 +84,6 @@ def test_fail_path_matches_the_loop(seed):
     assert (rep.verdict, rep.certificate) == star_suite_loop(drawn_stars(seed, 200), 1.0)
 
 
-def test_kernel_failure_is_reported_at_the_first_failing_sample(monkeypatch):
-    # no star breaks kernel stability, so break the test and see that the
-    # first sample to reach it, in index order, is the one reported
-    monkeypatch.setattr(witnesses, "stacked_kernel_stability",
-                        lambda a, m_max, eigs: np.zeros(len(a), dtype=bool))
-    rep = cli.cmd_star_suite(argparse.Namespace(trials=50, seed=9, tol=1e-9))
-    monkeypatch.setattr(oracles, "kernel_stability_loop", lambda s, m_max: False)
-    want = star_suite_loop(drawn_stars(9, 50), 1e-9)
-    assert want[1].get("kernel_stability") is False
-    assert (rep.verdict, rep.certificate) == want
-
-
-def test_kernel_stability_reaches_stars_in_the_boundary_band(monkeypatch):
-    # the band excuses only the comparison of criterion and oracle: sample 1
-    # of seed 4 is the first star the criterion calls PSD, it lies in the
-    # band, and with kernel stability broken it is the one reported
-    monkeypatch.setattr(witnesses, "stacked_kernel_stability",
-                        lambda a, m_max, eigs: np.zeros(len(a), dtype=bool))
-    rep = cli.cmd_star_suite(argparse.Namespace(trials=50, seed=4, tol=1e-9))
-    stars = drawn_stars(4, 50)
-    assert [star_tree.star_psd_check(s).is_psd for s in stars[:2]] == [False, True]
-    assert is_psd(stars[1].to_dense(), 1e-9).boundary
-    assert (rep.verdict, rep.certificate) == \
-        ("fail", {"matrix": format_matrix(stars[1].to_dense()), "kernel_stability": False})
-    monkeypatch.setattr(oracles, "kernel_stability_loop", lambda s, m_max: False)
-    assert star_suite_loop(stars, 1e-9) == (rep.verdict, rep.certificate)
-
-
 @pytest.mark.parametrize("d", range(1, 9))
 def test_stacked_lapack_calls_equal_per_matrix_calls_bit_for_bit(d):
     # the stacked suite relies on this: a numpy or LAPACK change that breaks
@@ -138,92 +113,125 @@ def test_stacked_criterion_matches_the_loop(d):
 
 
 @pytest.mark.parametrize("d", range(1, 9))
-def test_stacked_kernel_stability_matches_the_loop(d):
+def test_criterion_psd_stars_pass_the_float_kernel_check(d):
+    # star-suite checks no kernel stability on the stars its criterion calls
+    # PSD; the float check in tests/oracles.py must agree with the lemma there
     p, alpha = _stars(d, 60, seed=200 + d)
     psd = stacked_criterion(p, alpha) == 0
-    dense = stacked_dense(p[psd], alpha[psd])
-    got = witnesses.stacked_kernel_stability(dense, 8, np.linalg.eigvalsh(dense))
-    want = [kernel_stability_loop(StarMatrix(pr, ar), 8) for pr, ar in zip(p[psd], alpha[psd])]
-    assert got.tolist() == want and all(want)
-
-
-def _svd_stacks(monkeypatch):
-    """The stacks np.linalg.svd is called on, from here on."""
-    stacks, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda m, *args, **kw: stacks.append(m) or svd(m, *args, **kw))
-    return stacks
-
-
-def _has_null_row(a):
-    """kernel_stability_loop's rank test: [A; A^(2)] has a singular value at
-    or below 1e-10 max(1, sigma_max)."""
-    sv = np.linalg.svd(np.vstack([a, a ** 2.0]), compute_uv=False)
-    return bool(np.sum(sv > 1e-10 * max(1.0, sv[0])) < len(a))
+    assert psd.sum() >= 30
+    assert all(kernel_stability_loop(StarMatrix(pr, ar), 8) for pr, ar in zip(p[psd], alpha[psd]))
 
 
 @pytest.mark.parametrize("seed", range(50))
-def test_rank_certificate_matches_the_loop(monkeypatch, seed):
+def test_drawn_psd_stars_pass_the_float_kernel_check(seed):
     # every criterion-PSD star of star-suite's draws, and the same stars
-    # scaled by 25, most with ||A|| > 10, where the SVD cutoff lies above the
-    # boundary band: the verdicts equal the loop's, and every star whose
-    # [A; A^(2)] has a null row reaches the SVD
+    # scaled by 25, most with ||A|| > 10, where the SVD cutoff of the float
+    # check lies above the boundary band: none fails the check that the
+    # lemma lets star-suite skip
     stacks = [(p, alpha) for _, p, alpha in cli._draw_stars(np.random.default_rng(seed), 200)]
     stacks += [(25.0 * p, 25.0 * alpha) for p, alpha in stacks]
     large = 0
     for p, alpha in stacks:
         psd = stacked_criterion(p, alpha) == 0
-        dense = stacked_dense(p[psd], alpha[psd])
-        eigs = np.linalg.eigvalsh(dense)
-        large += int(np.sum(eigs[:, -1] > 10.0))
-        svd_stacks = _svd_stacks(monkeypatch)
-        got = witnesses.stacked_kernel_stability(dense, 8, eigs)
-        monkeypatch.undo()
-        want = [kernel_stability_loop(StarMatrix(pr, ar), 8) for pr, ar in zip(p[psd], alpha[psd])]
-        assert got.tolist() == want
-        reached = [a for stack in svd_stacks for a in stack[:, :p.shape[1]]]
-        for a in dense:
-            if _has_null_row(a):
-                assert any(np.array_equal(a, r) for r in reached)
+        large += int(np.sum(np.linalg.eigvalsh(stacked_dense(p[psd], alpha[psd]))[:, -1] > 10.0))
+        assert all(kernel_stability_loop(StarMatrix(pr, ar), 8) for pr, ar in zip(p[psd], alpha[psd]))
     assert large > 50
 
 
-def test_strictly_definite_stars_make_no_svd(monkeypatch):
-    p, alpha = random_psd_star(200, 6, np.random.default_rng(5))
-    p[:, 0] = leaf_load(p[:, 1:], alpha) + 0.5
-    dense = stacked_dense(p, alpha)
-    stacks = _svd_stacks(monkeypatch)
-    stable = witnesses.stacked_kernel_stability(dense, 8, np.linalg.eigvalsh(dense))
-    assert stable.all() and stacks == []
+# leaves (p_i, alpha_i) of the exact lemma tests: p_i in 0..3, alpha_i in
+# -2..2, and alpha_i = 0 where p_i = 0
+LEAF_KINDS = [(0, 0)] + [(p, alpha) for p in (1, 2, 3) for alpha in range(-2, 3)]
 
 
-@pytest.mark.parametrize("scale", [1.0, 30.0])
-def test_rank_bound_sends_only_stars_below_it_to_the_svd(monkeypatch, scale):
-    # B is singular (p1 at the leaf load); B + tI has lambda_min = t.  Just
-    # above the bound, twice the SVD cutoff at the bound on sigma_max, the
-    # spectrum proves full rank; just below, the SVD decides, and finds full
-    # rank too
-    b = scale * stacked_dense(np.array([[2.0, 1.0, 1.0]]), np.array([[1.0, 1.0]]))[0]
-    norm = np.linalg.eigvalsh(b)[-1]
-    bound = 2.0 * witnesses.RANK_CUTOFF * max(1.0, norm * np.sqrt(1.0 + norm ** 2))
-    for t, calls in ((1.02 * bound, 0), (0.98 * bound, 1)):
-        a = b + t * np.eye(3)
-        stacks = _svd_stacks(monkeypatch)
-        assert witnesses.stacked_kernel_stability(a[None], 8, np.linalg.eigvalsh(a)[None]).tolist() == [True]
-        assert len(stacks) == calls
-        monkeypatch.undo()
-        assert kernel_stability_loop(StarMatrix(np.diag(a), a[0, 1:]), 8)
+def _leaf_multisets():
+    """Every multiset of 1 to 3 leaf kinds, with its exact leaf load; a
+    multiset stands for all its orders, since permuting the leaves permutes
+    the rows of every A^(m)."""
+    for d in (1, 2, 3):
+        for leaves in itertools.combinations_with_replacement(LEAF_KINDS, d):
+            yield leaves, sum(Fraction(alpha * alpha, p) for p, alpha in leaves if p)
 
 
-def test_kernel_stability_catches_a_form_off_the_kernel(monkeypatch):
-    # with A^(3) moved off zero on the joint kernel of [A; A^(2)], spanned
-    # here by (1, -1, 0), the test must fail
-    s = StarMatrix((1.0, 1.0, 1.0), (1.0, 0.0))
-    assert witnesses.star_kernel_stability(s, 3) and kernel_stability_loop(s, 3)
-    power = witnesses.hadamard_power
-    monkeypatch.setattr(witnesses, "hadamard_power",
-                        lambda a, m: power(a, m) + np.eye(a.shape[-1]) if m == 3 else power(a, m))
-    assert not witnesses.star_kernel_stability(s, 3)
-    assert not witnesses.star_kernel_stability(s, 8)
+def _rank(rows):
+    """Rank over the rationals of integer rows, by fraction-free elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        at = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        pivot = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                rows[i] = [pivot[col] * x - rows[i][col] * y for x, y in zip(rows[i], pivot)]
+        rank += 1
+    return rank
+
+
+def _star_rows(p_center, leaves, scale):
+    """The rows of scale * A for the star with center diagonal p_center and
+    leaves (p_i, alpha_i), as integers."""
+    n = len(leaves) + 1
+    a = [[Fraction(0)] * n for _ in range(n)]
+    a[0][0] = p_center
+    for i, (p, alpha) in enumerate(leaves, 1):
+        a[i][i], a[0][i], a[i][0] = Fraction(p), Fraction(alpha), Fraction(alpha)
+    rows = [[scale * x for x in row] for row in a]
+    assert all(x.denominator == 1 for row in rows for x in row)
+    return [[int(x) for x in row] for row in rows]
+
+
+def _stable(rows):
+    """rank [A; A^(2)] and whether rank [A; A^(2); A^(m)] equals it for every
+    m = 3..8."""
+    low = rows + [[x ** 2 for x in row] for row in rows]
+    rank = _rank(low)
+    return rank, all(_rank(low + [[x ** m for x in row] for row in rows]) == rank
+                     for m in range(3, 9))
+
+
+def test_kernel_stability_lemma_holds_exactly_on_small_psd_stars():
+    # every PSD star with d = 1..3 leaves of LEAF_KINDS and p_c at the leaf
+    # load or one above it.  Scaling A by 6 clears every load's denominator
+    # and scales A^(m) by 6^m, so no rank changes.
+    stars = joint_kernels = zero_leaf = tied = 0
+    for leaves, load in _leaf_multisets():
+        for p_center in (load, load + 1):
+            rank, stable = _stable(_star_rows(p_center, leaves, 6))
+            assert stable, (p_center, leaves)
+            stars += 1
+            if rank <= len(leaves):
+                joint_kernels += 1
+                zero_leaf += any(p == 0 for p, _ in leaves)
+                tied += any(p == alpha != 0 for p, alpha in leaves)
+    # not vacuous: many stars have a joint kernel, among them stars with a
+    # zero leaf and stars with a leaf at alpha_i = p_i
+    assert stars == 1936 and joint_kernels > 300 and zero_leaf > 0 and tied > 0
+
+
+def test_kernel_stability_lemma_needs_no_load_condition():
+    # the proof uses p_i >= 0 and alpha_i = 0 where p_i = 0, never p_c >=
+    # load, so stars below their load are stable too; among them a star that
+    # the criterion calls PSD at its float load, which lies an ulp below the
+    # exact load 1 + 1/3, so that the exact matrix is not PSD
+    load = leaf_load([1.0, 3.0], [1.0, 1.0])
+    assert Fraction(load) < Fraction(4, 3)
+    assert star_tree.star_psd_check(StarMatrix((load, 1.0, 3.0), (1.0, 1.0))).is_psd
+    exact = Fraction(load)
+    assert _stable(_star_rows(exact, [(1, 1), (3, 1)], exact.denominator))[1]
+    for leaves, load in _leaf_multisets():
+        for p_center in (load - 1, 0):
+            assert _stable(_star_rows(p_center, leaves, 6))[1], (p_center, leaves)
+
+
+def test_kernel_stability_comparison_catches_a_non_psd_star():
+    # leaves with alpha_i = p_i = (2, 2, -1) meet the center rows of A and
+    # A^(2) at p_c = 3, since (2 + 2 - 1)^2 = 4 + 4 + 1; x = e_c - e_1 - e_2 -
+    # e_3 is in the joint kernel, and A^(3) x has center entry 27 - 15 != 0.
+    # Only a negative p_i allows this, as the proof in README shows.
+    rank, stable = _stable(_star_rows(Fraction(3), [(2, 2), (2, 2), (-1, -1)], 1))
+    assert rank == 3 and not stable
 
 
 def test_leaf_load_folds_left_to_right():

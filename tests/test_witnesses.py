@@ -1,5 +1,9 @@
 import json
 import math
+import warnings
+from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,16 +13,16 @@ from graphpsd.graphs import complete_graph, path_graph, random_tree, star_graph
 from graphpsd.matrices import hadamard_power, quadratic_form
 from graphpsd.star_tree import StarMatrix, random_psd_star
 from graphpsd.witnesses import (
+    POSITIVITY_TOL,
     WitnessError,
     derivative_sign_estimate,
     k_lower_bound,
     nk_membership,
     nk_residuals,
-    star_kernel_stability,
     star_witnesses,
     vandermonde_witnesses,
 )
-from oracles import eta_bound, star_sample, witness_search
+from oracles import eta_bound, kernel_stability_loop, star_sample, witness_search
 
 K2_EDGE = np.array([[1.0, 1.5], [1.5, 2.0]])
 
@@ -126,6 +130,38 @@ def test_star_witnesses_embedding():
     assert ws.recertify()
 
 
+def test_star_set_recertifies_from_its_closed_form():
+    ws = star_witnesses(5, (11.0, 1.0, 2.0, 3.0, 4.0, 5.0), 8, vertices=[2, 0, 1, 4, 6, 7])
+    assert ws.center == 2 and ws.factor.tolist() == [1, 2, 11, 0, 3, 0, 4, 5]
+    assert ws.recertify()
+    # the closed form gives the forms of the matrix: each witness also
+    # passes the dense check
+    assert all(nk_membership(ws.matrix, np.array(w.beta), w.k) for w in ws.witnesses)
+    # a beta moved off the kernel of a lower power fails recertification
+    records = list(ws.witnesses)
+    records[2] = replace(records[2], beta=tuple(b + 1e-3 for b in records[2].beta))
+    assert not replace(ws, witnesses=tuple(records)).recertify()
+
+
+def test_star_witnesses_past_float_range():
+    # degree 199 with the alphas of k_lower_bound: A^(k) reaches 399^199,
+    # far past float range, and no numpy warning is raised on the way
+    d = 199
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ws = star_witnesses(d, [2.0 * d + 1.0] + [float(i) for i in range(1, d + 1)], d + 1)
+        assert ws.recertify()
+        text = ws.to_json()
+    assert [w.k for w in ws.witnesses] == list(range(1, d + 1))
+    assert all(w.kernel_residual <= 1e-10 for w in ws.witnesses)
+    # a margin beyond float range is its decimal string; the others are floats
+    margins = [Decimal(w.positivity_margin) if isinstance(w.positivity_margin, str)
+               else w.positivity_margin for w in ws.witnesses]
+    assert all(m > POSITIVITY_TOL for m in margins)
+    assert max(margins) > Decimal("1e308") and min(margins) < 1e308
+    assert "Infinity" not in text and "NaN" not in text
+
+
 def test_witness_set_json_roundtrip():
     ws = star_witnesses(2, (5.0, 1.0, 2.0), 3)
     payload = json.loads(ws.to_json())
@@ -186,20 +222,35 @@ def test_k_lower_bound_star_sits_at_first_max_degree_vertex():
 
 def test_star_kernel_stability_examples():
     # trivial joint kernel: vacuously stable
-    assert star_kernel_stability(StarMatrix((2.0, 1.0, 1.0), (1.0, 1.0)), 6)
+    assert kernel_stability_loop(StarMatrix((2.0, 1.0, 1.0), (1.0, 1.0)), 6)
     # nontrivial joint kernel (leaf tied to center at equality)
-    assert star_kernel_stability(StarMatrix((1.0, 1.0, 1.0), (1.0, 0.0)), 8)
+    assert kernel_stability_loop(StarMatrix((1.0, 1.0, 1.0), (1.0, 0.0)), 8)
 
 
 @pytest.mark.parametrize("seed", range(50))
 def test_star_kernel_stability_random(seed):
     s = star_sample(random_psd_star, int(seed % 8) + 1, np.random.default_rng(seed))
-    assert star_kernel_stability(s, 8)
+    assert kernel_stability_loop(s, 8)
 
 
-def test_star_kernel_stability_rejects_non_psd():
-    with pytest.raises(Exception):
-        star_kernel_stability(StarMatrix((1.9, 1.0, 1.0), (1.0, 1.0)), 4)
+def test_rank_one_factor_certifies_what_the_dense_forms_cannot():
+    # beta^T A^(19) beta of the order-19 witness cancels to a negative margin
+    # in floats; with the set's factor, nk_membership takes the closed form
+    ws = vandermonde_witnesses([float(i) for i in range(1, 21)])
+    beta = np.array(ws.witnesses[-1].beta)
+    assert ws.witnesses[-1].k == 19 and ws.recertify()
+    assert nk_membership(ws.matrix, beta, 19, ws.factor)
+
+
+def test_derivative_sign_takes_the_rank_one_factor():
+    ws = vandermonde_witnesses([float(i) for i in range(1, 21)])
+    w = ws.witnesses[-1]
+    f = power_function(20)
+    _, analytic = derivative_sign_estimate(f, 1.0, 19, (ws.matrix, np.array(w.beta), ws.factor),
+                                           [1e-3, 5e-4])
+    # f^(19)(1) = 20!, and Q_{A^(19)}(beta) = (beta . a^(19))^2 exactly
+    exact = math.factorial(20) * sum(Fraction(b) * i ** 19 for b, i in zip(w.beta, range(1, 21))) ** 2
+    assert abs(Fraction(analytic) / exact - 1) <= 1e-9
 
 
 def test_derivative_sign_exact_case():
