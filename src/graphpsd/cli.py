@@ -173,32 +173,25 @@ def cmd_preserver_test(args) -> Report:
     if cert is not None:
         rep.verdict, rep.certificate = "fail", cert
         return rep
-    # f >= 0 is the order-0 forward difference
+    # GKR16: f preserves PSD on trees iff it is nonnegative, superadditive and
+    # multiplicatively midpoint-convex; decided exactly where that is possible
+    exact = functions.decide_tree_conditions(f, args.range)
+    if exact is not None and exact.failed is None:
+        rep.certificate = {"grid_superadditive": True, "grid_mult_convex": True,
+                           "grid_nonnegative": True, "decided": "exact"}
+        return rep
+    # otherwise the grid scans decide; a violation that they find gives the
+    # certificate even where an exact witness exists, so that it stays the
+    # grid's.  f >= 0 is the order-0 forward difference
     nonneg = functions.check_abs_monotonic(f, 0, step=args.grid, bound=args.range)
     sup = functions.check_superadditive(f, step=args.grid, bound=args.range)
     mid = functions.check_mult_midpoint_convex(f, step=args.grid, bound=args.range)
-    bad = next((v for v in (nonneg, sup, mid) if not v.holds), None)
-    if bad is not None:
+    scans = {"nonnegative": nonneg, "superadditive": sup, "mult_convex": mid}
+    failed = next((name for name, v in scans.items() if not v.holds), None)
+    if failed is not None:
         # a grid violation pins down a concrete bad matrix
-        witness = bad.witness
-        if bad is nonneg:
-            # f(x) < 0: the 1x1 matrix [[x]]
-            witness = bad.witness[1:2]
-            mat = np.array([witness])
-            t = graphs.Graph(1)
-        elif bad is sup:
-            # superadditivity: the open-triangle block B(x+y, x, y), its
-            # center moved to the center of the 3-vertex path
-            x, y = bad.witness
-            perm = np.array([1, 0, 2])
-            mat = constructors.triangle_block(x + y, x, y)[np.ix_(perm, perm)]
-            t = graphs.path_graph(3)
-        else:
-            # midpoint convexity: the rank-one edge [[x, sqrt(xy)], [sqrt(xy), y]]
-            x, y = bad.witness
-            m = np.sqrt(x * y)
-            mat = np.array([[x, m], [m, y]])
-            t = graphs.path_graph(2)
+        witness = nonneg.witness[1:2] if failed == "nonnegative" else scans[failed].witness
+        t, mat = _condition_counterexample(failed, witness)
         fm = matrices.apply_entrywise(f.value, mat, t)
         if not star_tree.tree_psd_check(fm, t, tol=args.tol):
             rep.verdict = "fail"
@@ -206,10 +199,36 @@ def cmd_preserver_test(args) -> Report:
                                "matrix": matrices.format_matrix(mat),
                                "grid_witness": list(witness)}
             return rep
+    if exact is not None:
+        # the witness was checked in exact arithmetic: f[A] is not PSD
+        t, mat = _condition_counterexample(exact.failed, exact.witness)
+        rep.verdict = "fail"
+        rep.certificate = {"tree": graphs.format_graph(t),
+                           "matrix": matrices.format_matrix(mat),
+                           "exact_witness": list(exact.witness)}
+        return rep
     rep.certificate = {"grid_superadditive": sup.holds,
                        "grid_mult_convex": mid.holds,
-                       "grid_nonnegative": nonneg.holds}
+                       "grid_nonnegative": nonneg.holds,
+                       "decided": "grid"}
     return rep
+
+
+def _condition_counterexample(failed: str, witness: tuple):
+    """(tree, PSD matrix A on it) such that f[A] is not PSD where the named
+    condition fails at witness."""
+    if failed == "nonnegative":
+        # f(x) < 0: the 1x1 matrix [[x]]
+        return graphs.Graph(1), np.array([witness])
+    x, y = witness
+    if failed == "superadditive":
+        # the open-triangle block B(x+y, x, y), its center moved to the center
+        # of the 3-vertex path
+        perm = np.array([1, 0, 2])
+        return graphs.path_graph(3), constructors.triangle_block(x + y, x, y)[np.ix_(perm, perm)]
+    # midpoint convexity: the rank-one edge [[x, sqrt(xy)], [sqrt(xy), y]]
+    m = np.sqrt(x * y)
+    return graphs.path_graph(2), np.array([[x, m], [m, y]])
 
 
 def cmd_absmon_test(args) -> Report:

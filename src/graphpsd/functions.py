@@ -1,10 +1,13 @@
-"""Finite power sums sum_i c_i x^{e_i} on [0, R) and the testable predicates
-used on them: superadditivity, multiplicative midpoint convexity and absolute
-monotonicity via forward differences.
+"""Finite power sums sum_i c_i x^{e_i} on [0, R) and the predicates used on
+them: nonnegativity, superadditivity, multiplicative midpoint convexity and
+absolute monotonicity via forward differences.
 
-Grid checks are falsification tools: "holds" means no violation was found at
-the given resolution.  All inequality checks carry a 1e-12 relative slack so
-rounding noise is not reported as a violation.
+decide_tree_conditions decides the first three exactly, in integers, for
+power sums with nonnegative coefficients and for integer power sums with
+f(0) = 0; its "holds" is a proof and its witness a checked counterexample.
+The grid checks are the fallback, and they only falsify: "holds" means no
+violation was found at the given resolution.  They carry a 1e-12 relative
+slack so rounding noise is not reported as a violation.
 """
 
 from __future__ import annotations
@@ -286,3 +289,47 @@ def check_abs_monotonic(
         if bad.size:
             return Verdict(False, (n, float(bad[0] * step), step), margin)
     return Verdict(True, None, margin)
+
+
+@dataclass(frozen=True)
+class ExactVerdict:
+    """What decide_tree_conditions proved on [0, bound].  failed is None when
+    f is nonnegative, superadditive and multiplicatively midpoint-convex
+    there; otherwise it names the condition that fails at witness, a tuple of
+    floats checked in exact arithmetic: (x,) with f(x) < 0 ("nonnegative"),
+    (x, y) with f(x + y) < f(x) + f(y) and x + y exact ("superadditive"), or
+    (x, y) with f(sqrt(xy))^2 > f(x) f(y) and sqrt(xy) exact ("mult_convex")."""
+
+    failed: Optional[str]
+    witness: tuple = ()
+
+
+def decide_tree_conditions(f: EntrywiseFunction,
+                           bound: float = DEFAULT_GRID_BOUND) -> Optional[ExactVerdict]:
+    """Decide f >= 0, superadditivity and multiplicative midpoint convexity
+    on [0, bound] exactly, or return None (undecided).
+
+    Nonnegative coefficients on exponents >= 1 give all three, for any real
+    exponents.  Otherwise f must be an integer power sum with f(0) = 0 and
+    degree at most _exact.EXACT_MAX_DEGREE.  Then f > 0 on (0, bound], the
+    superadditivity polynomial H(w, t) >= 0 and the log-convexity polynomial
+    P(x) >= 0 are read off integer Bernstein coefficients, with midpoint
+    subdivision; a box where every coefficient is negative gives the
+    witness.  README gives the proofs."""
+    if all(c >= 0.0 and e >= 1.0 for c, e in f.terms):
+        return ExactVerdict(None)
+    # imported on first use, as fractions is elsewhere: start-up, and every
+    # command but preserver-test, does not load the rules
+    from . import _exact
+    coefs = _exact.integer_coefficients(f)
+    if coefs is None:
+        return None
+    r = _grid_cap(f, bound)
+    # the midpoint rule needs f > 0 on (0, r], which the first one proves
+    for name, decide in (("nonnegative", _exact.positive),
+                         ("superadditive", _exact.superadditive),
+                         ("mult_convex", _exact.mult_convex)):
+        found = decide(coefs, r)
+        if found is not True:
+            return None if found is None else ExactVerdict(name, found)
+    return ExactVerdict(None)

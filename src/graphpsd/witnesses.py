@@ -102,14 +102,16 @@ def nk_residuals(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]
 
 
 def _power_vectors(factor: np.ndarray, center: Optional[int], k: int) -> Tuple[np.ndarray, float]:
-    """(rows m = 0..k, base): the powers a^(m) of a rank-one factor a (center
-    None), base 1; or, for a hollow star with center row factor, a^(m) / M^m,
-    base M = max |factor|, where a^(m) is factor^(m) on the support with the
-    center entry halved.  M^m is the largest |entry| of A^(m): dividing by it
-    keeps every entry at most 1 and leaves every span unchanged."""
-    if center is None:
-        return factor ** np.arange(k + 1)[:, None], 1.0
+    """(rows m = 0..k, base): the powers a^(m) / M^m, M = max |factor|.  For a
+    rank-one factor a (center None), a^(m) is factor^(m) and base is M^2,
+    since the forms (beta . a^(m))^2 are squares; for a hollow star with
+    center row factor, a^(m) is factor^(m) on the support with the center
+    entry halved, and base is M.  M^m is the largest |entry| of a^(m):
+    dividing by it keeps every entry at most 1 and leaves every span
+    unchanged, and form m scales by base^-m."""
     base = float(np.abs(factor).max())
+    if center is None:
+        return (factor / base) ** np.arange(k + 1)[:, None], base * base
     powers = (factor != 0.0) * (factor / base) ** np.arange(k + 1)[:, None]
     powers[:, center] /= 2.0
     return powers, base
@@ -178,8 +180,8 @@ def nk_membership(a: np.ndarray, beta: np.ndarray, k: int,
     beta = np.asarray(beta, dtype=float)
     if factor is None:
         return _certify(*nk_residuals(a, beta, k), k)
-    powers = np.asarray(factor, dtype=float) ** np.arange(k + 1)[:, None]
-    return _certify(*_closed_form_residuals(powers, beta, k, None), k)
+    powers, base = _power_vectors(np.asarray(factor, dtype=float), None, k)
+    return _certify(*_closed_form_residuals(powers, beta, k, None), k, base)
 
 
 def _orthonormalize(vectors: Sequence[np.ndarray],
@@ -228,14 +230,14 @@ def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
         raise WitnessError("alphas must be distinct and nonzero")
     a = np.outer(al, al)
     records = []
+    powers, base = _power_vectors(al, None, n - 1)
     basis: List[np.ndarray] = [np.ones(n) / math.sqrt(n)]
     for k in range(1, n):
-        pk = al ** k
-        beta = _project_perp(pk, basis)
+        beta = _project_perp(powers[k], basis)
         beta /= np.linalg.norm(beta)
-        powers, _ = _power_vectors(al, None, k)
-        records.append(_certified_record(_closed_form_residuals(powers, beta, k, None), beta, k))
-        basis = _orthonormalize(basis + [pk])
+        records.append(_certified_record(
+            _closed_form_residuals(powers[:k + 1], beta, k, None), beta, k, base))
+        basis = _orthonormalize(powers[k:k + 1], basis)
     return WitnessSet(a, tuple(records), al)
 
 

@@ -13,7 +13,7 @@ from graphpsd.functions import parse_function
 from graphpsd.graphs import parse_graph
 from graphpsd.matrices import apply_entrywise, is_psd, parse_matrix
 from graphpsd.star_tree import tree_psd_check
-from graphpsd.witnesses import KERNEL_TOL
+from graphpsd.witnesses import KERNEL_TOL, POSITIVITY_TOL
 
 
 def run(capsys, *argv):
@@ -136,6 +136,45 @@ def test_witness_large_star_certifies_exactly(capsys, n):
         beyond_floats += isinstance(shown, str)
         assert abs(Fraction(Decimal(shown) if isinstance(shown, str) else shown) / margin - 1) < 1e-6
     assert beyond_floats == (72 if n == 200 else 0)
+
+
+@pytest.mark.parametrize("n", [88, 200])
+def test_witness_large_complete_graph_certifies_exactly(capsys, n):
+    # the powers of a = (1, ..., n) reach n^(n-1): the Vandermonde set is
+    # built and certified on power vectors scaled by n^m, and every printed
+    # beta holds in exact arithmetic (a margin beyond float range prints as
+    # a decimal string)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would exit 2
+        code = main(["witness", f"complete {n}"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    vdm = _strict_json(out)["certificate"]["witness_sets"][-1]
+    assert [int(x) for x in parse_matrix(vdm["matrix"])[0]] == list(range(1, n + 1))
+    assert [w["k"] for w in vdm["witnesses"]] == list(range(1, n))
+    powers = [[1] * n]  # a^(m); A^(m) = a^(m) a^(m)^T
+    for _ in range(n - 1):
+        powers.append(list(map(mul, powers[-1], range(1, n + 1))))
+    fro = [sum(map(mul, p, p)) for p in powers]  # ||A^(m)||_F = ||a^(m)||^2
+    tol = Fraction(KERNEL_TOL)
+    beyond_floats = 0
+    for w in vdm["witnesses"]:
+        k = w["k"]
+        den = max(Fraction(b).denominator for b in w["beta"])
+        b = [int(Fraction(x) * den) for x in w["beta"]]  # beta * den, exactly
+        nrm2 = sum(map(mul, b, b))
+        dots = [sum(map(mul, p, b)) for p in powers[:k + 1]]
+        # residual Q_m / (||beta||^2 ||A^(m)||_F) <= KERNEL_TOL, Q_m = (beta . a^(m))^2
+        assert all(d * d * tol.denominator <= tol.numerator * nrm2 * f
+                   for d, f in zip(dots[:k], fro))
+        margin = Fraction(dots[k] ** 2, nrm2)
+        assert margin > POSITIVITY_TOL
+        # the float dot beta . a^(m) cancels: the printed margin is good to
+        # about 1e-3 here (measured worst 1.2e-3)
+        shown = w["positivity_margin"]
+        beyond_floats += isinstance(shown, str)
+        assert abs(Fraction(Decimal(shown) if isinstance(shown, str) else shown) / margin - 1) < 1e-2
+    assert beyond_floats == {88: 2, 200: 127}[n]
 
 
 def test_witness_path2_sharp(capsys):

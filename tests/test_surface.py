@@ -10,6 +10,9 @@ object.  The analysis is static and reads only the sources.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,3 +143,16 @@ def reference_tree_preserver_poly(n_neg):
 @pytest.mark.parametrize("n_neg", range(1, 13))
 def test_tree_preserver_poly_is_the_entire_block(n_neg):
     assert build_tree_preserver_poly(n_neg) == reference_tree_preserver_poly(n_neg)
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # each costs about 1 ms of every start-up; the few paths that need exact
+    # rationals or decimals import them where they run, and so does the
+    # decision of the tree conditions its integer rules
+    code = ("import sys, graphpsd.cli; print(sorted({'fractions', 'decimal', '_decimal', "
+            "'_pydecimal', 'graphpsd._exact'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

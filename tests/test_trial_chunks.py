@@ -255,7 +255,10 @@ def test_negative_constant_fails_at_zero(capsys, monkeypatch):
 
 
 def test_pass_certificate_reports_the_nonnegativity_scan(capsys):
-    code, rep = run_main(capsys, ("preserver-test", "1*x^2", "--trials", "20"))
+    # fractional exponents and a negative coefficient: not decided exactly,
+    # so the grid scans decide
+    code, rep = run_main(capsys, ("preserver-test", "1*x^1.5, -0.01*x^2.5, 1*x^3.5",
+                                  "--trials", "20"))
     assert code == 0
     assert rep["certificate"] == {"grid_superadditive": True, "grid_mult_convex": True,
-                                  "grid_nonnegative": True}
+                                  "grid_nonnegative": True, "decided": "grid"}
