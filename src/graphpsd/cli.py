@@ -183,14 +183,26 @@ def cmd_preserver_test(args) -> Report:
     # otherwise the grid scans decide; a violation that they find gives the
     # certificate even where an exact witness exists, so that it stays the
     # grid's.  f >= 0 is the order-0 forward difference
-    nonneg = functions.check_abs_monotonic(f, 0, step=args.grid, bound=args.range)
-    sup = functions.check_superadditive(f, step=args.grid, bound=args.range)
-    mid = functions.check_mult_midpoint_convex(f, step=args.grid, bound=args.range)
-    scans = {"nonnegative": nonneg, "superadditive": sup, "mult_convex": mid}
+    scanners = {"nonnegative": functools.partial(functions.check_abs_monotonic, f, 0),
+                "superadditive": functools.partial(functions.check_superadditive, f),
+                "mult_convex": functools.partial(functions.check_mult_midpoint_convex, f)}
+    names = list(scanners)
+    if exact is not None:
+        # the decider proved every condition before the one it refutes, and a
+        # proved condition holds on the grid too, so the grid's first
+        # violation is in the refuted condition's scan or a later one
+        names = names[names.index(exact.failed):]
+    scans = {}
+    for name in names:
+        scans[name] = scanners[name](step=args.grid, bound=args.range)
+        if exact is not None and not scans[name].holds:
+            break  # only the first violation's certificate is read
     failed = next((name for name, v in scans.items() if not v.holds), None)
     if failed is not None:
         # a grid violation pins down a concrete bad matrix
-        witness = nonneg.witness[1:2] if failed == "nonnegative" else scans[failed].witness
+        witness = scans[failed].witness
+        if failed == "nonnegative":
+            witness = witness[1:2]  # (order, x, step)
         t, mat = _condition_counterexample(failed, witness)
         fm = matrices.apply_entrywise(f.value, mat, t)
         if not star_tree.tree_psd_check(fm, t, tol=args.tol):
@@ -207,9 +219,9 @@ def cmd_preserver_test(args) -> Report:
                            "matrix": matrices.format_matrix(mat),
                            "exact_witness": list(exact.witness)}
         return rep
-    rep.certificate = {"grid_superadditive": sup.holds,
-                       "grid_mult_convex": mid.holds,
-                       "grid_nonnegative": nonneg.holds,
+    rep.certificate = {"grid_superadditive": scans["superadditive"].holds,
+                       "grid_mult_convex": scans["mult_convex"].holds,
+                       "grid_nonnegative": scans["nonnegative"].holds,
                        "decided": "grid"}
     return rep
 

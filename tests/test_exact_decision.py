@@ -275,6 +275,30 @@ def test_workload_functions_run_no_grid_scan(capsys, monkeypatch):
         assert (code, rep["certificate"]) == (0, EXACT_PASS)
 
 
+@pytest.mark.parametrize("lit,scanned", [
+    ("1*x^2, -1*x^1", ["check_abs_monotonic"]),
+    ("1*x^1, -0.9*x^2, 1*x^3", ["check_superadditive"]),
+    (WRONG_PASS, ["check_mult_midpoint_convex"]),
+])
+def test_an_exact_violation_scans_from_the_refuted_condition(capsys, monkeypatch, lit, scanned):
+    # the scans of proved conditions are skipped, and the first grid
+    # violation ends the scans; the report is the one that all three scans
+    # give when the decider is left out
+    monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
+    argv = ("preserver-test", "--trials", "5", "--", lit)
+    with monkeypatch.context() as undecided:
+        undecided.setattr(functions, "decide_tree_conditions", lambda *args: None)
+        full = run_main(capsys, argv)
+    calls = []
+    for name in ("check_abs_monotonic", "check_superadditive", "check_mult_midpoint_convex"):
+        def counted(*args, _scan=getattr(functions, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _scan(*args, **kwargs)
+        monkeypatch.setattr(functions, name, counted)
+    assert run_main(capsys, argv) == full
+    assert calls == scanned and "grid_witness" in full[1]["certificate"]
+
+
 @pytest.mark.parametrize("lit,failed,shape", [
     ("-1*x^1", "nonnegative", 1),
     ("1*x^1, -0.9*x^2, 1*x^3", "superadditive", 3),
