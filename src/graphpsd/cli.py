@@ -180,23 +180,18 @@ def cmd_preserver_test(args) -> Report:
         rep.certificate = {"grid_superadditive": True, "grid_mult_convex": True,
                            "grid_nonnegative": True, "decided": "exact"}
         return rep
-    # otherwise the grid scans decide; a violation that they find gives the
-    # certificate even where an exact witness exists, so that it stays the
-    # grid's.  f >= 0 is the order-0 forward difference
-    scanners = {"nonnegative": functools.partial(functions.check_abs_monotonic, f, 0),
-                "superadditive": functools.partial(functions.check_superadditive, f),
-                "mult_convex": functools.partial(functions.check_mult_midpoint_convex, f)}
-    names = list(scanners)
     if exact is not None:
-        # the decider proved every condition before the one it refutes, and a
-        # proved condition holds on the grid too, so the grid's first
-        # violation is in the refuted condition's scan or a later one
-        names = names[names.index(exact.failed):]
-    scans = {}
-    for name in names:
-        scans[name] = scanners[name](step=args.grid, bound=args.range)
-        if exact is not None and not scans[name].holds:
-            break  # only the first violation's certificate is read
+        # the witness was checked in exact arithmetic: f[A] is not PSD
+        t, mat = _condition_counterexample(exact.failed, exact.witness)
+        rep.verdict = "fail"
+        rep.certificate = {"tree": graphs.format_graph(t),
+                           "matrix": matrices.format_matrix(mat),
+                           "exact_witness": list(exact.witness)}
+        return rep
+    # undecided: the grid scans decide.  f >= 0 is the order-0 forward difference
+    scans = {"nonnegative": functions.check_abs_monotonic(f, 0, args.grid, args.range),
+             "superadditive": functions.check_superadditive(f, args.grid, args.range),
+             "mult_convex": functions.check_mult_midpoint_convex(f, args.grid, args.range)}
     failed = next((name for name, v in scans.items() if not v.holds), None)
     if failed is not None:
         # a grid violation pins down a concrete bad matrix
@@ -211,14 +206,6 @@ def cmd_preserver_test(args) -> Report:
                                "matrix": matrices.format_matrix(mat),
                                "grid_witness": list(witness)}
             return rep
-    if exact is not None:
-        # the witness was checked in exact arithmetic: f[A] is not PSD
-        t, mat = _condition_counterexample(exact.failed, exact.witness)
-        rep.verdict = "fail"
-        rep.certificate = {"tree": graphs.format_graph(t),
-                           "matrix": matrices.format_matrix(mat),
-                           "exact_witness": list(exact.witness)}
-        return rep
     rep.certificate = {"grid_superadditive": scans["superadditive"].holds,
                        "grid_mult_convex": scans["mult_convex"].holds,
                        "grid_nonnegative": scans["nonnegative"].holds,

@@ -293,12 +293,13 @@ def check_abs_monotonic(
 
 @dataclass(frozen=True)
 class ExactVerdict:
-    """What decide_tree_conditions proved on [0, bound].  failed is None when
+    """What decide_tree_conditions decided on [0, bound].  failed is None when
     f is nonnegative, superadditive and multiplicatively midpoint-convex
     there; otherwise it names the condition that fails at witness, a tuple of
     floats checked in exact arithmetic: (x,) with f(x) < 0 ("nonnegative"),
     (x, y) with f(x + y) < f(x) + f(y) and x + y exact ("superadditive"), or
-    (x, y) with f(sqrt(xy))^2 > f(x) f(y) and sqrt(xy) exact ("mult_convex")."""
+    (x, y) with f(sqrt(xy))^2 > f(x) f(y) and sqrt(xy) exact ("mult_convex");
+    a condition before it may be undecided rather than proved."""
 
     failed: Optional[str]
     witness: tuple = ()
@@ -315,7 +316,9 @@ def decide_tree_conditions(f: EntrywiseFunction,
     superadditivity polynomial H(w, t) >= 0 and the log-convexity polynomial
     P(x) >= 0 are read off integer Bernstein coefficients, with midpoint
     subdivision; a box where every coefficient is negative gives the
-    witness.  README gives the proofs."""
+    witness; the first witness is final.  A zero of f in (0, bound] leaves
+    f > 0 undecided, and with it midpoint convexity, which P >= 0 shows only
+    for f > 0; superadditivity is still decided.  README gives the proofs."""
     if all(c >= 0.0 and e >= 1.0 for c, e in f.terms):
         return ExactVerdict(None)
     # imported on first use, as fractions is elsewhere: start-up, and every
@@ -325,11 +328,15 @@ def decide_tree_conditions(f: EntrywiseFunction,
     if coefs is None:
         return None
     r = _grid_cap(f, bound)
-    # the midpoint rule needs f > 0 on (0, r], which the first one proves
+    proved = True
     for name, decide in (("nonnegative", _exact.positive),
                          ("superadditive", _exact.superadditive),
                          ("mult_convex", _exact.mult_convex)):
+        if not proved and name == "mult_convex":
+            break  # the midpoint rule needs f > 0 on (0, r], which the first one proves
         found = decide(coefs, r)
-        if found is not True:
-            return None if found is None else ExactVerdict(name, found)
-    return ExactVerdict(None)
+        if found is None:
+            proved = False  # the superadditivity rule needs no sign of f
+        elif found is not True:
+            return ExactVerdict(name, found)
+    return ExactVerdict(None) if proved else None

@@ -271,14 +271,15 @@ def test_parse_error_is_usage_error(capsys):
 
 
 def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
-    # superadditive on the grid but not multiplicatively midpoint convex at
-    # (4.34375, 7.96875); random trials miss it, the grid witness must not
+    # nonnegative and superadditive but not multiplicatively midpoint convex,
+    # which the exact decider proves at (6.56640625, 6.890625); random trials
+    # miss it, the exact witness must not
     lit = ("0.8226067272402589*x^2, 0.9171177984138357*x^3, "
            "-0.4675362118938841*x^4, 0.7430217329347985*x^6")
     code, rep = run(capsys, "preserver-test", lit, "--trials", "50")
     assert code == 1 and rep["verdict"] == "fail"
     cert = rep["certificate"]
-    assert cert["grid_witness"] == [4.34375, 7.96875]
+    assert cert["exact_witness"] == [6.56640625, 6.890625]
     t, a = parse_graph(cert["tree"]), parse_matrix(cert["matrix"])
     assert t.n == 2 and is_psd(a).is_psd
     assert not is_psd(apply_entrywise(parse_function(lit).value, a, t)).is_psd

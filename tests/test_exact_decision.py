@@ -9,8 +9,10 @@ the signs of integer Bernstein coefficients.  These tests hold it to:
   stand for, and every witness fails its condition exactly;
 - the grid scans wherever those are decisive: a condition decided to hold
   holds on the grid, and a grid violation is never decided to hold;
-- preserver-test: an exact pass, and the exact_witness certificate of a
-  violation that the grid scans miss.
+- preserver-test: the decider's verdict is final.  An exact pass and an
+  exact violation run no grid scan, and the exact_witness certificate of a
+  violation is re-checked in Fraction arithmetic and, as the benchmark's
+  checker does, by eigvalsh.
 """
 
 import json
@@ -28,7 +30,6 @@ from graphpsd.constructors import build_entire_function_partial, build_tree_pres
 from graphpsd.functions import (
     EntrywiseFunction,
     ExactVerdict,
-    Verdict,
     check_abs_monotonic,
     check_mult_midpoint_convex,
     check_superadditive,
@@ -39,6 +40,9 @@ from graphpsd.graphs import parse_graph
 from graphpsd.matrices import parse_matrix
 
 from test_grid_scans import FIXED, GRIDS, LATE_SUPERADDITIVE, WRONG_PASS
+
+# f >= 0 with a zero at 1/2: f > 0 is undecided, superadditivity fails
+ZERO_INSIDE = "0.5*x^5, -1.5*x^6, 2*x^8"
 
 # the five preserver-test functions of the large-trees and small-trees
 # benchmark rounds (perfbench/workloads.py), with x^a at one a in [1, 3]
@@ -150,6 +154,9 @@ def test_constructed_preservers_are_decided_exactly(f):
     # f < 0 only between two zeros near 1: the search must go on past the
     # depth-capped boxes at the first zero
     ("1.5*x^2, -1.75*x^5, -0.5*x^6, -2.125*x^7, 2.875*x^8", "nonnegative"),
+    # x (x - 1)^2 >= 0 vanishes at 1, so f > 0 is undecided; an f >= 0 with
+    # a zero in (0, R] is never superadditive
+    ("1*x^1, -2*x^2, 1*x^3", "superadditive"),
 ])
 def test_violations_come_with_exact_witnesses(lit, failed):
     f = parse_function(lit)
@@ -158,8 +165,17 @@ def test_violations_come_with_exact_witnesses(lit, failed):
     assert_fails_exactly(f, verdict)
 
 
+def test_superadditivity_is_decided_where_f_is_positive_is_not():
+    # f = x^5 (2x^3 - 1.5x + 0.5) vanishes at 1/2, so the f > 0 rule gives
+    # up; superadditivity needs no sign of f and fails exactly
+    f = parse_function(ZERO_INSIDE)
+    assert _exact.positive(_exact.integer_coefficients(f), 8.0) is None
+    verdict = decide_tree_conditions(f)
+    assert verdict == ExactVerdict("superadditive", (0.011962890625, 0.425537109375))
+    assert_fails_exactly(f, verdict)
+
+
 @pytest.mark.parametrize("lit", [
-    "1*x^1, -2*x^2, 1*x^3",  # x (x - 1)^2: f >= 0 with a zero at 1
     "2*x^0, 1*x^1",  # f(0) != 0
     "1*x^2, -0.5*x^41",  # past EXACT_MAX_DEGREE
     "1*x^1.5, -0.01*x^2.5, 1*x^3.5",  # fractional exponents, one negative coefficient
@@ -264,56 +280,39 @@ def test_high_powers_pass_exactly(capsys, lit):
     assert (code, rep["verdict"], rep["certificate"]) == (0, "pass", EXACT_PASS)
 
 
-def test_workload_functions_run_no_grid_scan(capsys, monkeypatch):
+def refuse_grid_scans(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("grid scan")
 
     for name in ("check_abs_monotonic", "check_superadditive", "check_mult_midpoint_convex"):
         monkeypatch.setattr(functions, name, refuse)
+
+
+def test_workload_functions_run_no_grid_scan(capsys, monkeypatch):
+    refuse_grid_scans(monkeypatch)
     for lit in WORKLOAD_PRESERVERS:
         code, rep = run_main(capsys, ("preserver-test", lit, "--trials", "20"))
         assert (code, rep["certificate"]) == (0, EXACT_PASS)
-
-
-@pytest.mark.parametrize("lit,scanned", [
-    ("1*x^2, -1*x^1", ["check_abs_monotonic"]),
-    ("1*x^1, -0.9*x^2, 1*x^3", ["check_superadditive"]),
-    (WRONG_PASS, ["check_mult_midpoint_convex"]),
-])
-def test_an_exact_violation_scans_from_the_refuted_condition(capsys, monkeypatch, lit, scanned):
-    # the scans of proved conditions are skipped, and the first grid
-    # violation ends the scans; the report is the one that all three scans
-    # give when the decider is left out
-    monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
-    argv = ("preserver-test", "--trials", "5", "--", lit)
-    with monkeypatch.context() as undecided:
-        undecided.setattr(functions, "decide_tree_conditions", lambda *args: None)
-        full = run_main(capsys, argv)
-    calls = []
-    for name in ("check_abs_monotonic", "check_superadditive", "check_mult_midpoint_convex"):
-        def counted(*args, _scan=getattr(functions, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _scan(*args, **kwargs)
-        monkeypatch.setattr(functions, name, counted)
-    assert run_main(capsys, argv) == full
-    assert calls == scanned and "grid_witness" in full[1]["certificate"]
 
 
 @pytest.mark.parametrize("lit,failed,shape", [
     ("-1*x^1", "nonnegative", 1),
     ("1*x^1, -0.9*x^2, 1*x^3", "superadditive", 3),
     (WRONG_PASS, "mult_convex", 2),
+    (ZERO_INSIDE, "superadditive", 3),
 ])
-def test_exact_witness_certifies_what_the_grid_misses(capsys, monkeypatch, lit, failed, shape):
+def test_an_exact_violation_is_final(capsys, monkeypatch, lit, failed, shape):
+    # the trials pass and the decider refutes f: the report fails with the
+    # exact witness and runs no grid scan
     monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
-    for name in ("check_abs_monotonic", "check_superadditive", "check_mult_midpoint_convex"):
-        monkeypatch.setattr(functions, name, lambda *args, **kwargs: Verdict(True, None, 0.0))
+    refuse_grid_scans(monkeypatch)
     code, rep = run_main(capsys, ("preserver-test", "--trials", "5", "--", lit))
     assert (code, rep["verdict"]) == (1, "fail")
     cert = rep["certificate"]
     assert sorted(cert) == ["exact_witness", "matrix", "tree"]
     f = parse_function(lit)
-    assert cert["exact_witness"] == list(decide_tree_conditions(f).witness)
+    verdict = decide_tree_conditions(f)
+    assert verdict.failed == failed and cert["exact_witness"] == list(verdict.witness)
     # A is PSD on the tree and f[A] is not, in exact arithmetic
     tree = parse_graph(cert["tree"])
     a = [[Fraction(v) for v in row] for row in parse_matrix(cert["matrix"])]
@@ -322,6 +321,26 @@ def test_exact_witness_certifies_what_the_grid_misses(capsys, monkeypatch, lit, 
     image = [[g(a[i][j]) if i == j or tree.has_edge(i, j) else Fraction(0)
               for j in range(shape)] for i in range(shape)]
     assert exact_psd(a) and not exact_psd(image)
+
+
+@pytest.mark.parametrize("lit", [f"1*x^1, -{c}*x^2, 1*x^3" for c in (0.5, 1.0, 1.5)]
+                         + [WRONG_PASS])
+def test_exact_certificates_fail_by_eigvalsh(capsys, monkeypatch, lit):
+    # the certify functions that the decider refutes: f[A] (f on the diagonal
+    # and the tree edges, 0 elsewhere) has lambda_min < -tol max(1, rho) in
+    # float eigvalsh, the benchmark checker's test of a fail certificate
+    monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
+    code, rep = run_main(capsys, ("preserver-test", "--trials", "50", lit))
+    cert = rep["certificate"]
+    assert code == 1 and "exact_witness" in cert
+    tree = parse_graph(cert["tree"])
+    a = parse_matrix(cert["matrix"])
+    mask = np.eye(tree.n, dtype=bool)
+    for i, j in tree.edges:
+        mask[i, j] = mask[j, i] = True
+    image = np.where(mask, parse_function(lit).value(np.where(mask, a, 0.0)), 0.0)
+    lam = np.linalg.eigvalsh(image)
+    assert lam[0] < -rep["tolerance"] * max(1.0, np.max(np.abs(lam)))
 
 
 def test_exact_pass_certificate(capsys):

@@ -237,10 +237,11 @@ def test_one_plan_sampler_reads_one_block_of_uniforms():
 
 
 def test_negative_function_fails_on_the_grid_when_trials_pass(capsys, monkeypatch):
-    # -x is superadditive and midpoint convex on the grid; only f >= 0 fails,
-    # at the first grid point after 0, and [[x]] is the certificate
+    # -x^1.5 has a fractional exponent, so the exact decider leaves it to the
+    # grid; f >= 0, the first condition scanned, fails at the first grid point
+    # after 0, and [[x]] is the certificate
     monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
-    code, rep = run_main(capsys, ("preserver-test", "--trials", "5", "--", "-1*x^1"))
+    code, rep = run_main(capsys, ("preserver-test", "--trials", "5", "--", "-1*x^1.5"))
     assert code == 1 and rep["verdict"] == "fail"
     assert rep["certificate"] == {"tree": "1 0\n", "matrix": "1\n0 0 0.015625\n",
                                   "grid_witness": [0.015625]}
