@@ -59,7 +59,7 @@ class Report:
         }
         if self.rows:
             payload["rows"] = self.rows
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -72,7 +72,8 @@ class Report:
             writer.writerow(["command", "seed", "tolerance", "trials", "verdict",
                              "certificate", "elapsed_ms"])
             writer.writerow([self.command, self.seed, self.tolerance, self.trials,
-                             self.verdict, json.dumps(self.certificate), self.elapsed_ms])
+                             self.verdict, json.dumps(self.certificate, allow_nan=False),
+                             self.elapsed_ms])
         return buf.getvalue()
 
 
@@ -154,14 +155,10 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw,
 
 def cmd_preserver_test(args) -> Report:
     f = functions.parse_function(args.function)
-    if args.trials < 1:
-        raise UsageError("trials must be >= 1")
-    if args.tree_n < 2:
-        raise UsageError("--tree-n must be >= 2")
     rep = Report("preserver-test", args.seed, args.tol, args.trials, "pass")
     # the grid checks run only after the trials pass, but an empty grid is a
     # usage error whatever the trials say (superadditivity needs two steps)
-    functions._grid_count(f, args.grid, args.range, 2)
+    functions._grid_count(args.grid, args.range, 2)
     rng = np.random.default_rng(args.seed)
 
     def draw():
@@ -270,8 +267,6 @@ def cmd_critical_exponent(args) -> Report:
         raise UsageError("critical-exponent needs a tree spec")
     if t.n < 3:
         raise UsageError("critical-exponent needs a tree with at least 3 vertices")
-    if args.trials < 1:
-        raise UsageError("trials must be >= 1")
     rep = Report("critical-exponent", args.seed, args.tol, args.trials, "pass")
     for alpha in args.alphas:
         if alpha >= 1.0:
@@ -337,8 +332,6 @@ def _draw_stars(rng: np.random.Generator, trials: int):
 
 
 def cmd_star_suite(args) -> Report:
-    if args.trials < 1:
-        raise UsageError("trials must be >= 1")
     rep = Report("star-suite", args.seed, args.tol, args.trials, "pass")
     # one stack per degree, for the oracle and the criterion; a star the
     # criterion calls PSD needs no kernel-stability check, since for a PSD
@@ -392,7 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preserver-test", help="grid + random-tree preserver suite")
     p.add_argument("function", help=FUNCTION_HELP)
-    p.add_argument("--tree-n", type=int, default=12)
+    p.add_argument("--tree-n", type=int, default=12,
+                   help="trials draw trees on 2..TREE_N vertices; at least 3, since "
+                        "GKR16's characterization, which decides the verdict, is for "
+                        "trees on 3 or more vertices")
     common(p, "trials", "grid", "range")
 
     p = sub.add_parser("absmon-test", help="forward-difference absolute monotonicity")
@@ -437,10 +433,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     }[args.subcommand]
     start = time.perf_counter()
     try:
-        for flag in ("grid", "range", "tol"):
-            value = vars(args).get(flag)
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise UsageError(f"--{flag} must be positive and finite, got {value!r}")
+        # every numeric argument is checked here, once; the handlers trust them
+        given = vars(args)
+        positive = [(f"--{flag}", given[flag]) for flag in ("grid", "range", "tol")
+                    if flag in given]
+        for label, value in positive + [("ALPHA", a) for a in given.get("alphas", ())]:
+            if not (np.isfinite(value) and value > 0):
+                raise UsageError(f"{label} must be positive and finite, got {value!r}")
+        for value in given.get("params", ()):
+            if not np.isfinite(value):
+                raise UsageError(f"PARAMS must be finite, got {value!r}")
+        for flag, least in (("trials", 1), ("tree_n", 3), ("n_max", 0)):
+            if given.get(flag, least) < least:
+                raise UsageError(f"--{flag.replace('_', '-')} must be >= {least}, "
+                                 f"got {given[flag]}")
         if args.tol > MAX_TOL:
             raise UsageError(f"--tol must be at most {MAX_TOL!r}, got {args.tol!r}")
         report = handler(args)

@@ -1,6 +1,7 @@
-"""Finite power sums sum_i c_i x^{e_i} on [0, R) and the predicates used on
-them: nonnegativity, superadditivity, multiplicative midpoint convexity and
-absolute monotonicity via forward differences.
+"""Finite power sums sum_i c_i x^{e_i} on [0, oo) and the predicates used on
+them over [0, R], R the bound each takes (the CLI's --range): nonnegativity,
+superadditivity, multiplicative midpoint convexity and absolute monotonicity
+via forward differences.
 
 decide_tree_conditions decides the first three exactly, in integers, for
 power sums with nonnegative coefficients and for integer power sums with
@@ -34,14 +35,13 @@ class DomainError(FunctionError):
 
 @dataclass(frozen=True)
 class EntrywiseFunction:
-    """sum of terms c * x^e with distinct exponents e >= 0, on [0, R).
+    """sum of terms c * x^e with distinct exponents e >= 0, on [0, oo).
 
     Uses the convention 0**0 = 1.  Exact k-th derivatives come from the
     falling-factorial rule on each term.
     """
 
     terms: Tuple[Tuple[float, float], ...]
-    domain_max: float = math.inf  # R
 
     def __post_init__(self):
         cleaned = []
@@ -56,14 +56,12 @@ class EntrywiseFunction:
         for (_, e1), (_, e2) in zip(cleaned, cleaned[1:]):
             if e1 == e2:
                 raise FunctionError(f"duplicate exponent {e1}")
-        if self.domain_max <= 0:
-            raise FunctionError("domain bound R must be positive")
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def _check_domain(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0) or np.any(x >= self.domain_max):
-            raise DomainError(f"argument outside [0, {self.domain_max})")
+        if np.any(x < 0):
+            raise DomainError("argument outside [0, oo)")
         return x
 
     def value(self, x):
@@ -107,7 +105,7 @@ class EntrywiseFunction:
 _TERM_RE = re.compile(r"^\s*([+-]?[\d.eE+-]+)\s*\*\s*x\s*\^\s*([\d.]+)\s*$")
 
 
-def parse_function(text: str, domain_max: float = math.inf) -> EntrywiseFunction:
+def parse_function(text: str) -> EntrywiseFunction:
     """Parse the CLI literal syntax: comma-separated "coef*x^exp" terms."""
     terms = []
     for chunk in text.split(","):
@@ -119,7 +117,7 @@ def parse_function(text: str, domain_max: float = math.inf) -> EntrywiseFunction
         terms.append((float(m.group(1)), float(m.group(2))))
     if not terms:
         raise FunctionError("empty function literal")
-    return EntrywiseFunction(tuple(terms), domain_max)
+    return EntrywiseFunction(tuple(terms))
 
 
 def power_function(exponent: float) -> EntrywiseFunction:
@@ -133,17 +131,11 @@ class Verdict:
     margin: float
 
 
-def _grid_cap(f: EntrywiseFunction, bound: float) -> float:
-    if math.isinf(f.domain_max):
-        return bound
-    return min(bound, f.domain_max * (1.0 - 1e-12))
-
-
-def _grid_count(f: EntrywiseFunction, step: float, bound: float, min_count: int) -> int:
-    """Index of the last grid point h * count <= bound (capped below R)."""
+def _grid_count(step: float, bound: float, min_count: int) -> int:
+    """Index of the last grid point h * count <= bound."""
     if step <= 0:
         raise FunctionError("grid step must be positive")
-    count = int(math.floor(_grid_cap(f, bound) / step))
+    count = int(math.floor(bound / step))
     if count < min_count:
         raise FunctionError("grid is empty for the given step and bound")
     return count
@@ -151,7 +143,7 @@ def _grid_count(f: EntrywiseFunction, step: float, bound: float, min_count: int)
 
 def _grid_values(f: EntrywiseFunction, step: float, bound: float, min_count: int):
     """The grid {0, h, ..., count * h} and f on it."""
-    xs = np.arange(_grid_count(f, step, bound, min_count) + 1) * step
+    xs = np.arange(_grid_count(step, bound, min_count) + 1) * step
     return xs, f.value(xs)
 
 
@@ -269,7 +261,10 @@ def check_abs_monotonic(
     """All forward differences of order 0..n_max nonnegative on the grid.
 
     Reports the first violating (n, x, h); scan is by ascending order, then
-    ascending grid point, with h fixed at the grid step."""
+    ascending grid point, with h fixed at the grid step.  The margin of a
+    violation is its forward difference, finite and negative (a violation
+    needs a finite scale); a pass has the least difference of the orders
+    free of NaN as margin."""
     xs, vals = _grid_values(f, step, bound, 1)
     margin = math.inf
     for n in range(n_max + 1):
@@ -285,9 +280,9 @@ def check_abs_monotonic(
                 diff += coef * window
                 scale += abs(coef) * np.abs(window)
         bad = np.nonzero(diff < -REL_SLACK * (1.0 + scale))[0]
-        margin = min(margin, float(np.min(diff)))
         if bad.size:
-            return Verdict(False, (n, float(bad[0] * step), step), margin)
+            return Verdict(False, (n, float(bad[0] * step), step), float(diff[bad[0]]))
+        margin = min(margin, float(np.min(diff)))
     return Verdict(True, None, margin)
 
 
@@ -308,7 +303,8 @@ class ExactVerdict:
 def decide_tree_conditions(f: EntrywiseFunction,
                            bound: float = DEFAULT_GRID_BOUND) -> Optional[ExactVerdict]:
     """Decide f >= 0, superadditivity and multiplicative midpoint convexity
-    on [0, bound] exactly, or return None (undecided).
+    on [0, bound] exactly, or return None (undecided).  bound is R, the one
+    bound on the entries (the CLI's --range), read as the float it is.
 
     Nonnegative coefficients on exponents >= 1 give all three, for any real
     exponents.  Otherwise f must be an integer power sum with f(0) = 0 and
@@ -327,14 +323,13 @@ def decide_tree_conditions(f: EntrywiseFunction,
     coefs = _exact.integer_coefficients(f)
     if coefs is None:
         return None
-    r = _grid_cap(f, bound)
     proved = True
     for name, decide in (("nonnegative", _exact.positive),
                          ("superadditive", _exact.superadditive),
                          ("mult_convex", _exact.mult_convex)):
         if not proved and name == "mult_convex":
-            break  # the midpoint rule needs f > 0 on (0, r], which the first one proves
-        found = decide(coefs, r)
+            break  # the midpoint rule needs f > 0 on (0, bound], which the first one proves
+        found = decide(coefs, bound)
         if found is None:
             proved = False  # the superadditivity rule needs no sign of f
         elif found is not True:

@@ -19,7 +19,6 @@ from graphpsd.functions import (
     DEFAULT_GRID_BOUND,
     DEFAULT_GRID_STEP,
     REL_SLACK,
-    DomainError,
     FunctionError,
     Verdict,
     _grid_count,
@@ -56,7 +55,7 @@ def psi(f, x):
 
 def check_psi_nonnegative(f, step=DEFAULT_GRID_STEP, bound=DEFAULT_GRID_BOUND):
     """Grid check of psi >= 0 on (0, bound], with relative slack."""
-    count = _grid_count(f, step, bound, 1)
+    count = _grid_count(step, bound, 1)
     margin = math.inf
     for i in range(1, count + 1):
         x = i * step
@@ -76,8 +75,6 @@ def forward_difference(f, x, h, n):
     """n-th forward difference with step h at x."""
     if h <= 0:
         raise FunctionError("step must be positive")
-    if x < 0 or x + n * h >= f.domain_max:
-        raise DomainError("forward difference leaves the function domain")
     return float(
         sum((-1) ** i * math.comb(n, i) * f.value(x + (n - i) * h) for i in range(n + 1))
     )

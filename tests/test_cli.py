@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +15,7 @@ from graphpsd.graphs import parse_graph
 from graphpsd.matrices import apply_entrywise, is_psd, parse_matrix
 from graphpsd.star_tree import tree_psd_check
 from graphpsd.witnesses import KERNEL_TOL, POSITIVITY_TOL
+from oracles import forward_difference
 
 
 def run(capsys, *argv):
@@ -285,6 +287,23 @@ def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
     assert not is_psd(apply_entrywise(parse_function(lit).value, a, t)).is_psd
 
 
+# (argv, the argument its error names): main checks every number once
+OUT_OF_RANGE = [
+    # GKR16's characterization needs trees on 3 or more vertices
+    (("preserver-test", "1*x^0.5", "--tree-n", "2", "--trials", "200"), "--tree-n"),
+    (("preserver-test", "1*x^2", "--trials", "0"), "--trials"),
+    (("critical-exponent", "path 5", "2.0", "--trials", "0"), "--trials"),
+    (("star-suite", "--trials", "0"), "--trials"),
+    (("critical-exponent", "tree 5", "inf"), "ALPHA"),
+    (("critical-exponent", "tree 5", "nan"), "ALPHA"),
+    (("critical-exponent", "tree 5", "0"), "ALPHA"),
+    (("critical-exponent", "tree 5", "1.5", "--", "-0.5"), "ALPHA"),
+    (("construct", "thresholds", "2", "5", "1", "nan"), "PARAMS"),
+    (("construct", "thresholds", "2", "5", "1", "inf"), "PARAMS"),
+    (("absmon-test", "1*x^2", "--n-max", "-1"), "--n-max"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("preserver-test", "1*x^2", "--tree-n", "1"),
     ("preserver-test", "1*x^2", "--range", "1e308"),
@@ -303,11 +322,41 @@ def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
     ("star-suite", "--tol", "1", "--trials", "200"),
     # an empty grid, though the first trial fails
     ("preserver-test", "1*x^0.5", "--grid", "5", "--trials", "5"),
-])
+    # the budget r(r - 1) / (s(s - 1)) overflows to NaN, which no report prints
+    ("construct", "thresholds", "1e200", "1e201", "1", "1"),
+] + [argv for argv, _ in OUT_OF_RANGE])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,name", OUT_OF_RANGE)
+def test_out_of_range_numbers_are_named(capsys, argv, name):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+
+
+@pytest.mark.parametrize("lit,order", [
+    ("1*x^400, -1*x^401", 0),  # f is -inf or NaN near the top of the grid
+    ("1*x^1.5", 3),
+    ("1*x^1, 1*x^2, -0.1*x^3, 1*x^4, 1*x^5", 3),
+])
+def test_absmon_difference_is_the_one_at_its_witness(capsys, lit, order):
+    code = main(["absmon-test", lit])
+    cert = _strict_json(capsys.readouterr().out)["certificate"]
+    assert code == 1 and cert["order"] == order and cert["h"] == 1 / 64
+    want = forward_difference(parse_function(lit), cert["x"], cert["h"], order)
+    assert math.isfinite(cert["difference"]) and cert["difference"] < 0
+    assert math.isclose(cert["difference"], want, rel_tol=1e-9)
+
+
+def test_reports_refuse_nan_and_infinity():
+    rep = cli.Report("construct-thresholds", 0, 1e-9, 1, "pass",
+                     certificate={"threshold": float("nan")})
+    for write in (rep.to_json, rep.to_csv):
+        with pytest.raises(ValueError):
+            write()
 
 
 def test_tol_cap_is_inclusive(capsys):

@@ -204,7 +204,7 @@ def test_the_interval_is_the_bound(bound, failed):
 def grid_is_decisive(f, step, bound):
     """Every term c x^e at the grid points x > 0 is a finite normal float,
     so the grid reads f without overflow or underflow."""
-    xs = np.arange(1, functions._grid_count(f, step, bound, 1) + 1) * step
+    xs = np.arange(1, functions._grid_count(step, bound, 1) + 1) * step
     with np.errstate(over="ignore", under="ignore"):
         return all(np.all(np.isfinite(v) & (v >= sys.float_info.min))
                    for v in (np.abs(c * np.power(xs, e)) for c, e in f.terms))
@@ -224,11 +224,10 @@ def assert_consistent_with_grid(f, step, bound):
     coefs = _exact.integer_coefficients(f)
     if coefs is None:
         return
-    r = functions._grid_cap(f, bound)
-    decided = {"nonnegative": _exact.positive(coefs, r),
-               "superadditive": _exact.superadditive(coefs, r)}
-    if decided["nonnegative"] is True:  # the P rule needs f > 0 on (0, r]
-        decided["mult_convex"] = _exact.mult_convex(coefs, r)
+    decided = {"nonnegative": _exact.positive(coefs, bound),
+               "superadditive": _exact.superadditive(coefs, bound)}
+    if decided["nonnegative"] is True:  # the P rule needs f > 0 on (0, bound]
+        decided["mult_convex"] = _exact.mult_convex(coefs, bound)
     for name, found in decided.items():
         if found is True:
             assert grid[name], (f.literal(), name)

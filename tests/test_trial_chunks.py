@@ -138,7 +138,7 @@ FUNCTIONS = [
 
 
 @pytest.mark.parametrize("lit", FUNCTIONS)
-@pytest.mark.parametrize("tree_n,trials", [(2, 200), (12, 5), (12, 100), (12, 200)])
+@pytest.mark.parametrize("tree_n,trials", [(3, 200), (12, 5), (12, 100), (12, 200)])
 @pytest.mark.parametrize("seed", [0, 9])
 def test_preserver_reports_match_the_loop(capsys, monkeypatch, lit, tree_n, trials, seed):
     got, want = run_both(capsys, monkeypatch, ("preserver-test", "--trials", str(trials),
