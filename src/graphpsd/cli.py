@@ -116,16 +116,15 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw,
                          range_max: float, tol: float) -> Optional[dict]:
     """Certificate of the first failing trial in index order, or None.
 
-    Each call of draw() gives the next trial's elimination plan and (2, n)
-    block of uniforms.  Per chunk, one stacked sampler call maps every
-    trial's uniforms to (diag, edge), one f evaluation maps those, and
-    reduceat gives each trial its own Schur threshold
+    draw(k) gives the next k trials' elimination plans and their (2, total
+    vertices) uniforms, trial after trial.  Per chunk, one draw, one stacked
+    sampler call maps the uniforms to (diag, edge), one f evaluation maps
+    those, and reduceat gives each trial its own Schur threshold
     tol * max(1, max |entry|); the Schur loop then runs trial by trial.
     """
     for start, stop in _chunks(trials):
-        plans, uniforms = zip(*(draw() for _ in range(start, stop)))
-        diag, edge = matrices.stacked_psd_plan_entries(plans, range_max,
-                                                       np.concatenate(uniforms, axis=1))
+        plans, uniforms = draw(stop - start)
+        diag, edge = matrices.stacked_psd_plan_entries(plans, range_max, uniforms)
         n = len(diag)
         sizes = [len(p.order) for p in plans]
         starts = np.cumsum(sizes) - sizes
@@ -160,11 +159,20 @@ def cmd_preserver_test(args) -> Report:
     # usage error whatever the trials say (superadditivity needs two steps)
     functions._grid_count(args.grid, args.range, 2)
     rng = np.random.default_rng(args.seed)
+    tree_n = args.tree_n
 
-    def draw():
-        # a random tree on 2..tree_n vertices, then its entries' uniforms
-        n = int(rng.integers(2, args.tree_n + 1))
-        return graphs.random_tree_plan(n, rng), rng.random((2, n))
+    def draw(k):
+        # trial j reads row j alone, 3 tree_n - 1 uniforms u: its size
+        # n = 2 + floor(u (tree_n - 1)), then tree_n - 2 Pruefer entries
+        # floor(u n), then tree_n l_vv and tree_n l_uv uniforms, of which it
+        # takes the first n - 2, n and n
+        rows = rng.random((k, 3 * tree_n - 1))
+        sizes = 2 + (rows[:, 0] * (tree_n - 1)).astype(np.intp)
+        seqs = (rows[:, 1:tree_n - 1] * sizes[:, None]).astype(np.intp).tolist()
+        plans = [graphs.prufer_plan(seq[:n - 2], n) for seq, n in zip(seqs, sizes.tolist())]
+        used = np.arange(tree_n) < sizes[:, None]
+        return plans, np.stack([rows[:, tree_n - 1:2 * tree_n - 1][used],
+                                rows[:, 2 * tree_n - 1:][used]])
 
     cert = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
     if cert is not None:
@@ -268,11 +276,15 @@ def cmd_critical_exponent(args) -> Report:
     if t.n < 3:
         raise UsageError("critical-exponent needs a tree with at least 3 vertices")
     rep = Report("critical-exponent", args.seed, args.tol, args.trials, "pass")
+
+    def draw(k):
+        # the bytes of k draws of rng.random((2, n)), trial after trial
+        return [plan] * k, rng.random((k, 2, t.n)).transpose(1, 0, 2).reshape(2, -1)
+
     for alpha in args.alphas:
         if alpha >= 1.0:
             f = functions.power_function(alpha)
-            cert = _first_failing_trial(f, args.trials, lambda: (plan, rng.random((2, t.n))),
-                                        args.range, args.tol)
+            cert = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
             preserved = cert is None
             note = "" if preserved else json.dumps(cert)
         else:
@@ -443,7 +455,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for value in given.get("params", ()):
             if not np.isfinite(value):
                 raise UsageError(f"PARAMS must be finite, got {value!r}")
-        for flag, least in (("trials", 1), ("tree_n", 3), ("n_max", 0)):
+        for flag, least in (("seed", 0), ("trials", 1), ("tree_n", 3), ("n_max", 0)):
             if given.get(flag, least) < least:
                 raise UsageError(f"--{flag.replace('_', '-')} must be >= {least}, "
                                  f"got {given[flag]}")

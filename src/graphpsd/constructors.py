@@ -33,7 +33,8 @@ def superadditivity_threshold(r: float, s: float, c_r: float, c_s: float) -> Thr
         raise FunctionError(f"need 1 < r < s, got r={r}, s={s}")
     if c_r <= 0 or c_s <= 0:
         raise FunctionError("flank coefficients must be positive")
-    nu = r * (r - 1.0) / (s * (s - 1.0)) * min(c_r, c_s)
+    # as two ratios, so that large r and s do not overflow
+    nu = (r / s) * ((r - 1.0) / (s - 1.0)) * min(c_r, c_s)
     return ThresholdReport("superadditive", nu, (r, s), (c_r, c_s))
 
 
@@ -64,7 +65,7 @@ def mult_convexity_threshold(
         raise FunctionError("need r + r' > 1 for the budget mechanism")
     lo_coef = c_r * c_rp * (r - r_prime) ** 2
     hi_coef = c_s * c_sp * (s - s_prime) ** 2
-    nu2 = lo_exp * (lo_exp - 1.0) / (hi_exp * (hi_exp - 1.0)) * min(lo_coef, hi_coef)
+    nu2 = (lo_exp / hi_exp) * ((lo_exp - 1.0) / (hi_exp - 1.0)) * min(lo_coef, hi_coef)
     nu2 /= 4.0  # four negative cross terms share the budget
     lam = nu2 / (max(c_rp, c_r, c_s, c_sp) * (s_prime - r_prime) ** 2)
     return ThresholdReport(

@@ -146,37 +146,45 @@ def elimination_plan(g: Graph) -> EliminationPlan:
     return EliminationPlan(tuple(order), tuple(parent))
 
 
-def random_tree_plan(n: int, seed) -> EliminationPlan:
-    """Elimination plan of the uniformly random labeled tree random_tree(n, seed).
+def prufer_plan(seq, n: int) -> EliminationPlan:
+    """Elimination plan of the labeled tree on n vertices whose Pruefer
+    sequence is seq: n - 2 entries in 0..n-1, and none for n = 1.
 
-    Decodes a Pruefer sequence of n - 2 draws of rng.integers(0, n), where rng
-    is default_rng(seed), or seed itself when it is a Generator: each step
-    removes the smallest leaf, elimination_plan's rule, and joins it to the
-    next sequence entry, its parent.  The last two leaves u < v end the order
-    with parent[u] = v.
+    Each step removes the smallest leaf, elimination_plan's rule, and joins it
+    to the next sequence entry, its parent.  No vertex below the pointer ptr
+    is a leaf still present, so an entry x < ptr that becomes a leaf is the
+    smallest leaf; otherwise the pointer moves up to the next leaf.  The
+    pointer only moves up, so the walk is O(n).  The last two vertices, the
+    last leaf and n - 1, end the order with parent[leaf] = n - 1.
     """
-    if n < 1:
-        raise GraphError("tree needs at least one vertex")
     if n == 1:
         return EliminationPlan((0,), (-1,))
-    seq = np.random.default_rng(seed).integers(0, n, n - 2).tolist()
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    leaf = ptr = degree.index(1)
     order, parent = [], [-1] * n
     for x in seq:
-        leaf = heapq.heappop(leaves)
         order.append(leaf)
         parent[leaf] = x
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u, v = sorted(leaves)
-    order += (u, v)
-    parent[u] = v
+        if x < ptr and degree[x] == 1:
+            leaf = x
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    order += (leaf, n - 1)
+    parent[leaf] = n - 1
     return EliminationPlan(tuple(order), tuple(parent))
+
+
+def random_tree_plan(n: int, seed) -> EliminationPlan:
+    """Elimination plan of the uniformly random labeled tree random_tree(n, seed):
+    prufer_plan of n - 2 draws of rng.integers(0, n), where rng is
+    default_rng(seed), or seed itself when it is a Generator."""
+    if n < 1:
+        raise GraphError("tree needs at least one vertex")
+    seq = np.random.default_rng(seed).integers(0, n, max(n - 2, 0)).tolist()
+    return prufer_plan(seq, n)
 
 
 def find_open_triangle(g: Graph):

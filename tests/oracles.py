@@ -262,10 +262,12 @@ def star_suite_loop(stars, tol):
 
 def trial_loop(f, trials, draw, range_max, tol):
     """The preservation trials one at a time, stopping at the first failure:
-    the certificate of the first failing trial, or None.  Each call of draw()
-    gives the next trial's elimination plan and (2, n) block of uniforms."""
+    the certificate of the first failing trial, or None.  Each trial calls
+    draw(1), which gives a one-element list of the next trial's elimination
+    plan and that trial's (2, n) block of uniforms; the commands' draws read
+    the same stream for draw(1) k times as for one draw(k)."""
     for _ in range(trials):
-        plan, uniforms = draw()
+        (plan,), uniforms = draw(1)
         diag, edge = stacked_psd_plan_entries([plan], range_max, uniforms)
         # f on the diagonal and the tree edges; roots carry no edge entry
         fdiag = f.value(diag)

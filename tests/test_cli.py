@@ -237,6 +237,13 @@ def test_construct_thresholds(capsys):
     assert abs(rep["certificate"]["threshold"] - 1 / 6) < 1e-12
 
 
+def test_construct_thresholds_of_huge_exponents(capsys):
+    # r(r - 1) and s(s - 1) overflow, the ratios r/s and (r - 1)/(s - 1) do not
+    code, rep = run(capsys, "construct", "thresholds", "1e200", "1e201", "1", "1")
+    assert code == 0
+    assert math.isclose(rep["certificate"]["threshold"], 0.01, rel_tol=1e-12)
+
+
 def test_star_suite(capsys):
     code, rep = run(capsys, "star-suite", "--trials", "200")
     assert code == 0 and rep["certificate"]["checked"] > 0
@@ -301,6 +308,8 @@ OUT_OF_RANGE = [
     (("construct", "thresholds", "2", "5", "1", "nan"), "PARAMS"),
     (("construct", "thresholds", "2", "5", "1", "inf"), "PARAMS"),
     (("absmon-test", "1*x^2", "--n-max", "-1"), "--n-max"),
+    (("preserver-test", "1*x^2", "--seed", "-1"), "--seed"),
+    (("absmon-test", "1*x^2", "--seed", "-1"), "--seed"),
 ]
 
 
@@ -322,8 +331,6 @@ OUT_OF_RANGE = [
     ("star-suite", "--tol", "1", "--trials", "200"),
     # an empty grid, though the first trial fails
     ("preserver-test", "1*x^0.5", "--grid", "5", "--trials", "5"),
-    # the budget r(r - 1) / (s(s - 1)) overflows to NaN, which no report prints
-    ("construct", "thresholds", "1e200", "1e201", "1", "1"),
 ] + [argv for argv, _ in OUT_OF_RANGE])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(list(argv)) == 2

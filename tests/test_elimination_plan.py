@@ -1,13 +1,15 @@
 """The elimination plan and the plan-aligned tree check against loop references.
 
 The references below are the dict- and heap-based loops the plan replaced: a
-Pruefer decoder to an edge list, a leaf heap over adjacency sets, a union-find
-forest test, the scalar sampler loop and the dict-based Schur elimination.
+heap Pruefer decoder to an edge list, a leaf heap over adjacency sets, a
+union-find forest test, the scalar sampler loop and the dict-based Schur
+elimination.
 The arithmetic is unchanged, so trees, plans, samples and verdicts must agree
 exactly.
 """
 
 import heapq
+import itertools
 import json
 import random
 
@@ -22,6 +24,7 @@ from graphpsd.graphs import (
     complete_graph,
     elimination_plan,
     path_graph,
+    prufer_plan,
     random_tree,
     random_tree_plan,
 )
@@ -200,6 +203,17 @@ def test_random_tree_plan_is_the_plan_of_the_tree():
     for n in range(1, 201):
         for seed in TREE_SEEDS:
             assert random_tree_plan(n, seed) == elimination_plan(random_tree(n, seed))
+
+
+def test_prufer_plan_is_the_heap_decode_on_every_small_sequence():
+    # every Pruefer sequence for n <= 7: 7^5 = 16 807 of them at n = 7
+    assert prufer_plan([], 1) == EliminationPlan((0,), (-1,))
+    for n in range(2, 8):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            plan = prufer_plan(seq, n)
+            tree = Graph(n, frozenset(reference_prufer_edges(seq, n)))
+            assert plan.graph() == tree
+            assert plan == elimination_plan(tree)
 
 
 def test_random_tree_plan_small_cases():
