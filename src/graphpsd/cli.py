@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -113,8 +113,8 @@ def _chunks(trials: int):
 
 
 def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw,
-                         range_max: float, tol: float) -> Optional[dict]:
-    """Certificate of the first failing trial in index order, or None.
+                         range_max: float, tol: float) -> Optional[Tuple[int, dict]]:
+    """(index, certificate) of the first failing trial in index order, or None.
 
     draw(k) gives the next k trials' elimination plans and their (2, total
     vertices) uniforms, trial after trial.  Per chunk, one draw, one stacked
@@ -138,10 +138,10 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw,
         thr = (tol * np.fmax(np.fmax(1.0, np.maximum.reduceat(np.abs(fdiag), starts)),
                              np.maximum.reduceat(np.abs(fedge), starts))).tolist()
         d, a = fdiag.tolist(), fedge.tolist()
-        for plan, lo, size, t in zip(plans, starts.tolist(), sizes, thr):
+        for k, (plan, lo, size, t) in enumerate(zip(plans, starts.tolist(), sizes, thr)):
             hi = lo + size
             if not star_tree.eliminate(plan, d[lo:hi], a[lo:hi], t):
-                return {
+                return start + k, {
                     "tree": graphs.format_graph(plan.graph()),
                     "matrix": matrices.format_matrix(
                         matrices.dense_from_plan(plan, diag[lo:hi], edge[lo:hi])),
@@ -154,10 +154,23 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw,
 
 def cmd_preserver_test(args) -> Report:
     f = functions.parse_function(args.function)
-    rep = Report("preserver-test", args.seed, args.tol, args.trials, "pass")
-    # the grid checks run only after the trials pass, but an empty grid is a
-    # usage error whatever the trials say (superadditivity needs two steps)
+    # trials counts the trials that ran: none for an exact violation
+    rep = Report("preserver-test", args.seed, args.tol, 0, "pass")
+    # an empty grid is a usage error whatever the verdict (superadditivity
+    # needs two steps)
     functions._grid_count(args.grid, args.range, 2)
+    # GKR16: f preserves PSD on trees iff it is nonnegative, superadditive and
+    # multiplicatively midpoint-convex; decided exactly where that is possible,
+    # so a refuted f fails before any trial is drawn
+    exact = functions.decide_tree_conditions(f, args.range)
+    if exact is not None and exact.failed is not None:
+        # the witness was checked in exact arithmetic: f[A] is not PSD
+        t, mat = _condition_counterexample(exact.failed, exact.witness)
+        rep.verdict = "fail"
+        rep.certificate = {"tree": graphs.format_graph(t),
+                           "matrix": matrices.format_matrix(mat),
+                           "exact_witness": list(exact.witness)}
+        return rep
     rng = np.random.default_rng(args.seed)
     tree_n = args.tree_n
 
@@ -174,24 +187,15 @@ def cmd_preserver_test(args) -> Report:
         return plans, np.stack([rows[:, tree_n - 1:2 * tree_n - 1][used],
                                 rows[:, 2 * tree_n - 1:][used]])
 
-    cert = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
-    if cert is not None:
-        rep.verdict, rep.certificate = "fail", cert
+    failure = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
+    if failure is not None:
+        index, rep.certificate = failure
+        rep.trials, rep.verdict = index + 1, "fail"
         return rep
-    # GKR16: f preserves PSD on trees iff it is nonnegative, superadditive and
-    # multiplicatively midpoint-convex; decided exactly where that is possible
-    exact = functions.decide_tree_conditions(f, args.range)
-    if exact is not None and exact.failed is None:
+    rep.trials = args.trials
+    if exact is not None:
         rep.certificate = {"grid_superadditive": True, "grid_mult_convex": True,
                            "grid_nonnegative": True, "decided": "exact"}
-        return rep
-    if exact is not None:
-        # the witness was checked in exact arithmetic: f[A] is not PSD
-        t, mat = _condition_counterexample(exact.failed, exact.witness)
-        rep.verdict = "fail"
-        rep.certificate = {"tree": graphs.format_graph(t),
-                           "matrix": matrices.format_matrix(mat),
-                           "exact_witness": list(exact.witness)}
         return rep
     # undecided: the grid scans decide.  f >= 0 is the order-0 forward difference
     scans = {"nonnegative": functions.check_abs_monotonic(f, 0, args.grid, args.range),
@@ -260,7 +264,7 @@ def cmd_witness(args) -> Report:
     rep = Report("witness", args.seed, args.tol, len(sets),
                  "pass" if ok else "fail")
     rep.certificate = {"lower_bound": bound.lower, "upper_bound": bound.upper,
-                       "witness_sets": [json.loads(ws.to_json()) for ws in sets]}
+                       "witness_sets": [ws.payload() for ws in sets]}
     return rep
 
 
@@ -284,9 +288,9 @@ def cmd_critical_exponent(args) -> Report:
     for alpha in args.alphas:
         if alpha >= 1.0:
             f = functions.power_function(alpha)
-            cert = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
-            preserved = cert is None
-            note = "" if preserved else json.dumps(cert)
+            failure = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
+            preserved = failure is None
+            note = "" if preserved else json.dumps(failure[1])
         else:
             a = constructors.fractional_power_counterexample(t, alpha, args.range)
             fa = matrices.apply_entrywise(lambda x: np.power(x, alpha), a, t)

@@ -4,8 +4,9 @@ superadditivity, multiplicative midpoint convexity and absolute monotonicity
 via forward differences.
 
 decide_tree_conditions decides the first three exactly, in integers, for
-power sums with nonnegative coefficients and for integer power sums with
-f(0) = 0; its "holds" is a proof and its witness a checked counterexample.
+power sums with nonnegative coefficients, for f(0) != 0, for monomials and
+for integer power sums; its "holds" is a proof and its witness a checked
+counterexample.
 The grid checks are the fallback, and they only falsify: "holds" means no
 violation was found at the given resolution.  They carry a 1e-12 relative
 slack so rounding noise is not reported as a violation.
@@ -307,8 +308,13 @@ def decide_tree_conditions(f: EntrywiseFunction,
     bound on the entries (the CLI's --range), read as the float it is.
 
     Nonnegative coefficients on exponents >= 1 give all three, for any real
-    exponents.  Otherwise f must be an integer power sum with f(0) = 0 and
-    degree at most _exact.EXACT_MAX_DEGREE.  Then f > 0 on (0, bound], the
+    exponents.  Three rules refute f from the sign of a coefficient or the
+    size of an exponent: f(0) < 0 fails f >= 0 at 0; f(0) > 0 fails
+    superadditivity at (0, 0), since f(0) < 2 f(0); and a monomial c x^a
+    fails f >= 0 at a power of two x if c < 0, or superadditivity at (x, x)
+    if c > 0 and a < 1, since (2x)^a = 2^a x^a < 2 x^a.  Otherwise f must be
+    an integer power sum with f(0) = 0 and degree at most
+    _exact.EXACT_MAX_DEGREE.  Then f > 0 on (0, bound], the
     superadditivity polynomial H(w, t) >= 0 and the log-convexity polynomial
     P(x) >= 0 are read off integer Bernstein coefficients, with midpoint
     subdivision; a box where every coefficient is negative gives the
@@ -317,6 +323,18 @@ def decide_tree_conditions(f: EntrywiseFunction,
     for f > 0; superadditivity is still decided.  README gives the proofs."""
     if all(c >= 0.0 and e >= 1.0 for c, e in f.terms):
         return ExactVerdict(None)
+    c, a = f.terms[0]  # terms are sorted by exponent: a = 0 is the constant term
+    if a == 0.0:
+        return ExactVerdict("nonnegative", (0.0,)) if c < 0.0 else \
+            ExactVerdict("superadditive", (0.0, 0.0))
+    if len(f.terms) == 1:
+        # x = 1 where bound allows, else the largest power of two that fits:
+        # exact, and so is x + x
+        top = math.frexp(bound)[1]
+        if c < 0.0:
+            return ExactVerdict("nonnegative", (math.ldexp(1.0, min(0, top - 1)),))
+        x = math.ldexp(1.0, min(0, top - 2))  # a < 1 here, by the first rule
+        return ExactVerdict("superadditive", (x, x)) if x > 0.0 else None
     # imported on first use, as fractions is elsewhere: start-up, and every
     # command but preserver-test, does not load the rules
     from . import _exact

@@ -52,8 +52,9 @@ class WitnessSet:
     factor: Optional[np.ndarray]
     center: Optional[int] = None
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The set as the JSON object that to_json prints."""
+        return {
             "matrix": format_matrix(self.matrix),
             "witnesses": [
                 {
@@ -65,7 +66,9 @@ class WitnessSet:
                 for w in self.witnesses
             ],
         }
-        return json.dumps(payload, indent=2, allow_nan=False)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2, allow_nan=False)
 
     def recertify(self) -> bool:
         """Every witness certified again, in the arithmetic that certified it:
@@ -218,6 +221,13 @@ def _certified_record(residuals: Tuple[float, float], beta: np.ndarray, k: int,
     return WitnessRecord(k, tuple(float(x) for x in beta), resid, value)
 
 
+def _distinct(values: np.ndarray) -> bool:
+    """No two values are equal, NaNs counting as equal to each other, as
+    np.unique counts them; by sorting, since np.unique loads numpy.ma."""
+    s = np.sort(values)
+    return not np.any((s[1:] == s[:-1]) | (np.isnan(s[1:]) & np.isnan(s[:-1])))
+
+
 def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
     """Witnesses of every order 1..n-1 for the rank-one matrix A = aa^T built
     from distinct nonzero alphas.  beta_k is the component of the k-th power
@@ -226,7 +236,7 @@ def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
     that closed form, and so is the set's recertify."""
     al = np.array(alphas, dtype=float)  # a copy: the set holds it as its factor
     n = al.size
-    if np.any(al == 0.0) or np.unique(al).size != n:
+    if np.any(al == 0.0) or not _distinct(al):
         raise WitnessError("alphas must be distinct and nonzero")
     a = np.outer(al, al)
     records = []
@@ -267,12 +277,12 @@ def star_witnesses(
     al = np.asarray(alphas, dtype=float)
     if d < 1 or al.size != d + 1:
         raise WitnessError(f"need d+1 = {d + 1} alphas, got {al.size}")
-    if np.any(al == 0.0) or np.unique(al).size != d + 1:
+    if np.any(al == 0.0) or not _distinct(al):
         raise WitnessError("alphas must be distinct and nonzero")
     if ambient_n < d + 1:
         raise WitnessError("ambient dimension too small")
     idx = np.arange(d + 1) if vertices is None else np.asarray(vertices, dtype=int)
-    if idx.size != d + 1 or np.unique(idx).size != d + 1 or idx.min() < 0 or idx.max() >= ambient_n:
+    if idx.size != d + 1 or not _distinct(idx) or idx.min() < 0 or idx.max() >= ambient_n:
         raise WitnessError("vertices must be d+1 distinct ambient indices")
     if max_order is None:
         max_order = d

@@ -262,11 +262,11 @@ def star_suite_loop(stars, tol):
 
 def trial_loop(f, trials, draw, range_max, tol):
     """The preservation trials one at a time, stopping at the first failure:
-    the certificate of the first failing trial, or None.  Each trial calls
+    (index, certificate) of the first failing trial, or None.  Each trial calls
     draw(1), which gives a one-element list of the next trial's elimination
     plan and that trial's (2, n) block of uniforms; the commands' draws read
     the same stream for draw(1) k times as for one draw(k)."""
-    for _ in range(trials):
+    for index in range(trials):
         (plan,), uniforms = draw(1)
         diag, edge = stacked_psd_plan_entries([plan], range_max, uniforms)
         # f on the diagonal and the tree edges; roots carry no edge entry
@@ -274,7 +274,7 @@ def trial_loop(f, trials, draw, range_max, tol):
         fedge = np.where(np.array(plan.parent) >= 0, f.value(edge), 0.0)
         if plan_psd_check(plan, fdiag, fedge, tol=tol):
             continue
-        return {
+        return index, {
             "tree": format_graph(plan.graph()),
             "matrix": format_matrix(dense_from_plan(plan, diag, edge)),
             "image": format_square(dense_from_plan(plan, fdiag, fedge)),

@@ -8,7 +8,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from graphpsd import cli, functions, graphs
+from graphpsd import cli, functions, graphs, witnesses
 from graphpsd.cli import main
 from graphpsd.functions import parse_function
 from graphpsd.graphs import parse_graph
@@ -184,6 +184,25 @@ def test_witness_path2_sharp(capsys):
     assert code == 0
     assert rep["certificate"]["lower_bound"] == 2
     assert rep["certificate"]["upper_bound"] == 3
+
+
+@pytest.mark.parametrize("kind", ["star", "path", "complete"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_witness_report_encodes_each_set_once(kind, n):
+    # each set goes into the report as its payload dict; the report is the
+    # one that decoding each set's own JSON gave
+    args = cli.build_parser().parse_args(["witness", f"{kind} {n}"])
+    got = cli.cmd_witness(args)
+    g = graphs.build_graph(kind, n)
+    bound = witnesses.k_lower_bound(g)
+    sets = list(bound.witness_sets)
+    if kind == "complete":
+        sets.append(witnesses.vandermonde_witnesses([float(i) for i in range(1, n + 1)]))
+    want = cli.Report("witness", 0, args.tol, len(sets), "pass", certificate={
+        "lower_bound": bound.lower, "upper_bound": bound.upper,
+        "witness_sets": [json.loads(ws.to_json()) for ws in sets]})
+    assert got.to_json().encode() == want.to_json().encode()
+    assert got.to_csv().encode() == want.to_csv().encode()
 
 
 def test_witness_edgeless_usage_error(capsys):
@@ -444,6 +463,8 @@ def test_a_failing_trial_skips_the_grid_scans(capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("grid scan after a failing trial")
 
+    # the decider refutes x^0.5 before any trial; stubbed, the trials run
+    monkeypatch.setattr(functions, "decide_tree_conditions", lambda f, bound: None)
     for name in ("check_abs_monotonic", "check_superadditive", "check_mult_midpoint_convex"):
         monkeypatch.setattr(functions, name, no_scan)
     code, rep = run(capsys, "preserver-test", "1*x^0.5", "--trials", "50")

@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from graphpsd import cli, graphs
+from graphpsd import cli, functions, graphs
 from graphpsd.graphs import (
     EliminationPlan,
     Graph,
@@ -330,7 +330,9 @@ def test_preserver_trials_walk_each_tree_once(capsys, monkeypatch):
     assert '"verdict": "pass"' in capsys.readouterr().out
 
 
-def test_preserver_fail_certificate_tree_is_the_trial_tree(capsys):
+def test_preserver_fail_certificate_tree_is_the_trial_tree(capsys, monkeypatch):
+    # the decider refutes x^0.5 before any trial; stubbed, a trial fails
+    monkeypatch.setattr(functions, "decide_tree_conditions", lambda f, bound: None)
     assert cli.main(["preserver-test", "1*x^0.5", "--trials", "50", "--tree-n", "30"]) == 1
     cert = json.loads(capsys.readouterr().out)["certificate"]
     t = graphs.parse_graph(cert["tree"])

@@ -3,16 +3,19 @@ and against the grid scans.
 
 functions.decide_tree_conditions decides f >= 0, superadditivity and
 multiplicative midpoint convexity on [0, bound] for power sums with
-nonnegative coefficients, and for integer power sums with f(0) = 0, from
-the signs of integer Bernstein coefficients.  These tests hold it to:
+nonnegative coefficients, refutes every f with f(0) != 0 and every monomial
+c x^a but those with c > 0 and a >= 1, and decides integer power sums with
+f(0) = 0 from the signs of integer Bernstein coefficients.  These tests hold
+it to:
 - Fraction arithmetic: the polynomials P and H equal the expressions they
   stand for, and every witness fails its condition exactly;
 - the grid scans wherever those are decisive: a condition decided to hold
   holds on the grid, and a grid violation is never decided to hold;
-- preserver-test: the decider's verdict is final.  An exact pass and an
-  exact violation run no grid scan, and the exact_witness certificate of a
-  violation is re-checked in Fraction arithmetic and, as the benchmark's
-  checker does, by eigvalsh.
+- preserver-test: the decider runs first and its verdict is final.  An
+  exact violation runs no trial and no grid scan, an exact pass runs its
+  trials and no grid scan, and the exact_witness certificate of a violation
+  is re-checked in Fraction arithmetic and, as the benchmark's checker does,
+  by eigvalsh.
 """
 
 import json
@@ -51,9 +54,16 @@ WORKLOAD_PRESERVERS = [build_tree_preserver_poly(n).literal() for n in (1, 2, 3)
 
 
 def exact_f(f):
-    """f as a function of Fractions; f has integer exponents."""
-    terms = [(Fraction(c), int(e)) for c, e in f.terms]
-    return lambda x: sum(c * Fraction(x) ** e for c, e in terms)
+    """f as a function of Fractions, at the points where every term is
+    rational: anywhere for integer exponents, at 0 and 1 for any; elsewhere
+    it raises ValueError."""
+    def g(x):
+        x = Fraction(x)
+        if x not in (0, 1) and not all(e.is_integer() for _, e in f.terms):
+            raise ValueError(f"x^e is irrational at {x} for a fractional e")
+        # 0^e = 0 and 1^e = 1 for e > 0
+        return sum(Fraction(c) * (x ** int(e) if e.is_integer() else x) for c, e in f.terms)
+    return g
 
 
 def poly_at(coefs, x):
@@ -78,18 +88,29 @@ def det(m):
 
 
 def assert_fails_exactly(f, verdict):
-    """verdict's witness breaks its condition in Fraction arithmetic."""
+    """verdict's witness breaks its condition in Fraction arithmetic.  Where
+    x^a is irrational, f is a monomial c x^a: c x^a < 0 iff c < 0 < x, and
+    c (2x)^a < 2 c x^a iff c > 0 and 2^a < 2, that is a < 1."""
     g = exact_f(f)
     if verdict.failed == "nonnegative":
         (x,) = verdict.witness
-        assert g(x) < 0
+        assert 0 <= x
+        try:
+            assert g(x) < 0
+        except ValueError:
+            ((c, _),) = f.terms
+            assert c < 0 < x
         return
     x, y = verdict.witness
-    assert 0 < x and 0 < y
     if verdict.failed == "superadditive":
-        assert Fraction(x) + Fraction(y) == Fraction(x + y)
-        assert g(x + y) < g(x) + g(y)
+        assert 0 <= x and 0 <= y and Fraction(x) + Fraction(y) == Fraction(x + y)
+        try:
+            assert g(x + y) < g(x) + g(y)
+        except ValueError:
+            ((c, a),) = f.terms
+            assert c > 0 and 0 < x == y and Fraction(a) < 1
     else:
+        assert 0 < x and 0 < y
         m = math.sqrt(x * y)
         assert Fraction(m) ** 2 == Fraction(x) * Fraction(y)
         assert g(m) ** 2 > g(x) * g(y)
@@ -176,7 +197,7 @@ def test_superadditivity_is_decided_where_f_is_positive_is_not():
 
 
 @pytest.mark.parametrize("lit", [
-    "2*x^0, 1*x^1",  # f(0) != 0
+    "1*x^0.5, 1*x^1.5",  # an exponent below 1, not a monomial
     "1*x^2, -0.5*x^41",  # past EXACT_MAX_DEGREE
     "1*x^1.5, -0.01*x^2.5, 1*x^3.5",  # fractional exponents, one negative coefficient
 ])
@@ -197,6 +218,43 @@ def test_the_interval_is_the_bound(bound, failed):
         assert max(verdict.witness) <= bound
     if failed == "nonnegative":
         assert verdict.witness[0] > 2 + 2 * math.sqrt(2)
+
+
+# --- the rules read off one coefficient or one exponent ---------------------
+
+@pytest.mark.parametrize("lit,bound,want", [
+    # f(0) < 0 fails f >= 0 at 0; f(0) > 0 fails superadditivity at (0, 0)
+    ("-1*x^0, 1*x^2", 8.0, ("nonnegative", (0.0,))),
+    ("1*x^1, -1e-13*x^0", 8.0, ("nonnegative", (0.0,))),
+    ("-5*x^0", 0.1, ("nonnegative", (0.0,))),
+    ("1e-13*x^0, 1*x^2", 8.0, ("superadditive", (0.0, 0.0))),
+    ("2*x^0, 1*x^1", 8.0, ("superadditive", (0.0, 0.0))),
+    ("3*x^0, -1*x^0.5", 8.0, ("superadditive", (0.0, 0.0))),
+    # a monomial c x^a with c < 0 fails f >= 0 at x = 1, or at the largest
+    # power of two in (0, R] when R < 1
+    ("-1*x^1.5", 8.0, ("nonnegative", (1.0,))),
+    ("-1*x^1", 1.0, ("nonnegative", (1.0,))),
+    ("-2*x^3", 0.3, ("nonnegative", (0.25,))),
+    ("-1*x^0.5", 5e-324, ("nonnegative", (5e-324,))),
+    # c > 0 and 0 < a < 1 fails superadditivity at (x, x), x = 1 or the
+    # largest power of two with x + x <= R, up to the largest float a < 1
+    ("1*x^0.5", 8.0, ("superadditive", (1.0, 1.0))),
+    ("1*x^0.5", 2.0, ("superadditive", (1.0, 1.0))),
+    ("1*x^0.5", 1.99, ("superadditive", (0.5, 0.5))),
+    ("3*x^0.97", 0.3, ("superadditive", (0.125, 0.125))),
+    ("1*x^0.9999999999999999", 8.0, ("superadditive", (1.0, 1.0))),
+])
+def test_one_coefficient_or_exponent_refutes_f(lit, bound, want):
+    f = parse_function(lit)
+    verdict = decide_tree_conditions(f, bound)
+    assert verdict == ExactVerdict(*want)
+    assert_fails_exactly(f, verdict)
+    assert sum(verdict.witness) <= bound
+
+
+def test_a_superadditivity_witness_below_the_least_float_is_undecided():
+    # x + x <= 2^-1074 leaves no positive float x
+    assert decide_tree_conditions(parse_function("1*x^0.5"), 5e-324) is None
 
 
 # --- against the grid scans --------------------------------------------------
@@ -294,41 +352,64 @@ def test_workload_functions_run_no_grid_scan(capsys, monkeypatch):
         assert (code, rep["certificate"]) == (0, EXACT_PASS)
 
 
-@pytest.mark.parametrize("lit,failed,shape", [
+# every class of refuted function: (literal, the condition it fails, the
+# vertices of its certificate's tree)
+REFUTED = [
+    ("-1*x^0, 1*x^2", "nonnegative", 1),  # f(0) < 0
+    ("1*x^1, -1e-13*x^0", "nonnegative", 1),
+    ("1e-13*x^0, 1*x^2", "superadditive", 3),  # f(0) > 0
+    ("-1*x^1.5", "nonnegative", 1),  # a monomial c x^a with c < 0
     ("-1*x^1", "nonnegative", 1),
+    ("1*x^0.5", "superadditive", 3),  # a monomial with c > 0 and a < 1
+    ("1*x^0.97", "superadditive", 3),
+    ("1*x^2, -1*x^1", "nonnegative", 1),  # the integer rules
     ("1*x^1, -0.9*x^2, 1*x^3", "superadditive", 3),
-    (WRONG_PASS, "mult_convex", 2),
     (ZERO_INSIDE, "superadditive", 3),
-])
-def test_an_exact_violation_is_final(capsys, monkeypatch, lit, failed, shape):
-    # the trials pass and the decider refutes f: the report fails with the
-    # exact witness and runs no grid scan
-    monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
+    (WRONG_PASS, "mult_convex", 2),
+]
+
+
+@pytest.mark.parametrize("lit,failed,shape", REFUTED)
+def test_an_exact_violation_runs_no_trial(capsys, monkeypatch, lit, failed, shape):
+    # the decider refutes f first: the report fails with the exact witness,
+    # draws no generator and runs no trial and no grid scan
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial or its generator after an exact violation")
+
+    monkeypatch.setattr(cli, "_first_failing_trial", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     refuse_grid_scans(monkeypatch)
     code, rep = run_main(capsys, ("preserver-test", "--trials", "5", "--", lit))
-    assert (code, rep["verdict"]) == (1, "fail")
+    assert (code, rep["verdict"], rep["trials"]) == (1, "fail", 0)
     cert = rep["certificate"]
     assert sorted(cert) == ["exact_witness", "matrix", "tree"]
     f = parse_function(lit)
     verdict = decide_tree_conditions(f)
     assert verdict.failed == failed and cert["exact_witness"] == list(verdict.witness)
-    # A is PSD on the tree and f[A] is not, in exact arithmetic
+    assert_fails_exactly(f, verdict)
+    # A is PSD on the tree and f[A] is not, in exact arithmetic where f[A] is
+    # rational; x^a at (1, 1) is the one irrational image, which the
+    # a < 1 check above refutes exactly
     tree = parse_graph(cert["tree"])
     a = [[Fraction(v) for v in row] for row in parse_matrix(cert["matrix"])]
-    assert tree.n == len(a) == shape
+    assert tree.n == len(a) == shape and exact_psd(a)
     g = exact_f(f)
-    image = [[g(a[i][j]) if i == j or tree.has_edge(i, j) else Fraction(0)
-              for j in range(shape)] for i in range(shape)]
-    assert exact_psd(a) and not exact_psd(image)
+    try:
+        image = [[g(a[i][j]) if i == j or tree.has_edge(i, j) else Fraction(0)
+                  for j in range(shape)] for i in range(shape)]
+    except ValueError:
+        assert verdict.witness == (1.0, 1.0)
+    else:
+        assert not exact_psd(image)
 
 
 @pytest.mark.parametrize("lit", [f"1*x^1, -{c}*x^2, 1*x^3" for c in (0.5, 1.0, 1.5)]
-                         + [WRONG_PASS])
-def test_exact_certificates_fail_by_eigvalsh(capsys, monkeypatch, lit):
+                         + [f"1*x^{a}" for a in (0.2, 0.5, 0.9)]
+                         + ["1*x^2, -1*x^1", WRONG_PASS])
+def test_exact_certificates_fail_by_eigvalsh(capsys, lit):
     # the certify functions that the decider refutes: f[A] (f on the diagonal
     # and the tree edges, 0 elsewhere) has lambda_min < -tol max(1, rho) in
     # float eigvalsh, the benchmark checker's test of a fail certificate
-    monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
     code, rep = run_main(capsys, ("preserver-test", "--trials", "50", lit))
     cert = rep["certificate"]
     assert code == 1 and "exact_witness" in cert
@@ -340,6 +421,31 @@ def test_exact_certificates_fail_by_eigvalsh(capsys, monkeypatch, lit):
     image = np.where(mask, parse_function(lit).value(np.where(mask, a, 0.0)), 0.0)
     lam = np.linalg.eigvalsh(image)
     assert lam[0] < -rep["tolerance"] * max(1.0, np.max(np.abs(lam)))
+
+
+def test_a_fractional_power_fails_on_3_vertices_at_any_tree_n(capsys):
+    # a trial would print a random tree of up to 1000 vertices
+    code, rep = run_main(capsys, ("preserver-test", "1*x^0.5", "--trials", "3",
+                                  "--tree-n", "1000"))
+    assert (code, rep["trials"]) == (1, 0)
+    assert rep["certificate"]["exact_witness"] == [1.0, 1.0]
+    assert rep["certificate"]["tree"] == "3 2\n0 1\n1 2\n"
+
+
+@pytest.mark.parametrize("lit,decided", [("1*x^2", "exact"),
+                                         ("1*x^1.5, -0.01*x^2.5, 1*x^3.5", "grid")])
+def test_a_pass_runs_every_trial(capsys, monkeypatch, lit, decided):
+    # an exact pass still runs its trials, and trials counts them all
+    ran = []
+    real = cli._first_failing_trial
+
+    def counting(f, trials, *rest):
+        ran.append(trials)
+        return real(f, trials, *rest)
+
+    monkeypatch.setattr(cli, "_first_failing_trial", counting)
+    code, rep = run_main(capsys, ("preserver-test", lit, "--trials", "40"))
+    assert (code, rep["trials"], rep["certificate"]["decided"], ran) == (0, 40, decided, [40])
 
 
 def test_exact_pass_certificate(capsys):

@@ -156,3 +156,19 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_witness_command_loads_no_numpy_ma():
+    # np.unique imports numpy.ma, which no command needs (about 0.25 MB of
+    # resident memory in a fresh interpreter); the witness constructors
+    # check distinctness without it
+    code = ("import contextlib, io, sys, graphpsd.cli\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = graphpsd.cli.main(['witness', 'star 6'])\n"
+            "print(code, before or 'numpy.ma' not in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["0", "True"]

@@ -5,6 +5,10 @@ preserver-test and critical-exponent run their trials in chunks of 1, 2, 4,
 chunk, then the Schur loop trial by trial.  These tests hold their reports to
 the loop in tests/oracles.py, which maps and checks one trial at a time on
 the same draws, and the stacked sampler to the one-plan sampler.
+
+preserver-test refutes a function that the exact decider refutes before any
+trial; the tests that compare trials stub the decider to None, as for an
+undecided function, so that every function they name runs its trials.
 """
 
 import argparse
@@ -60,11 +64,18 @@ def run_main(capsys, argv):
     return code, rep
 
 
+def undecided(monkeypatch):
+    """Stub the exact decider to None: preserver-test then runs its trials,
+    and the grid scans after them, for any function."""
+    monkeypatch.setattr(functions, "decide_tree_conditions", lambda f, bound: None)
+
+
 def run_both(capsys, monkeypatch, argv):
     """(exit code, report without elapsed_ms) from the chunked trials and from
-    the reference loop."""
-    got = run_main(capsys, argv)
+    the reference loop, both with the decider stubbed to None."""
     with monkeypatch.context() as m:
+        undecided(m)
+        got = run_main(capsys, argv)
         m.setattr(cli, "_first_failing_trial", trial_loop)
         want = run_main(capsys, argv)
     return got, want
@@ -172,6 +183,8 @@ def test_preserver_first_failure_at_chunk_edges(capsys, monkeypatch, index):
     got, want = run_both(capsys, monkeypatch, ("preserver-test", "1*x^0.97", "--trials", "200",
                                                "--seed", str(seed)))
     assert got == want and got[0] == 1
+    # trials counts the trials that ran, the failing one included
+    assert got[1]["trials"] == index + 1
 
 
 # critical-exponent on "path 6", with power_function replaced by a function
@@ -192,7 +205,7 @@ def test_critical_exponent_first_failure_at_chunk_edges(capsys, monkeypatch, ind
                                                "--trials", "150", "--seed", str(seed)))
     assert got == want and got[0] == 1
     assert json.loads(got[1]["rows"][0]["certificate"]) == \
-        trial_loop(f, 150, fixed_tree_draw(plan, seed), 8.0, 1e-9)
+        trial_loop(f, 150, fixed_tree_draw(plan, seed), 8.0, 1e-9)[1]
 
 
 FUNCTIONS = [
@@ -249,11 +262,14 @@ def handler_args(lit, tol, range_max, tree_n, seed, trials=60):
     ("8*x^0, -1*x^1.5", 0.5, 4.0, 3, 200),
 ])
 def test_wide_band_handler_matches_the_loop(monkeypatch, lit, tol, range_max, tree_n, seed):
+    # each f(0) != 0, which the decider refutes at 0: stubbed, the trials run
+    undecided(monkeypatch)
     args = handler_args(lit, tol, range_max, tree_n, seed)
     got = cli.cmd_preserver_test(args)
     monkeypatch.setattr(cli, "_first_failing_trial", trial_loop)
     want = cli.cmd_preserver_test(args)
-    assert (got.verdict, got.certificate) == (want.verdict, want.certificate)
+    assert (got.verdict, got.trials, got.certificate) == \
+        (want.verdict, want.trials, want.certificate)
     assert got.verdict == "fail"
 
 
@@ -263,8 +279,8 @@ def test_first_failure_in_a_chunk_is_reported():
     draw = preserver_draw(18, 12)
     assert [trial_loop(f, 1, draw, 8.0, 1e-9) is not None for _ in range(3)] \
         == [False, True, True]
-    assert cli._first_failing_trial(f, 3, preserver_draw(18, 12), 8.0, 1e-9) == \
-        trial_loop(f, 3, preserver_draw(18, 12), 8.0, 1e-9)
+    got = cli._first_failing_trial(f, 3, preserver_draw(18, 12), 8.0, 1e-9)
+    assert got[0] == 1 and got == trial_loop(f, 3, preserver_draw(18, 12), 8.0, 1e-9)
 
 
 def _plans(seed):
@@ -307,17 +323,22 @@ def test_one_plan_sampler_reads_one_block_of_uniforms():
 
 
 def test_negative_function_fails_on_the_grid_when_trials_pass(capsys, monkeypatch):
-    # -x^1.5 has a fractional exponent, so the exact decider leaves it to the
-    # grid; f >= 0, the first condition scanned, fails at the first grid point
-    # after 0, and [[x]] is the certificate
+    # x^1.5 (x - 1) has fractional exponents and a negative coefficient, so
+    # the exact decider leaves it to the grid; f >= 0, the first condition
+    # scanned, fails at the first grid point after 0, and [[x]] is the
+    # certificate
     monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
-    code, rep = run_main(capsys, ("preserver-test", "--trials", "5", "--", "-1*x^1.5"))
+    code, rep = run_main(capsys, ("preserver-test", "--trials", "5", "--",
+                                  "-1*x^1.5, 1*x^2.5"))
     assert code == 1 and rep["verdict"] == "fail"
     assert rep["certificate"] == {"tree": "1 0\n", "matrix": "1\n0 0 0.015625\n",
                                   "grid_witness": [0.015625]}
 
 
 def test_negative_constant_fails_at_zero(capsys, monkeypatch):
+    # the decider refutes f(0) < 0 at 0 before any trial; stubbed, the grid's
+    # f >= 0 scan finds the same point
+    undecided(monkeypatch)
     monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
     code, rep = run_main(capsys, ("preserver-test", "--trials", "5", "--", "-1*x^0, 1*x^2"))
     assert code == 1

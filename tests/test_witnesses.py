@@ -15,6 +15,7 @@ from graphpsd.star_tree import StarMatrix, random_psd_star
 from graphpsd.witnesses import (
     POSITIVITY_TOL,
     WitnessError,
+    _distinct,
     derivative_sign_estimate,
     k_lower_bound,
     nk_membership,
@@ -160,6 +161,25 @@ def test_star_witnesses_past_float_range():
     assert all(m > POSITIVITY_TOL for m in margins)
     assert max(margins) > Decimal("1e308") and min(margins) < 1e308
     assert "Infinity" not in text and "NaN" not in text
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 1.0, 2.0], [2.0, 1.0, 2.0], [3.0, 1.0, 2.0], [np.nan, np.nan, 1.0],
+    [np.nan, 1.0, 2.0], [np.inf, 1.0, np.inf], [-np.inf, np.inf], [-0.0, 0.0], [5.0],
+    [4, 0, 2, 1], [4, 0, 2, 4], [-1, -1],
+])
+def test_distinctness_counts_as_np_unique(values):
+    # the checks of vandermonde_witnesses and star_witnesses sort instead of
+    # calling np.unique, which loads numpy.ma; they decide as it does
+    v = np.array(values)
+    assert _distinct(v) == (np.unique(v).size == v.size)
+
+
+def test_star_witnesses_reject_repeats():
+    with pytest.raises(WitnessError, match="alphas must be distinct"):
+        star_witnesses(2, (5.0, 1.0, 1.0), 3)
+    with pytest.raises(WitnessError, match="vertices must be d\\+1 distinct"):
+        star_witnesses(2, (5.0, 1.0, 2.0), 4, vertices=[0, 1, 1])
 
 
 def test_witness_set_json_roundtrip():
