@@ -9,10 +9,10 @@ a randomized command reads every draw from one default_rng(seed).
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import functools
 import io
-import itertools
 import json
 import sys
 import time
@@ -96,59 +96,62 @@ def _parse_graph_spec(spec: str, seed) -> graphs.Graph:
         raise UsageError(str(exc))
 
 
-# Trials run in chunks of 1, 2, 4, ..., MAX_CHUNK, then MAX_CHUNK each: a
-# function that fails at trial 0-4, as most failing ones do, pays for a few
-# trials as in a trial-by-trial loop, while a passing run pays numpy's
-# per-call costs once per chunk of 64, not once per trial.
-MAX_CHUNK = 64
+# A chunk of trials draws at most CHUNK_UNIFORMS uniforms, and at least one
+# trial: a trial that reads W uniforms runs in chunks of CHUNK_UNIFORMS // W.
+# A passing run pays numpy's per-call costs once per chunk, not once per
+# trial, and a chunk's arrays stay small.
+CHUNK_UNIFORMS = 2 ** 14
 
 
-def _chunks(trials: int):
-    """(start, stop) of each chunk of trials 0..trials-1, in order."""
-    start, size = 0, 1
-    while start < trials:
+def _chunks(trials: int, width: int):
+    """(start, stop) of each chunk of trials 0..trials-1, in order, for trials
+    that read width uniforms each."""
+    size = max(1, CHUNK_UNIFORMS // width)
+    for start in range(0, trials, size):
         yield start, min(start + size, trials)
-        start += size
-        size = min(2 * size, MAX_CHUNK)
 
 
-def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw,
+def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, width: int,
                          range_max: float, tol: float) -> Optional[Tuple[int, dict]]:
     """(index, certificate) of the first failing trial in index order, or None.
 
-    draw(k) gives the next k trials' elimination plans and their (2, total
-    vertices) uniforms, trial after trial.  Per chunk, one draw, one stacked
-    sampler call maps the uniforms to (diag, edge), one f evaluation maps
-    those, and reduceat gives each trial its own Schur threshold
-    tol * max(1, max |entry|); the Schur loop then runs trial by trial.
+    draw(k) gives the next k trials as one forest, trial after trial: its
+    elimination plan, the trials' tree sizes, tree j on the vertices after
+    those of trees 0..j-1, and the (2, total vertices) uniforms.  Each trial
+    reads width uniforms, which sets the chunks (_chunks).  Per chunk, one
+    draw, one sampler call maps the uniforms to (diag, edge), each tree
+    rescaled on its own, and one f evaluation maps those.  Each tree keeps
+    its own Schur threshold tol * max(1, max |entry|), and one Schur loop
+    runs over the forest, tree after tree: its first failing pivot lies in
+    the first failing trial.
     """
-    for start, stop in _chunks(trials):
-        plans, uniforms = draw(stop - start)
-        diag, edge = matrices.stacked_psd_plan_entries(plans, range_max, uniforms)
+    for start, stop in _chunks(trials, width):
+        plan, sizes, uniforms = draw(stop - start)
+        diag, edge = matrices.stacked_psd_plan_entries(plan, sizes, range_max, uniforms)
         n = len(diag)
-        sizes = [len(p.order) for p in plans]
         starts = np.cumsum(sizes) - sizes
         image = f.value(np.concatenate([diag, edge]))
         fdiag = image[:n]
         # roots carry no edge entry, whatever f(0) is
-        is_child = np.fromiter(itertools.chain.from_iterable(p.parent for p in plans),
-                               dtype=np.intp, count=n) >= 0
-        fedge = np.where(is_child, image[n:], 0.0)
+        fedge = np.where(np.fromiter(plan.parent, np.intp, n) >= 0, image[n:], 0.0)
         # np.fmax skips a NaN maximum, as plan_psd_check's builtin max does
-        thr = (tol * np.fmax(np.fmax(1.0, np.maximum.reduceat(np.abs(fdiag), starts)),
-                             np.maximum.reduceat(np.abs(fedge), starts))).tolist()
-        d, a = fdiag.tolist(), fedge.tolist()
-        for k, (plan, lo, size, t) in enumerate(zip(plans, starts.tolist(), sizes, thr)):
-            hi = lo + size
-            if not star_tree.eliminate(plan, d[lo:hi], a[lo:hi], t):
-                return start + k, {
-                    "tree": graphs.format_graph(plan.graph()),
-                    "matrix": matrices.format_matrix(
-                        matrices.dense_from_plan(plan, diag[lo:hi], edge[lo:hi])),
-                    # f may overflow: NaN and inf entries print as nan and inf
-                    "image": matrices.format_square(
-                        matrices.dense_from_plan(plan, fdiag[lo:hi], fedge[lo:hi])),
-                }
+        thr = tol * np.fmax(np.fmax(1.0, np.maximum.reduceat(np.abs(fdiag), starts)),
+                            np.maximum.reduceat(np.abs(fedge), starts))
+        v = star_tree.eliminate(plan, fdiag.tolist(), fedge.tolist(),
+                                np.repeat(thr, sizes).tolist())
+        if v is not None:
+            k = bisect.bisect_right(starts, v) - 1
+            lo = int(starts[k])
+            hi = lo + sizes[k]
+            tree = graphs.EliminationPlan(tuple(w - lo for w in plan.order[lo:hi]),
+                                          tuple(u - lo if u >= 0 else -1
+                                                for u in plan.parent[lo:hi]))
+            return start + k, {
+                "tree": graphs.format_graph(tree.graph()),
+                "matrix": matrices.format_plan(tree, diag[lo:hi], edge[lo:hi]),
+                # f may overflow: NaN and inf entries print as nan and inf
+                "image": matrices.format_plan(tree, fdiag[lo:hi], fedge[lo:hi], check=False),
+            }
     return None
 
 
@@ -173,21 +176,24 @@ def cmd_preserver_test(args) -> Report:
         return rep
     rng = np.random.default_rng(args.seed)
     tree_n = args.tree_n
+    width = 3 * tree_n - 1
 
     def draw(k):
-        # trial j reads row j alone, 3 tree_n - 1 uniforms u: its size
+        # trial j reads row j alone, width uniforms u: its size
         # n = 2 + floor(u (tree_n - 1)), then tree_n - 2 Pruefer entries
         # floor(u n), then tree_n l_vv and tree_n l_uv uniforms, of which it
-        # takes the first n - 2, n and n
-        rows = rng.random((k, 3 * tree_n - 1))
+        # takes the first n - 2, n and n; its tree follows trials 0..j-1's
+        rows = rng.random((k, width))
         sizes = 2 + (rows[:, 0] * (tree_n - 1)).astype(np.intp)
-        seqs = (rows[:, 1:tree_n - 1] * sizes[:, None]).astype(np.intp).tolist()
-        plans = [graphs.prufer_plan(seq[:n - 2], n) for seq, n in zip(seqs, sizes.tolist())]
+        offsets = np.cumsum(sizes) - sizes
+        seqs = (rows[:, 1:tree_n - 1] * sizes[:, None]).astype(np.intp) + offsets[:, None]
+        plan = graphs.prufer_plan(seqs[np.arange(tree_n - 2) < sizes[:, None] - 2].tolist(),
+                                  sizes.tolist())
         used = np.arange(tree_n) < sizes[:, None]
-        return plans, np.stack([rows[:, tree_n - 1:2 * tree_n - 1][used],
-                                rows[:, 2 * tree_n - 1:][used]])
+        return plan, sizes.tolist(), np.stack([rows[:, tree_n - 1:2 * tree_n - 1][used],
+                                               rows[:, 2 * tree_n - 1:][used]])
 
-    failure = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
+    failure = _first_failing_trial(f, args.trials, draw, width, args.range, args.tol)
     if failure is not None:
         index, rep.certificate = failure
         rep.trials, rep.verdict = index + 1, "fail"
@@ -281,14 +287,22 @@ def cmd_critical_exponent(args) -> Report:
         raise UsageError("critical-exponent needs a tree with at least 3 vertices")
     rep = Report("critical-exponent", args.seed, args.tol, args.trials, "pass")
 
+    order, parent = np.array(plan.order), np.array(plan.parent)
+
     def draw(k):
+        # k copies of the tree, copy j on vertices j n .. j n + n - 1, and
         # the bytes of k draws of rng.random((2, n)), trial after trial
-        return [plan] * k, rng.random((k, 2, t.n)).transpose(1, 0, 2).reshape(2, -1)
+        shift = t.n * np.arange(k)[:, None]
+        forest = graphs.EliminationPlan(
+            tuple((order + shift).ravel().tolist()),
+            tuple(np.where(parent >= 0, parent + shift, -1).ravel().tolist()))
+        return forest, [t.n] * k, rng.random((k, 2, t.n)).transpose(1, 0, 2).reshape(2, -1)
 
     for alpha in args.alphas:
         if alpha >= 1.0:
             f = functions.power_function(alpha)
-            failure = _first_failing_trial(f, args.trials, draw, args.range, args.tol)
+            failure = _first_failing_trial(f, args.trials, draw, 2 * t.n, args.range,
+                                            args.tol)
             preserved = failure is None
             note = "" if preserved else json.dumps(failure[1])
         else:

@@ -146,34 +146,45 @@ def elimination_plan(g: Graph) -> EliminationPlan:
     return EliminationPlan(tuple(order), tuple(parent))
 
 
-def prufer_plan(seq, n: int) -> EliminationPlan:
-    """Elimination plan of the labeled tree on n vertices whose Pruefer
-    sequence is seq: n - 2 entries in 0..n-1, and none for n = 1.
+def prufer_plan(seq, sizes) -> EliminationPlan:
+    """Elimination plan of the forest whose tree j, on sizes[j] vertices,
+    takes the vertices o_j .. o_j + sizes[j] - 1, o_j being the sum of the
+    sizes before it.  seq concatenates the trees' Pruefer sequences, tree j's
+    offset by o_j: sizes[j] - 2 entries each, and none for a tree of size 1.
+    One tree on n vertices is the case sizes = [n]; the plan eliminates tree
+    0, then tree 1, and so on.
 
     Each step removes the smallest leaf, elimination_plan's rule, and joins it
     to the next sequence entry, its parent.  No vertex below the pointer ptr
     is a leaf still present, so an entry x < ptr that becomes a leaf is the
     smallest leaf; otherwise the pointer moves up to the next leaf.  The
-    pointer only moves up, so the walk is O(n).  The last two vertices, the
-    last leaf and n - 1, end the order with parent[leaf] = n - 1.
+    pointer only moves up, across the trees too, so the walk is O(total
+    size).  The last two vertices of tree j, its last leaf and o_j +
+    sizes[j] - 1, end its order with parent[leaf] = o_j + sizes[j] - 1.
     """
-    if n == 1:
-        return EliminationPlan((0,), (-1,))
-    degree = [1] * n
+    degree = [1] * sum(sizes)
     for x in seq:
         degree[x] += 1
-    leaf = ptr = degree.index(1)
-    order, parent = [], [-1] * n
-    for x in seq:
-        order.append(leaf)
-        parent[leaf] = x
-        degree[x] -= 1
-        if x < ptr and degree[x] == 1:
-            leaf = x
+    order, parent = [], [-1] * len(degree)
+    at = start = 0
+    for n in sizes:
+        last = start + n - 1
+        if n == 1:
+            order.append(start)
         else:
-            leaf = ptr = degree.index(1, ptr + 1)
-    order += (leaf, n - 1)
-    parent[leaf] = n - 1
+            leaf = ptr = degree.index(1, start)
+            for x in seq[at:at + n - 2]:
+                order.append(leaf)
+                parent[leaf] = x
+                degree[x] -= 1
+                if x < ptr and degree[x] == 1:
+                    leaf = x
+                else:
+                    leaf = ptr = degree.index(1, ptr + 1)
+            order += (leaf, last)
+            parent[leaf] = last
+            at += n - 2
+        start = last + 1
     return EliminationPlan(tuple(order), tuple(parent))
 
 
@@ -184,7 +195,7 @@ def random_tree_plan(n: int, seed) -> EliminationPlan:
     if n < 1:
         raise GraphError("tree needs at least one vertex")
     seq = np.random.default_rng(seed).integers(0, n, max(n - 2, 0)).tolist()
-    return prufer_plan(seq, n)
+    return prufer_plan(seq, [n])
 
 
 def find_open_triangle(g: Graph):

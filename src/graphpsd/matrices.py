@@ -4,8 +4,8 @@ matrices."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -99,36 +99,36 @@ def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Gra
 
 def random_psd_plan_entries(plan: EliminationPlan, range_max: float, seed):
     """Sparse sampler for PSD matrices with pattern inside the forest of plan:
-    stacked_psd_plan_entries of one plan, on one (2, n) block of uniforms from
-    default_rng(seed), or from seed itself when it is a Generator."""
-    uniforms = np.random.default_rng(seed).random((2, len(plan.parent)))
-    return stacked_psd_plan_entries([plan], range_max, uniforms)
+    stacked_psd_plan_entries of plan as one block, on one (2, n) block of
+    uniforms from default_rng(seed), or from seed itself when it is a
+    Generator."""
+    n = len(plan.parent)
+    uniforms = np.random.default_rng(seed).random((2, n))
+    return stacked_psd_plan_entries(plan, [n], range_max, uniforms)
 
 
-def stacked_psd_plan_entries(plans, range_max: float, uniforms):
-    """PSD matrices with pattern inside the forests of plans, mapped from
-    uniforms on [0, 1): (diag, edge) of all plans concatenated, plan j's
-    vertices after those of plans[:j], with edge[v] on (v, parent[v]) and 0
-    at roots.
+def stacked_psd_plan_entries(plan: EliminationPlan, sizes, range_max: float, uniforms):
+    """PSD matrices with pattern inside the forest of plan, one per block of
+    vertices, mapped from uniforms on [0, 1): (diag, edge) with edge[v] on
+    (v, parent[v]) and 0 at roots.  Block j holds sizes[j] vertices, those
+    after the blocks before it, and no edge of the forest leaves a block.
 
-    uniforms has shape (2, total vertices), a column per vertex in the same
-    order.  Each matrix is L L^T, where column v of L holds l_vv = 0.3 + 1.2 *
+    uniforms has shape (2, total vertices), a column per vertex.  Each
+    matrix is L L^T, where column v of L holds l_vv = 0.3 + 1.2 *
     uniforms[0, v] and, below it, l_uv = uniforms[1, v] at u = parent[v]: in
     the plan's elimination order L is lower triangular, so the pattern needs
-    no projection.  Each matrix is then rescaled to keep its entries below
-    range_max.
+    no projection.  Each block's matrix is then rescaled on its own to keep
+    its entries below range_max.
     """
     if range_max <= 0:
         raise MatrixError("range_max must be positive")
-    sizes = np.array([len(p.parent) for p in plans], dtype=np.intp)
+    parent = np.fromiter(plan.parent, np.intp, len(plan.parent))
     starts = np.cumsum(sizes) - sizes
-    parent = np.fromiter(chain.from_iterable(p.parent for p in plans), np.intp, int(sizes.sum()))
     child = np.flatnonzero(parent >= 0)
     lvv = 0.3 + (1.5 - 0.3) * uniforms[0]
     luv = uniforms[1, child]
     # each vertex's l_vv^2 plus its children's l_uv^2, summed in vertex order
-    diag = lvv * lvv + np.bincount((parent + np.repeat(starts, sizes))[child],
-                                   weights=luv * luv, minlength=len(parent))
+    diag = lvv * lvv + np.bincount(parent[child], weights=luv * luv, minlength=len(parent))
     edge = np.zeros(len(parent))
     edge[child] = lvv[child] * luv
     peak = np.maximum(np.maximum.reduceat(diag, starts), np.maximum.reduceat(edge, starts))
@@ -180,6 +180,25 @@ def format_square(a: np.ndarray) -> str:
         for j in range(i, n):
             if a[i, j] != 0.0:
                 lines.append(f"{i} {j} {float(a[i, j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def format_plan(plan: EliminationPlan, diag, edge, check: bool = True) -> str:
+    """format_matrix's text of dense_from_plan(plan, diag, edge) in O(n log
+    n), with no dense matrix: the diagonal and edge entries sorted by (i, j).
+    check=False gives format_square's text instead, which prints NaN and
+    +-inf entries as nan and inf."""
+    parent = plan.parent
+    entries = [(i, i, x) for i, x in enumerate(np.asarray(diag, dtype=float).tolist())]
+    entries += [(min(v, u), max(v, u), x)
+                for v, (u, x) in enumerate(zip(parent, np.asarray(edge, dtype=float).tolist()))
+                if u >= 0]
+    if check and not all(map(math.isfinite, (x for _, _, x in entries))):
+        raise MatrixError("matrix has non-finite entries")
+    # each (i, j) is one entry's, so the sort never compares two values
+    entries.sort()
+    lines = [str(len(parent))]
+    lines += [f"{i} {j} {x!r}" for i, j, x in entries if x != 0.0]
     return "\n".join(lines) + "\n"
 
 

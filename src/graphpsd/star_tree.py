@@ -110,26 +110,29 @@ def plan_psd_check(
     """
     thr = tol * max(1.0, float(np.max(np.abs(diag))), float(np.max(np.abs(edge))))
     return eliminate(plan, np.asarray(diag, dtype=float).tolist(),
-                     np.asarray(edge, dtype=float).tolist(), thr)
+                     np.asarray(edge, dtype=float).tolist(), [thr] * len(plan.parent)) is None
 
 
-def eliminate(plan: EliminationPlan, d: list, a: list, thr: float) -> bool:
+def eliminate(plan: EliminationPlan, d: list, a: list, thr: list) -> Optional[int]:
     """plan_psd_check's Schur loop on lists d (diagonal, overwritten) and a
-    (edges), with pivots within thr of zero counted as zero."""
+    (edges), with a pivot at v within thr[v] of zero counted as zero: the
+    first vertex in plan.order whose pivot fails, or None when the matrix is
+    PSD."""
     parent = plan.parent
     for v in plan.order:
         u = parent[v]
+        t = thr[v]
         if u < 0:
-            if d[v] < -thr:
-                return False
-        elif d[v] > thr:
+            if d[v] < -t:
+                return v
+        elif d[v] > t:
             d[u] -= a[v] * a[v] / d[v]
-        elif d[v] >= -thr:
-            if abs(a[v]) > thr:
-                return False
+        elif d[v] >= -t:
+            if abs(a[v]) > t:
+                return v
         else:
-            return False
-    return True
+            return v
+    return None
 
 
 def tree_psd_check_sparse(

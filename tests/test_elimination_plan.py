@@ -58,6 +58,17 @@ def reference_prufer_edges(seq, n):
     return edges
 
 
+def union(plans):
+    """The forest of plans, tree j relabeled by the sizes of the trees before
+    it, and eliminated after them."""
+    order, parent, start = [], [], 0
+    for plan in plans:
+        order += [v + start for v in plan.order]
+        parent += [u + start if u >= 0 else -1 for u in plan.parent]
+        start += len(plan.parent)
+    return EliminationPlan(tuple(order), tuple(parent))
+
+
 def reference_random_tree_edges(n, seed):
     """The edges of a random tree as drawn and decoded edge by edge."""
     if n == 1:
@@ -206,14 +217,30 @@ def test_random_tree_plan_is_the_plan_of_the_tree():
 
 
 def test_prufer_plan_is_the_heap_decode_on_every_small_sequence():
-    # every Pruefer sequence for n <= 7: 7^5 = 16 807 of them at n = 7
-    assert prufer_plan([], 1) == EliminationPlan((0,), (-1,))
+    # every Pruefer sequence for n <= 7: 7^5 = 16 807 of them at n = 7; each
+    # as a tree of its own, then all of them as one forest, in order and
+    # shuffled, with one-vertex trees among them
+    assert prufer_plan([], [1]) == EliminationPlan((0,), (-1,))
+    trees = [([], 1)]
     for n in range(2, 8):
         for seq in itertools.product(range(n), repeat=n - 2):
-            plan = prufer_plan(seq, n)
+            plan = prufer_plan(seq, [n])
             tree = Graph(n, frozenset(reference_prufer_edges(seq, n)))
             assert plan.graph() == tree
             assert plan == elimination_plan(tree)
+            trees.append((list(seq), n))
+    trees += [([], 1)] * 500
+    for shuffle in (False, True):
+        if shuffle:
+            random.Random(5).shuffle(trees)
+        seq, start = [], 0
+        for tree_seq, n in trees:
+            seq += [x + start for x in tree_seq]
+            start += n
+        assert prufer_plan(seq, [n for _, n in trees]) == union(
+            elimination_plan(Graph(n, frozenset(reference_prufer_edges(tree_seq, n)
+                                                if n > 1 else ())))
+            for tree_seq, n in trees)
 
 
 def test_random_tree_plan_small_cases():

@@ -9,6 +9,8 @@ from graphpsd.matrices import (
     apply_entrywise,
     dense_from_plan,
     format_matrix,
+    format_plan,
+    format_square,
     hadamard_power,
     is_psd,
     parse_matrix,
@@ -18,6 +20,7 @@ from graphpsd.matrices import (
     random_psd_with_pattern,
 )
 from oracles import pattern_of
+from test_elimination_plan import random_forest
 
 B211 = np.array([[2.0, 1, 1], [1, 1, 0], [1, 0, 1]])
 
@@ -132,3 +135,38 @@ def test_format_parse_roundtrip():
 def test_check_asymmetric_rejected():
     with pytest.raises(MatrixError):
         is_psd(np.array([[1.0, 2], [0, 1]]))
+
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_plan_text_is_the_dense_text(seed):
+    # format_plan against format_square and format_matrix of the dense
+    # matrix, on random forests whose entries are in part 0, -0, NaN or +-inf;
+    # edge entries at roots are not the matrix's and are never printed
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    plan = elimination_plan(random_forest(n, seed))
+    diag, edge = rng.uniform(-3.0, 3.0, (2, n))
+    share = (0.0, 0.1, 0.3, 0.6)[seed % 4]
+    for entries in (diag, edge):
+        special = rng.random(n) < share
+        entries[special] = rng.choice(SPECIAL, int(special.sum()))
+    dense = dense_from_plan(plan, diag, edge)
+    assert format_plan(plan, diag, edge, check=False) == format_square(dense)
+    if np.isfinite(dense).all():
+        assert format_plan(plan, diag, edge) == format_matrix(dense)
+    else:
+        for text in (lambda: format_plan(plan, diag, edge), lambda: format_matrix(dense)):
+            with pytest.raises(MatrixError):
+                text()
+
+
+def test_plan_text_skips_zeros_and_prints_non_finite_entries():
+    plan = elimination_plan(path_graph(3))
+    diag = np.array([1.5, 0.0, math.nan])
+    edge = np.array([-0.0, math.inf, 7.0])  # vertex 2 is the root
+    assert format_plan(plan, diag, edge, check=False) == "3\n0 0 1.5\n1 2 inf\n2 2 nan\n"
+    with pytest.raises(MatrixError, match="non-finite"):
+        format_plan(plan, diag, edge)

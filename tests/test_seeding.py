@@ -51,11 +51,11 @@ def trial_samples(monkeypatch, argv):
     themselves are not run."""
     seen = []
 
-    def spy(f, trials, draw, range_max, tol):
-        for start, stop in cli._chunks(trials):
-            plans, uniforms = draw(stop - start)
-            bounds = np.cumsum([len(p.parent) for p in plans])[:-1]
-            seen.extend(block.tobytes() for block in np.split(uniforms, bounds, axis=1))
+    def spy(f, trials, draw, width, range_max, tol):
+        for start, stop in cli._chunks(trials, width):
+            _, sizes, uniforms = draw(stop - start)
+            seen.extend(block.tobytes()
+                        for block in np.split(uniforms, np.cumsum(sizes)[:-1], axis=1))
 
     with monkeypatch.context() as m:
         m.setattr(cli, "_first_failing_trial", spy)

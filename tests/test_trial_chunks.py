@@ -1,10 +1,13 @@
 """The chunked preservation trials against the trial-by-trial reference.
 
-preserver-test and critical-exponent run their trials in chunks of 1, 2, 4,
-..., 64, then 64 trials: one stacked sampler call and one f evaluation per
-chunk, then the Schur loop trial by trial.  These tests hold their reports to
-the loop in tests/oracles.py, which maps and checks one trial at a time on
-the same draws, and the stacked sampler to the one-plan sampler.
+preserver-test and critical-exponent run their trials in chunks of
+floor(2^14 / W) trials, W being the uniforms one trial reads (3 --tree-n - 1
+and 2n), and at least one.  A chunk of k trials is one forest of k trees:
+one Pruefer walk decodes it, one sampler call and one f evaluation map it,
+and one Schur loop checks it, tree after tree.  These tests hold the
+commands' reports to the loop in tests/oracles.py, which decodes each tree
+by the heap reference and maps and checks one trial at a time on the same
+draws, and the forest sampler to the one-tree sampler.
 
 preserver-test refutes a function that the exact decider refutes before any
 trial; the tests that compare trials stub the decider to None, as for an
@@ -22,7 +25,18 @@ from graphpsd import cli, functions, graphs
 from graphpsd.matrices import random_psd_plan_entries, stacked_psd_plan_entries
 
 from oracles import trial_loop
-from test_elimination_plan import random_forest, reference_prufer_edges
+from test_elimination_plan import random_forest, reference_prufer_edges, union
+
+
+def split(plan, sizes):
+    """The trees of the forest plan with union's layout, each relabeled from 0."""
+    out, start = [], 0
+    for n in sizes:
+        out.append(graphs.EliminationPlan(
+            tuple(v - start for v in plan.order[start:start + n]),
+            tuple(u - start if u >= 0 else -1 for u in plan.parent[start:start + n])))
+        start += n
+    return out
 
 
 def preserver_draw(seed, tree_n):
@@ -30,8 +44,8 @@ def preserver_draw(seed, tree_n):
     trial at a time: per trial one row of 3 tree_n - 1 uniforms u from one
     default_rng(seed), read as the size n = 2 + floor(u (tree_n - 1)), then
     tree_n - 2 Pruefer entries floor(u n), then tree_n l_vv and tree_n l_uv
-    uniforms; the trial uses the first n - 2, n and n of these.  The tree is
-    decoded by the heap reference."""
+    uniforms; the trial uses the first n - 2, n and n of these.  Each tree is
+    decoded by the heap reference, and k trees make their union."""
     rng = np.random.default_rng(seed)
 
     def draw(k):
@@ -44,7 +58,7 @@ def preserver_draw(seed, tree_n):
                 graphs.Graph(n, frozenset(reference_prufer_edges(seq, n)))))
             blocks.append(np.stack([row[tree_n - 1:tree_n - 1 + n],
                                     row[2 * tree_n - 1:2 * tree_n - 1 + n]]))
-        return plans, np.concatenate(blocks, axis=1)
+        return union(plans), [len(p.parent) for p in plans], np.concatenate(blocks, axis=1)
     return draw
 
 
@@ -53,7 +67,7 @@ def fixed_tree_draw(plan, seed):
     draws no tree: rng.random((2, n)) per trial."""
     rng = np.random.default_rng(seed)
     n = len(plan.parent)
-    return lambda k: ([plan] * k,
+    return lambda k: (union([plan] * k), [n] * k,
                       np.concatenate([rng.random((2, n)) for _ in range(k)], axis=1))
 
 
@@ -85,7 +99,7 @@ def first_failure(f, draw, limit=1000, range_max=8.0):
     """Index of the reference loop's first failing trial, or None."""
     for k in range(limit):
         sample = draw(1)
-        if trial_loop(f, 1, lambda _: sample, range_max, 1e-9) is not None:
+        if trial_loop(f, 1, lambda _: sample, None, range_max, 1e-9) is not None:
             return k
     return None
 
@@ -96,16 +110,20 @@ def first_failure(f, draw, limit=1000, range_max=8.0):
      lambda: fixed_tree_draw(graphs.elimination_plan(graphs.path_graph(6)), 4)),
 ])
 def test_trials_draw_in_the_stated_order(capsys, monkeypatch, argv, want):
-    # the command's draws, chunk by chunk, against the reference's, trial by trial
+    # the command's draws, chunk by chunk, against the reference's, trial by
+    # trial; 1100 trials at --tree-n 20 (W = 59) make chunks of 277
     seen = []
-    monkeypatch.setattr(cli, "_first_failing_trial", lambda f, trials, draw, *rest:
-                        seen.extend(draw(stop - start) for start, stop in cli._chunks(trials)))
-    assert cli.main(list(argv) + ["--trials", "30", "--seed", "4"]) == 0
+    monkeypatch.setattr(cli, "_first_failing_trial", lambda f, trials, draw, width, *rest:
+                        seen.extend(draw(stop - start)
+                                    for start, stop in cli._chunks(trials, width)))
+    assert cli.main(list(argv) + ["--trials", "1100", "--seed", "4"]) == 0
     draw = want()
-    for plans, uniforms in seen:
-        want_plans, want_uniforms = draw(len(plans))
-        assert plans == want_plans and uniforms.tobytes() == want_uniforms.tobytes()
-    assert sum(len(plans) for plans, _ in seen) == 30
+    for plan, sizes, uniforms in seen:
+        want_plan, want_sizes, want_uniforms = draw(len(sizes))
+        assert (plan, sizes) == (want_plan, want_sizes)
+        assert uniforms.tobytes() == want_uniforms.tobytes()
+    assert [len(sizes) for _, sizes, _ in seen] == \
+        ([277, 277, 277, 269] if argv[0] == "preserver-test" else [1100])
 
 
 def command_draw(monkeypatch, argv):
@@ -123,15 +141,17 @@ def command_draw(monkeypatch, argv):
     ("preserver-test", "1*x^2", "--tree-n", "300", "--seed", "6"),
     ("critical-exponent", "path 6", "2.0", "--seed", "6"),
 ])
-@pytest.mark.parametrize("k", [1, 5, 64])
+@pytest.mark.parametrize("k", [1, 5, 64, 500])
 def test_one_draw_of_k_trials_is_k_draws_of_one(capsys, monkeypatch, argv, k):
     one_by_one = command_draw(monkeypatch, argv)
     singles = [one_by_one(1) for _ in range(k)]
-    plans, uniforms = command_draw(monkeypatch, argv)(k)
+    plan, sizes, uniforms = command_draw(monkeypatch, argv)(k)
     capsys.readouterr()
-    assert plans == [p for (p,), _ in singles]
-    assert uniforms.tobytes() == np.concatenate([u for _, u in singles], axis=1).tobytes()
-    assert uniforms.shape == (2, sum(len(p.parent) for p in plans))
+    # the forest of k trials is the union of the k one-tree forests
+    assert sizes == [n for _, (n,), _ in singles]
+    assert plan == union([p for p, _, _ in singles])
+    assert uniforms.tobytes() == np.concatenate([u for _, _, u in singles], axis=1).tobytes()
+    assert uniforms.shape == (2, sum(sizes)) == (2, len(plan.parent))
 
 
 def test_row_entries_stay_below_their_bound():
@@ -150,7 +170,8 @@ def test_rows_draw_uniform_labeled_trees(capsys, monkeypatch):
     # freedom, 37.70 for 15
     draw = command_draw(monkeypatch, ("preserver-test", "1*x^2", "--tree-n", "4", "--seed", "3"))
     capsys.readouterr()
-    plans, _ = draw(16000)
+    plan, sizes, _ = draw(16000)
+    plans = split(plan, sizes)
 
     def chi_square(counter):
         want = sum(counter.values()) / len(counter)
@@ -163,10 +184,40 @@ def test_rows_draw_uniform_labeled_trees(capsys, monkeypatch):
 
 
 def test_chunk_schedule():
-    assert list(cli._chunks(200)) == [(0, 1), (1, 3), (3, 7), (7, 15), (15, 31), (31, 63),
-                                      (63, 127), (127, 191), (191, 200)]
-    assert list(cli._chunks(1)) == [(0, 1)]
-    assert list(cli._chunks(5)) == [(0, 1), (1, 3), (3, 5)]
+    # --tree-n 12: W = 35, chunks of 468 trials; 200 trials are one chunk
+    assert list(cli._chunks(200, 35)) == [(0, 200)]
+    assert list(cli._chunks(1000, 35)) == [(0, 468), (468, 936), (936, 1000)]
+    # --tree-n 3: W = 8, chunks of 2048; critical-exponent on 6 vertices: W = 12
+    assert list(cli._chunks(2049, 8)) == [(0, 2048), (2048, 2049)]
+    assert list(cli._chunks(1365, 12)) == [(0, 1365)]
+    # --tree-n 1000: W = 2999, chunks of 5
+    assert list(cli._chunks(3, 2999)) == [(0, 3)]
+    assert list(cli._chunks(12, 2999)) == [(0, 5), (5, 10), (10, 12)]
+    # a trial of more than 2^14 uniforms is a chunk of its own
+    assert list(cli._chunks(3, 3 * 6000 - 1)) == [(0, 1), (1, 2), (2, 3)]
+    assert list(cli._chunks(1, 2 ** 14 + 1)) == [(0, 1)]
+    assert list(cli._chunks(1, 1)) == [(0, 1)]
+
+
+def test_a_passing_chunk_makes_one_call_per_layer(capsys, monkeypatch):
+    # 200 trials at --tree-n 12 are one chunk: one decode, one sampler call,
+    # one evaluation of f on the trials and one Schur loop
+    calls = collections.Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((graphs, "prufer_plan"), (cli.matrices, "stacked_psd_plan_entries"),
+                         (functions.EntrywiseFunction, "value"), (cli.star_tree, "eliminate")):
+        counting(module, name)
+    code, rep = run_main(capsys, ("preserver-test", "1*x^2", "--trials", "200", "--seed", "3"))
+    assert (code, rep["trials"]) == (0, 200)
+    assert calls == {"prufer_plan": 1, "stacked_psd_plan_entries": 1, "value": 1, "eliminate": 1}
 
 
 # command seeds whose first failing trial is the key, found with the
@@ -184,6 +235,26 @@ def test_preserver_first_failure_at_chunk_edges(capsys, monkeypatch, index):
                                                "--seed", str(seed)))
     assert got == want and got[0] == 1
     # trials counts the trials that ran, the failing one included
+    assert got[1]["trials"] == index + 1
+
+
+# (tree-n, f, index, seed): the first failing trial is the last of the first
+# chunk or the first of the second, K - 1 or K for K = floor(2^14 / W): 468
+# trials at --tree-n 12 (W = 35), 2048 at --tree-n 3 (W = 8)
+CHUNK_EDGE_SEEDS = [(12, "1*x^0.993", 467, 3106), (12, "1*x^0.993", 468, 85),
+                    (3, "1*x^0.94", 2047, 2655), (3, "1*x^0.94", 2048, 2165)]
+
+
+@pytest.mark.parametrize("tree_n,lit,index,seed", CHUNK_EDGE_SEEDS)
+def test_preserver_first_failure_at_the_chunk_edge(capsys, monkeypatch, tree_n, lit, index,
+                                                   seed):
+    chunk = 2 ** 14 // (3 * tree_n - 1)
+    assert index in (chunk - 1, chunk)
+    f = functions.parse_function(lit)
+    assert first_failure(f, preserver_draw(seed, tree_n), limit=index + 1) == index
+    got, want = run_both(capsys, monkeypatch, ("preserver-test", lit, "--trials", str(2 * chunk),
+                                               "--tree-n", str(tree_n), "--seed", str(seed)))
+    assert got == want and got[0] == 1
     assert got[1]["trials"] == index + 1
 
 
@@ -205,7 +276,26 @@ def test_critical_exponent_first_failure_at_chunk_edges(capsys, monkeypatch, ind
                                                "--trials", "150", "--seed", str(seed)))
     assert got == want and got[0] == 1
     assert json.loads(got[1]["rows"][0]["certificate"]) == \
-        trial_loop(f, 150, fixed_tree_draw(plan, seed), 8.0, 1e-9)[1]
+        trial_loop(f, 150, fixed_tree_draw(plan, seed), 12, 8.0, 1e-9)[1]
+
+
+# the same at the chunk edge of "path 6": W = 12, chunks of 1365 trials
+PATH6_EDGE_SEEDS = {1364: 6147, 1365: 1283}
+EDGE_FAILURE = "1*x^1, -1.7*x^2, 1*x^3"
+
+
+@pytest.mark.parametrize("index", sorted(PATH6_EDGE_SEEDS))
+def test_critical_exponent_first_failure_at_the_chunk_edge(capsys, monkeypatch, index):
+    seed = PATH6_EDGE_SEEDS[index]
+    f = functions.parse_function(EDGE_FAILURE)
+    plan = graphs.elimination_plan(graphs.path_graph(6))
+    assert first_failure(f, fixed_tree_draw(plan, seed), limit=index + 1) == index
+    monkeypatch.setattr(functions, "power_function", lambda alpha: f)
+    got, want = run_both(capsys, monkeypatch, ("critical-exponent", "path 6", "2.0",
+                                               "--trials", "2730", "--seed", str(seed)))
+    assert got == want and got[0] == 1
+    assert json.loads(got[1]["rows"][0]["certificate"]) == \
+        trial_loop(f, 2730, fixed_tree_draw(plan, seed), 12, 8.0, 1e-9)[1]
 
 
 FUNCTIONS = [
@@ -260,6 +350,11 @@ def handler_args(lit, tol, range_max, tree_n, seed, trials=60):
     ("3*x^0, -1*x^0.5", 0.2, 8.0, 12, 200),
     ("-3*x^0, 1*x^1", 0.5, 4.0, 12, 200),
     ("8*x^0, -1*x^1.5", 0.5, 4.0, 3, 200),
+    # trial 0 fails on its own threshold; a chunk-wide one, or f(0) on the
+    # root edges, would pass it
+    ("3*x^0, -1*x^0.5", 0.2, 1.0, 3, 238),
+    # trial 2 fails on its own threshold; trial 0's would fail trial 1
+    ("3*x^0, -1*x^0.5", 0.2, 1.0, 3, 112),
 ])
 def test_wide_band_handler_matches_the_loop(monkeypatch, lit, tol, range_max, tree_n, seed):
     # each f(0) != 0, which the decider refutes at 0: stubbed, the trials run
@@ -274,13 +369,14 @@ def test_wide_band_handler_matches_the_loop(monkeypatch, lit, tol, range_max, tr
 
 
 def test_first_failure_in_a_chunk_is_reported():
-    # trials 1 and 2 share the second chunk and both fail
+    # trials 1 and 2 share the chunk and both fail: the Schur loop stops in
+    # tree 1
     f = functions.parse_function("1*x^0.9")
     draw = preserver_draw(18, 12)
-    assert [trial_loop(f, 1, draw, 8.0, 1e-9) is not None for _ in range(3)] \
+    assert [trial_loop(f, 1, draw, 35, 8.0, 1e-9) is not None for _ in range(3)] \
         == [False, True, True]
-    got = cli._first_failing_trial(f, 3, preserver_draw(18, 12), 8.0, 1e-9)
-    assert got[0] == 1 and got == trial_loop(f, 3, preserver_draw(18, 12), 8.0, 1e-9)
+    got = cli._first_failing_trial(f, 3, preserver_draw(18, 12), 35, 8.0, 1e-9)
+    assert got[0] == 1 and got == trial_loop(f, 3, preserver_draw(18, 12), 35, 8.0, 1e-9)
 
 
 def _plans(seed):
@@ -302,11 +398,12 @@ def test_stacked_sampler_is_the_one_plan_sampler(seed):
     rng = np.random.default_rng(seed + 1000)
     blocks = [rng.random((2, len(p.order))) for p in plans]
     range_max = 0.5 + seed
-    diag, edge = stacked_psd_plan_entries(plans, range_max, np.concatenate(blocks, axis=1))
+    diag, edge = stacked_psd_plan_entries(union(plans), [len(p.order) for p in plans],
+                                          range_max, np.concatenate(blocks, axis=1))
     lo = 0
     for plan, block in zip(plans, blocks):
         hi = lo + len(plan.order)
-        want_diag, want_edge = stacked_psd_plan_entries([plan], range_max, block)
+        want_diag, want_edge = stacked_psd_plan_entries(plan, [hi - lo], range_max, block)
         assert diag[lo:hi].tobytes() == want_diag.tobytes()
         assert edge[lo:hi].tobytes() == want_edge.tobytes()
         lo = hi
@@ -316,7 +413,7 @@ def test_stacked_sampler_is_the_one_plan_sampler(seed):
 def test_one_plan_sampler_reads_one_block_of_uniforms():
     plan = graphs.random_tree_plan(30, 4)
     block = np.random.default_rng(9).random((2, 30))
-    want = stacked_psd_plan_entries([plan], 3.0, block)
+    want = stacked_psd_plan_entries(plan, [30], 3.0, block)
     for seed in (9, np.random.default_rng(9)):
         got = random_psd_plan_entries(plan, 3.0, seed)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
