@@ -236,10 +236,9 @@ def _condition_counterexample(failed: str, witness: tuple):
         return graphs.Graph(1), np.array([witness])
     x, y = witness
     if failed == "superadditive":
-        # the open-triangle block B(x+y, x, y), its center moved to the center
-        # of the 3-vertex path
-        perm = np.array([1, 0, 2])
-        return graphs.path_graph(3), constructors.triangle_block(x + y, x, y)[np.ix_(perm, perm)]
+        # B(x+y, x, y) on the open triangle (1; 0, 2) of the 3-vertex path
+        t = graphs.path_graph(3)
+        return t, constructors.superadditivity_counterexample(t, x, y)
     # midpoint convexity: the rank-one edge [[x, sqrt(xy)], [sqrt(xy), y]]
     m = np.sqrt(x * y)
     return graphs.path_graph(2), np.array([[x, m], [m, y]])
@@ -299,22 +298,25 @@ def cmd_critical_exponent(args) -> Report:
         return forest, [t.n] * k, rng.random((k, 2, t.n)).transpose(1, 0, 2).reshape(2, -1)
 
     for alpha in args.alphas:
-        if alpha >= 1.0:
-            f = functions.power_function(alpha)
-            failure = _first_failing_trial(f, args.trials, draw, 2 * t.n, args.range,
-                                            args.tol)
-            preserved = failure is None
-            note = "" if preserved else json.dumps(failure[1])
-        else:
-            a = constructors.fractional_power_counterexample(t, alpha, args.range)
-            fa = matrices.apply_entrywise(lambda x: np.power(x, alpha), a, t)
-            preserved = star_tree.tree_psd_check(fa, t, tol=args.tol)
-            note = matrices.format_matrix(a).replace("\n", ";")
-        expected = alpha >= 1.0
-        if preserved != expected:
+        # decided first, as in preserver-test: x^alpha is proved for alpha >= 1
+        # and refuted at (x, x) for alpha < 1, with no trial drawn
+        f = functions.power_function(alpha)
+        exact = functions.decide_tree_conditions(f, args.range)
+        if exact is None:
+            raise UsageError(f"--range {args.range!r} is too small to decide alpha = {alpha!r}: "
+                             "its witness x, with 2x <= R, underflows")
+        if exact.failed is not None:
+            x, y = exact.witness
+            note = matrices.format_matrix(
+                constructors.superadditivity_counterexample(t, x, y)).replace("\n", ";")
+            rep.rows.append({"alpha": alpha, "preserved": "no", "certificate": note})
+            continue
+        # proved: a failing trial can only be a rounding artifact, and fails the run
+        failure = _first_failing_trial(f, args.trials, draw, 2 * t.n, args.range, args.tol)
+        if failure is not None:
             rep.verdict = "fail"
-        rep.rows.append({"alpha": alpha, "preserved": "yes" if preserved else "no",
-                         "certificate": note})
+        rep.rows.append({"alpha": alpha, "preserved": "yes" if failure is None else "no",
+                         "certificate": "" if failure is None else json.dumps(failure[1])})
     return rep
 
 

@@ -12,9 +12,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .graphs import Graph, GraphError, find_open_triangle, is_tree
+from .graphs import Graph, GraphError, find_open_triangle
 from .functions import EntrywiseFunction, FunctionError
-from .matrices import MatrixError
 
 
 @dataclass(frozen=True)
@@ -150,31 +149,21 @@ def longest_negative_run(f: EntrywiseFunction) -> int:
     return best
 
 
-def triangle_block(mu: float, alpha: float, beta: float) -> np.ndarray:
-    """The 3x3 open-triangle matrix [[mu, a, b], [a, a, 0], [b, 0, b]]."""
-    return np.array([[mu, alpha, beta], [alpha, alpha, 0.0], [beta, 0.0, beta]])
+def superadditivity_counterexample(g: Graph, x: float, y: float) -> np.ndarray:
+    """B(x+y, x, y) = [[x+y, x, y], [x, x, 0], [y, 0, y]] on the first open
+    triangle (i; j, k) of g (find_open_triangle), zero elsewhere.
 
-
-def fractional_power_counterexample(t: Graph, alpha: float, range_max: float) -> np.ndarray:
-    """PSD matrix with pattern inside the tree t and entries below range_max
-    whose entrywise alpha-th power (0 < alpha < 1) is not PSD.
-
-    Embeds (R/4) * triangle_block(2, 1, 1) on the lexicographically first open
-    triangle; the center of the powered star then violates the PSD criterion
-    by (2 - 2^alpha) (R/4)^alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise FunctionError(f"no counterexample for alpha = {alpha}; powers >= 1 preserve")
-    if range_max <= 0:
-        raise MatrixError("range_max must be positive")
-    if not is_tree(t) or t.n < 3:
-        raise GraphError("need a tree with at least 3 vertices")
-    tri = find_open_triangle(t)
-    assert tri is not None
+    For x, y >= 0, B = x (e_i + e_j)(e_i + e_j)^T + y (e_i + e_k)(e_i + e_k)^T
+    is PSD with its pattern in g, and f[B] is PSD only if
+    f(x+y) >= f(x) + f(y), the pivot left at i once j and k are eliminated.
+    So a pair where superadditivity fails gives a PSD matrix that f does not
+    keep PSD: x = y = 0 does when f(0) > 0."""
+    tri = find_open_triangle(g)
+    if tri is None:
+        raise GraphError("graph has no open triangle")
     i, j, k = tri
-    c = range_max / 4.0
-    a = np.zeros((t.n, t.n))
-    a[i, i] = 2.0 * c
-    a[j, j] = a[k, k] = c
-    a[i, j] = a[j, i] = c
-    a[i, k] = a[k, i] = c
+    a = np.zeros((g.n, g.n))
+    a[i, i] = x + y
+    a[i, j] = a[j, i] = a[j, j] = x
+    a[i, k] = a[k, i] = a[k, k] = y
     return a

@@ -84,17 +84,6 @@ def build_graph(kind: str, n: int, seed=None) -> Graph:
     raise GraphError(f"unknown graph kind {kind!r}")
 
 
-def is_tree(g: Graph) -> bool:
-    """n - 1 edges and no cycle: such a forest has exactly one component."""
-    if len(g.edges) != g.n - 1:
-        return False
-    try:
-        elimination_plan(g)
-    except GraphError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class EliminationPlan:
     """Leaf-first perfect elimination order of a forest.

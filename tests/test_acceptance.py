@@ -99,7 +99,7 @@ def test_03_critical_exponent():
     r = 4.0
     for alpha in (0.3, 0.5, 0.9, 0.99):
         t = graphs.random_tree(8, 1)
-        a = constructors.fractional_power_counterexample(t, alpha, r)
+        a = constructors.superadditivity_counterexample(t, r / 4.0, r / 4.0)
         fa = matrices.apply_entrywise(lambda x: np.power(x, alpha), a, t)
         if star_tree.tree_psd_check(fa, t):
             ok = False

@@ -350,6 +350,8 @@ OUT_OF_RANGE = [
     ("star-suite", "--tol", "1", "--trials", "200"),
     # an empty grid, though the first trial fails
     ("preserver-test", "1*x^0.5", "--grid", "5", "--trials", "5"),
+    # the exact decider leaves x^0.5 undecided at R = 2^-1074
+    ("critical-exponent", "path 3", "0.5", "--range", "5e-324"),
 ] + [argv for argv, _ in OUT_OF_RANGE])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(list(argv)) == 2

@@ -6,12 +6,11 @@ import pytest
 from graphpsd.constructors import (
     build_entire_function_partial,
     build_tree_preserver_poly,
-    fractional_power_counterexample,
     longest_negative_run,
     max_entire_blocks,
     mult_convexity_threshold,
+    superadditivity_counterexample,
     superadditivity_threshold,
-    triangle_block,
 )
 from graphpsd.functions import (
     FunctionError,
@@ -19,6 +18,7 @@ from graphpsd.functions import (
     check_mult_midpoint_convex,
     check_superadditive,
     EntrywiseFunction,
+    parse_function,
 )
 from graphpsd.graphs import (
     GraphError,
@@ -128,15 +128,23 @@ def test_entire_partial_depth_limit():
         build_entire_function_partial(limit + 1)
 
 
-def test_triangle_block():
-    b = triangle_block(2.0, 1.0, 1.0)
+def test_superadditivity_counterexample_block():
+    # star 3's open triangle is (0; 1, 2): B(2, 1, 1) is the whole matrix
+    b = superadditivity_counterexample(star_graph(3), 1.0, 1.0)
     assert np.array_equal(b, [[2, 1, 1], [1, 1, 0], [1, 0, 1]])
     assert is_psd(b).is_psd
 
 
+def test_superadditivity_counterexample_path3_is_the_permuted_block():
+    # the center of path 3 is vertex 1: B(x+y, x, y) with rows (1, 0, 2)
+    a = superadditivity_counterexample(path_graph(3), 0.25, 3.0)
+    assert np.array_equal(a, [[0.25, 0.25, 0], [0.25, 3.25, 3.0], [0, 3.0, 3.0]])
+
+
 def test_fractional_counterexample_path3():
     t = path_graph(3)
-    a = fractional_power_counterexample(t, 0.5, 4.0)
+    r = 4.0
+    a = superadditivity_counterexample(t, r / 4, r / 4)
     assert is_psd(a).is_psd
     fa = apply_entrywise(np.sqrt, a, t)
     assert not tree_psd_check(fa, t)
@@ -148,7 +156,7 @@ def test_fractional_counterexample_path3():
 def test_fractional_counterexample_margins(alpha):
     t = random_tree(7, 2)
     r = 4.0
-    a = fractional_power_counterexample(t, alpha, r)
+    a = superadditivity_counterexample(t, r / 4, r / 4)
     assert is_psd(a).is_psd
     assert np.max(np.abs(a)) <= r
     assert pattern_of(a).edges <= t.edges
@@ -160,9 +168,18 @@ def test_fractional_counterexample_margins(alpha):
     assert margin >= (2 - 2 ** alpha) * (r / 4) ** alpha / 2
 
 
-def test_fractional_counterexample_rejects_alpha_one():
-    with pytest.raises(FunctionError):
-        fractional_power_counterexample(path_graph(3), 1.0, 4.0)
+def test_superadditivity_counterexample_at_zero():
+    # (0, 0) is the witness for f(0) > 0: A = 0, and f[A] = f(0) (I + adjacency)
+    t = path_graph(3)
+    a = superadditivity_counterexample(t, 0.0, 0.0)
+    assert np.array_equal(a, np.zeros((3, 3)))
+    f = parse_function("1*x^0, 1*x^2")
+    assert not tree_psd_check(apply_entrywise(f.value, a, t), t)
+
+
+def test_superadditivity_counterexample_needs_an_open_triangle():
+    with pytest.raises(GraphError):
+        superadditivity_counterexample(complete_graph(3), 1.0, 1.0)
 
 
 def test_thresholding_counterexample():

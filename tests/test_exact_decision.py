@@ -15,7 +15,10 @@ it to:
   exact violation runs no trial and no grid scan, an exact pass runs its
   trials and no grid scan, and the exact_witness certificate of a violation
   is re-checked in Fraction arithmetic and, as the benchmark's checker does,
-  by eigvalsh.
+  by eigvalsh;
+- critical-exponent: each alpha row is decided first by the same decider.
+  A row alpha < 1 prints the decider's witness matrix and draws no trial,
+  and a row the decider leaves undecided is a usage error.
 """
 
 import json
@@ -28,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpsd import _exact, cli, functions
+from graphpsd import _exact, cli, functions, graphs
 from graphpsd.constructors import build_entire_function_partial, build_tree_preserver_poly
 from graphpsd.functions import (
     EntrywiseFunction,
@@ -39,7 +42,7 @@ from graphpsd.functions import (
     decide_tree_conditions,
     parse_function,
 )
-from graphpsd.graphs import parse_graph
+from graphpsd.graphs import find_open_triangle, parse_graph
 from graphpsd.matrices import parse_matrix
 
 from test_grid_scans import FIXED, GRIDS, LATE_SUPERADDITIVE, WRONG_PASS
@@ -451,3 +454,79 @@ def test_a_pass_runs_every_trial(capsys, monkeypatch, lit, decided):
 def test_exact_pass_certificate(capsys):
     code, rep = run_main(capsys, ("preserver-test", "1*x^2", "--trials", "20"))
     assert (code, rep["certificate"]) == (0, EXACT_PASS)
+
+
+# --- critical-exponent ---------------------------------------------------------
+
+# alpha just below 1, where a tolerance check of the powered matrix passes;
+# and a range so small that the absolute floor of the tree check's
+# threshold hides the failure
+NEAR_ONE_ROWS = [(spec, alpha, flags)
+                 for spec, flags in (("path 3", ()), ("star 5", ("--range", "1")),
+                                     ("random_tree 12", ()))
+                 for alpha in (0.999999999, 1 - 2 ** -52)] + \
+    [("path 3", 0.5, ("--range", "1e-300"))]
+
+
+def critical_tree(spec):
+    """The tree of a critical-exponent spec at --seed 0."""
+    kind, n = spec.split()
+    return graphs.build_graph(kind, int(n), seed=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("spec,alpha,flags", NEAR_ONE_ROWS)
+def test_a_power_below_one_is_refuted_exactly(capsys, monkeypatch, spec, alpha, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial for a refuted row")
+
+    monkeypatch.setattr(cli, "_first_failing_trial", refuse)
+    code, rep = run_main(capsys, ("critical-exponent", spec, repr(alpha)) + flags)
+    (row,) = rep["rows"]
+    assert (code, rep["verdict"], row["alpha"], row["preserved"]) == (0, "pass", alpha, "no")
+    # the certificate is B(2x, x, x) on the tree's first open triangle, at
+    # the decider's witness (x, x), which fails superadditivity because
+    # Fraction(alpha) < 1
+    f = functions.power_function(alpha)
+    bound = float(flags[1]) if flags else functions.DEFAULT_GRID_BOUND
+    verdict = decide_tree_conditions(f, bound)
+    assert verdict.failed == "superadditive"
+    assert_fails_exactly(f, verdict)
+    x, y = verdict.witness
+    t = critical_tree(spec)
+    a = [[Fraction(v) for v in line]
+         for line in parse_matrix(row["certificate"].replace(";", "\n"))]
+    assert len(a) == t.n
+    i, j, k = find_open_triangle(t)
+    block = [i, j, k]
+    want = [[x + y, x, y], [x, x, 0], [y, 0, y]]
+    assert all(a[u][v] == (want[block.index(u)][block.index(v)]
+                           if u in block and v in block else 0)
+               for u in range(t.n) for v in range(t.n))
+    # A is zero outside the block, so each of its principal minors, the
+    # leading ones among them, is one of the block's or 0
+    assert exact_psd([[a[u][v] for v in block] for u in block])
+    assert all(a[u][v] == 0 or t.has_edge(u, v) for u in range(t.n) for v in range(u))
+
+
+@pytest.mark.parametrize("alpha", ["0.999999999", "0.9999999999999998", "0.5", "0.01"])
+@pytest.mark.parametrize("flags", [(), ("--range", "1e-300"), ("--range", "3")])
+def test_a_refuted_row_carries_the_preserver_test_matrix(capsys, alpha, flags):
+    code, rep = run_main(capsys, ("critical-exponent", "path 3", alpha) + flags)
+    assert code == 0
+    # preserver-test refuses a grid of fewer than two steps before it decides
+    grid = ("--grid", repr(float(flags[1]) / 4)) if flags else ()
+    code, cert = run_main(capsys, ("preserver-test", f"1*x^{alpha}") + flags + grid)
+    assert code == 1
+    assert rep["rows"][0]["certificate"] == cert["certificate"]["matrix"].replace("\n", ";")
+
+
+def test_an_undecided_row_names_the_range(capsys):
+    # at R = 2^-1074, the one positive float below 2^-1073, the witness x,
+    # a power of two with 2x <= R, underflows to 0
+    assert decide_tree_conditions(functions.power_function(0.5), 5e-324) is None
+    assert decide_tree_conditions(functions.power_function(0.5), 1e-323).witness == \
+        (5e-324, 5e-324)
+    assert cli.main(["critical-exponent", "path 3", "0.5", "--range", "5e-324"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --range ")
+

@@ -6,9 +6,9 @@ from graphpsd.graphs import (
     GraphError,
     build_graph,
     complete_graph,
+    elimination_plan,
     find_open_triangle,
     format_graph,
-    is_tree,
     parse_graph,
     path_graph,
     random_tree,
@@ -29,31 +29,35 @@ def test_star_edges_and_degree():
 def test_random_tree_is_tree():
     g = random_tree(8, seed=42)
     assert len(g.edges) == 7
-    assert is_tree(g)
+    assert elimination_plan(g).parent.count(-1) == 1
 
 
 @given(st.integers(2, 40), st.integers(0, 10_000))
 def test_random_tree_always_tree(n, seed):
-    assert is_tree(random_tree(n, seed))
+    assert elimination_plan(random_tree(n, seed)).parent.count(-1) == 1
 
 
 def test_random_tree_deterministic():
     assert random_tree(12, 7).edges == random_tree(12, 7).edges
 
 
-def test_is_tree_families():
-    assert is_tree(path_graph(4))
-    assert not is_tree(complete_graph(3))
-    assert is_tree(star_graph(7))
-    assert is_tree(Graph(1))
+# a graph is a tree when its elimination plan exists (no cycle) and has one
+# root (one component)
+def test_tree_families_have_one_root():
+    assert elimination_plan(path_graph(4)).parent.count(-1) == 1
+    assert elimination_plan(star_graph(7)).parent.count(-1) == 1
+    assert elimination_plan(Graph(1)).parent.count(-1) == 1
+    with pytest.raises(GraphError):
+        elimination_plan(complete_graph(3))
 
 
-def test_is_tree_needs_one_component_and_no_cycle():
+def test_a_tree_needs_one_component_and_no_cycle():
     # n - 1 edges, but a triangle plus an isolated vertex
-    assert not is_tree(Graph(4, frozenset({(0, 1), (1, 2), (0, 2)})))
+    with pytest.raises(GraphError):
+        elimination_plan(Graph(4, frozenset({(0, 1), (1, 2), (0, 2)})))
     # no cycle, but too few edges to connect
-    assert not is_tree(Graph(5, frozenset({(0, 1), (2, 3)})))
-    assert not is_tree(Graph(2))
+    assert elimination_plan(Graph(5, frozenset({(0, 1), (2, 3)}))).parent.count(-1) == 3
+    assert elimination_plan(Graph(2)).parent.count(-1) == 2
 
 
 def test_open_triangle():
@@ -72,7 +76,7 @@ def test_build_graph_dispatch():
     assert build_graph("path", 3) == path_graph(3)
     assert build_graph("star", 4) == star_graph(4)
     assert build_graph("complete", 4) == complete_graph(4)
-    assert is_tree(build_graph("random_tree", 6, seed=1))
+    assert elimination_plan(build_graph("random_tree", 6, seed=1)).parent.count(-1) == 1
     assert build_graph("tree", 6, seed=1) == build_graph("random_tree", 6, seed=1)
     with pytest.raises(GraphError):
         build_graph("wheel", 5)

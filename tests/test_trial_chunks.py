@@ -9,9 +9,11 @@ commands' reports to the loop in tests/oracles.py, which decodes each tree
 by the heap reference and maps and checks one trial at a time on the same
 draws, and the forest sampler to the one-tree sampler.
 
-preserver-test refutes a function that the exact decider refutes before any
-trial; the tests that compare trials stub the decider to None, as for an
-undecided function, so that every function they name runs its trials.
+Both commands refute a function that the exact decider refutes before any
+trial.  The tests that compare preserver-test's trials stub the decider to
+None, as for an undecided function, so that every function they name runs
+its trials; critical-exponent refuses an undecided row, so the tests that
+make its trials fail stub the decider to a proof (ExactVerdict(None)).
 """
 
 import argparse
@@ -84,11 +86,16 @@ def undecided(monkeypatch):
     monkeypatch.setattr(functions, "decide_tree_conditions", lambda f, bound: None)
 
 
-def run_both(capsys, monkeypatch, argv):
+def proved(f, bound):
+    return functions.ExactVerdict(None)
+
+
+def run_both(capsys, monkeypatch, argv, decide=lambda f, bound: None):
     """(exit code, report without elapsed_ms) from the chunked trials and from
-    the reference loop, both with the decider stubbed to None."""
+    the reference loop, both with the decider replaced by decide: by default
+    a stub that leaves every function undecided."""
     with monkeypatch.context() as m:
-        undecided(m)
+        m.setattr(functions, "decide_tree_conditions", decide)
         got = run_main(capsys, argv)
         m.setattr(cli, "_first_failing_trial", trial_loop)
         want = run_main(capsys, argv)
@@ -273,7 +280,8 @@ def test_critical_exponent_first_failure_at_chunk_edges(capsys, monkeypatch, ind
     assert first_failure(f, fixed_tree_draw(plan, seed)) == index
     monkeypatch.setattr(functions, "power_function", lambda alpha: f)
     got, want = run_both(capsys, monkeypatch, ("critical-exponent", "path 6", "2.0",
-                                               "--trials", "150", "--seed", str(seed)))
+                                               "--trials", "150", "--seed", str(seed)),
+                         proved)
     assert got == want and got[0] == 1
     assert json.loads(got[1]["rows"][0]["certificate"]) == \
         trial_loop(f, 150, fixed_tree_draw(plan, seed), 12, 8.0, 1e-9)[1]
@@ -292,7 +300,8 @@ def test_critical_exponent_first_failure_at_the_chunk_edge(capsys, monkeypatch, 
     assert first_failure(f, fixed_tree_draw(plan, seed), limit=index + 1) == index
     monkeypatch.setattr(functions, "power_function", lambda alpha: f)
     got, want = run_both(capsys, monkeypatch, ("critical-exponent", "path 6", "2.0",
-                                               "--trials", "2730", "--seed", str(seed)))
+                                               "--trials", "2730", "--seed", str(seed)),
+                         proved)
     assert got == want and got[0] == 1
     assert json.loads(got[1]["rows"][0]["certificate"]) == \
         trial_loop(f, 2730, fixed_tree_draw(plan, seed), 12, 8.0, 1e-9)[1]
@@ -331,7 +340,8 @@ def test_preserver_reports_match_the_loop_at_tree_n_1000(capsys, monkeypatch, li
 @pytest.mark.parametrize("spec", ["path 5", "star 7", "random_tree 12", "random_tree 1000"])
 def test_critical_exponent_reports_match_the_loop(capsys, monkeypatch, spec):
     got, want = run_both(capsys, monkeypatch, ("critical-exponent", spec, "0.5", "1.0", "2.5",
-                                               "--trials", "70", "--seed", "4"))
+                                               "--trials", "70", "--seed", "4"),
+                         functions.decide_tree_conditions)
     assert got == want and got[0] == 0
 
 
