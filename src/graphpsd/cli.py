@@ -9,7 +9,6 @@ a randomized command reads every draw from one default_rng(seed).
 from __future__ import annotations
 
 import argparse
-import bisect
 import csv
 import functools
 import io
@@ -116,33 +115,33 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
     """(index, certificate) of the first failing trial in index order, or None.
 
     draw(k) gives the next k trials as one forest, trial after trial: its
-    elimination plan, the trials' tree sizes, tree j on the vertices after
-    those of trees 0..j-1, and the (2, total vertices) uniforms.  Each trial
-    reads width uniforms, which sets the chunks (_chunks).  Per chunk, one
-    draw, one sampler call maps the uniforms to (diag, edge), each tree
-    rescaled on its own, and one f evaluation maps those.  Each tree keeps
-    its own Schur threshold tol * max(1, max |entry|), and one Schur loop
-    runs over the forest, tree after tree: its first failing pivot lies in
-    the first failing trial.
+    elimination plan, the plan's parent as an integer array, the bounds of
+    its trees (tree j on the vertices bounds[j] .. bounds[j + 1] - 1, which
+    are also its positions in the plan's order) and the (2, total vertices)
+    uniforms.  Each trial reads width uniforms, which sets the chunks
+    (_chunks).  Per chunk, one draw, one sampler call maps the uniforms to
+    (diag, edge), each tree rescaled on its own, and one f evaluation maps
+    those; the parent and bounds arrays serve all three and the thresholds.
+    Each tree keeps its own Schur threshold tol * max(1, max |entry|), one
+    per tree, and one Schur loop runs over the forest, tree after tree: its
+    first failing pivot lies in the first failing trial.
     """
     for start, stop in _chunks(trials, width):
-        plan, sizes, uniforms = draw(stop - start)
-        diag, edge = matrices.stacked_psd_plan_entries(plan, sizes, range_max, uniforms)
+        plan, parent, bounds, uniforms = draw(stop - start)
+        diag, edge = matrices.stacked_psd_plan_entries(parent, bounds, range_max, uniforms)
         n = len(diag)
-        starts = np.cumsum(sizes) - sizes
         image = f.value(np.concatenate([diag, edge]))
         fdiag = image[:n]
         # roots carry no edge entry, whatever f(0) is
-        fedge = np.where(np.fromiter(plan.parent, np.intp, n) >= 0, image[n:], 0.0)
+        fedge = np.where(parent >= 0, image[n:], 0.0)
         # np.fmax skips a NaN maximum, as plan_psd_check's builtin max does
+        starts = bounds[:-1]
         thr = tol * np.fmax(np.fmax(1.0, np.maximum.reduceat(np.abs(fdiag), starts)),
                             np.maximum.reduceat(np.abs(fedge), starts))
-        v = star_tree.eliminate(plan, fdiag.tolist(), fedge.tolist(),
-                                np.repeat(thr, sizes).tolist())
+        v = star_tree.eliminate(plan, fdiag.tolist(), fedge.tolist(), thr.tolist())
         if v is not None:
-            k = bisect.bisect_right(starts, v) - 1
-            lo = int(starts[k])
-            hi = lo + sizes[k]
+            k = int(np.searchsorted(bounds, v, side="right")) - 1
+            lo, hi = int(bounds[k]), int(bounds[k + 1])
             tree = graphs.EliminationPlan(tuple(w - lo for w in plan.order[lo:hi]),
                                           tuple(u - lo if u >= 0 else -1
                                                 for u in plan.parent[lo:hi]))
@@ -185,13 +184,13 @@ def cmd_preserver_test(args) -> Report:
         # takes the first n - 2, n and n; its tree follows trials 0..j-1's
         rows = rng.random((k, width))
         sizes = 2 + (rows[:, 0] * (tree_n - 1)).astype(np.intp)
-        offsets = np.cumsum(sizes) - sizes
-        seqs = (rows[:, 1:tree_n - 1] * sizes[:, None]).astype(np.intp) + offsets[:, None]
-        plan = graphs.prufer_plan(seqs[np.arange(tree_n - 2) < sizes[:, None] - 2].tolist(),
-                                  sizes.tolist())
+        bounds = np.zeros(k + 1, dtype=np.intp)
+        np.cumsum(sizes, out=bounds[1:])
+        seqs = (rows[:, 1:tree_n - 1] * sizes[:, None]).astype(np.intp) + bounds[:-1, None]
+        plan = graphs.prufer_plan(seqs[np.arange(tree_n - 2) < sizes[:, None] - 2], sizes)
         used = np.arange(tree_n) < sizes[:, None]
-        return plan, sizes.tolist(), np.stack([rows[:, tree_n - 1:2 * tree_n - 1][used],
-                                               rows[:, 2 * tree_n - 1:][used]])
+        return (plan, np.fromiter(plan.parent, np.intp, bounds[-1]), bounds,
+                np.stack([rows[:, tree_n - 1:2 * tree_n - 1][used], rows[:, 2 * tree_n - 1:][used]]))
 
     failure = _first_failing_trial(f, args.trials, draw, width, args.range, args.tol)
     if failure is not None:
@@ -290,12 +289,16 @@ def cmd_critical_exponent(args) -> Report:
 
     def draw(k):
         # k copies of the tree, copy j on vertices j n .. j n + n - 1, and
-        # the bytes of k draws of rng.random((2, n)), trial after trial
-        shift = t.n * np.arange(k)[:, None]
-        forest = graphs.EliminationPlan(
-            tuple((order + shift).ravel().tolist()),
-            tuple(np.where(parent >= 0, parent + shift, -1).ravel().tolist()))
-        return forest, [t.n] * k, rng.random((k, 2, t.n)).transpose(1, 0, 2).reshape(2, -1)
+        # the bytes of k draws of rng.random((2, n)), trial after trial;
+        # drawn counts the row's trials drawn so far
+        nonlocal drawn
+        drawn += k
+        bounds = t.n * np.arange(k + 1)
+        forest_parent = np.where(parent >= 0, parent + bounds[:-1, None], -1).ravel()
+        forest = graphs.EliminationPlan(tuple((order + bounds[:-1, None]).ravel().tolist()),
+                                        tuple(forest_parent.tolist()))
+        return (forest, forest_parent, bounds,
+                rng.random((k, 2, t.n)).transpose(1, 0, 2).reshape(2, -1))
 
     for alpha in args.alphas:
         # decided first, as in preserver-test: x^alpha is proved for alpha >= 1
@@ -312,7 +315,11 @@ def cmd_critical_exponent(args) -> Report:
             rep.rows.append({"alpha": alpha, "preserved": "no", "certificate": note})
             continue
         # proved: a failing trial can only be a rounding artifact, and fails the run
+        drawn = 0
         failure = _first_failing_trial(f, args.trials, draw, 2 * t.n, args.range, args.tol)
+        # past the trials a failing row left undrawn, one 64-bit step per
+        # uniform: the next row starts where it would after a pass
+        rng.bit_generator.advance(2 * t.n * (args.trials - drawn))
         if failure is not None:
             rep.verdict = "fail"
         rep.rows.append({"alpha": alpha, "preserved": "yes" if failure is None else "no",

@@ -150,13 +150,16 @@ def prufer_plan(seq, sizes) -> EliminationPlan:
     pointer only moves up, across the trees too, so the walk is O(total
     size).  The last two vertices of tree j, its last leaf and o_j +
     sizes[j] - 1, end its order with parent[leaf] = o_j + sizes[j] - 1.
+    seq and sizes are lists or integer arrays.
     """
-    degree = [1] * sum(sizes)
-    for x in seq:
-        degree[x] += 1
+    sizes = np.asarray(sizes, dtype=np.intp)
+    seq = np.asarray(seq, dtype=np.intp)
+    # a vertex's degree is 1 plus its count in the sequence
+    degree = (np.bincount(seq, minlength=int(sizes.sum())) + 1).tolist()
+    seq = seq.tolist()
     order, parent = [], [-1] * len(degree)
     at = start = 0
-    for n in sizes:
+    for n in sizes.tolist():
         last = start + n - 1
         if n == 1:
             order.append(start)
@@ -183,8 +186,7 @@ def random_tree_plan(n: int, seed) -> EliminationPlan:
     default_rng(seed), or seed itself when it is a Generator."""
     if n < 1:
         raise GraphError("tree needs at least one vertex")
-    seq = np.random.default_rng(seed).integers(0, n, max(n - 2, 0)).tolist()
-    return prufer_plan(seq, [n])
+    return prufer_plan(np.random.default_rng(seed).integers(0, n, max(n - 2, 0)), [n])
 
 
 def find_open_triangle(g: Graph):

@@ -99,19 +99,23 @@ def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Gra
 
 def random_psd_plan_entries(plan: EliminationPlan, range_max: float, seed):
     """Sparse sampler for PSD matrices with pattern inside the forest of plan:
-    stacked_psd_plan_entries of plan as one block, on one (2, n) block of
-    uniforms from default_rng(seed), or from seed itself when it is a
-    Generator."""
+    stacked_psd_plan_entries of plan's parent array as one block, on one (2,
+    n) block of uniforms from default_rng(seed), or from seed itself when it
+    is a Generator."""
     n = len(plan.parent)
     uniforms = np.random.default_rng(seed).random((2, n))
-    return stacked_psd_plan_entries(plan, [n], range_max, uniforms)
+    return stacked_psd_plan_entries(np.fromiter(plan.parent, np.intp, n), np.array([0, n]),
+                                    range_max, uniforms)
 
 
-def stacked_psd_plan_entries(plan: EliminationPlan, sizes, range_max: float, uniforms):
-    """PSD matrices with pattern inside the forest of plan, one per block of
-    vertices, mapped from uniforms on [0, 1): (diag, edge) with edge[v] on
-    (v, parent[v]) and 0 at roots.  Block j holds sizes[j] vertices, those
-    after the blocks before it, and no edge of the forest leaves a block.
+def stacked_psd_plan_entries(parent: np.ndarray, bounds: np.ndarray, range_max: float,
+                             uniforms):
+    """PSD matrices with pattern inside a forest, one per block of vertices,
+    mapped from uniforms on [0, 1): (diag, edge) with edge[v] on (v,
+    parent[v]) and 0 at roots.  parent is the forest's EliminationPlan.parent
+    as an integer array; block j holds the vertices bounds[j] ..
+    bounds[j + 1] - 1, bounds running from 0 to the total, and no edge of the
+    forest leaves a block.
 
     uniforms has shape (2, total vertices), a column per vertex.  Each
     matrix is L L^T, where column v of L holds l_vv = 0.3 + 1.2 *
@@ -122,8 +126,6 @@ def stacked_psd_plan_entries(plan: EliminationPlan, sizes, range_max: float, uni
     """
     if range_max <= 0:
         raise MatrixError("range_max must be positive")
-    parent = np.fromiter(plan.parent, np.intp, len(plan.parent))
-    starts = np.cumsum(sizes) - sizes
     child = np.flatnonzero(parent >= 0)
     lvv = 0.3 + (1.5 - 0.3) * uniforms[0]
     luv = uniforms[1, child]
@@ -131,8 +133,9 @@ def stacked_psd_plan_entries(plan: EliminationPlan, sizes, range_max: float, uni
     diag = lvv * lvv + np.bincount(parent[child], weights=luv * luv, minlength=len(parent))
     edge = np.zeros(len(parent))
     edge[child] = lvv[child] * luv
+    starts = bounds[:-1]
     peak = np.maximum(np.maximum.reduceat(diag, starts), np.maximum.reduceat(edge, starts))
-    scale = np.repeat(0.999 * range_max / peak, sizes)
+    scale = np.repeat(0.999 * range_max / peak, np.diff(bounds))
     return diag * scale, edge * scale
 
 

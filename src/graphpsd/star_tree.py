@@ -110,21 +110,29 @@ def plan_psd_check(
     """
     thr = tol * max(1.0, float(np.max(np.abs(diag))), float(np.max(np.abs(edge))))
     return eliminate(plan, np.asarray(diag, dtype=float).tolist(),
-                     np.asarray(edge, dtype=float).tolist(), [thr] * len(plan.parent)) is None
+                     np.asarray(edge, dtype=float).tolist(), [thr]) is None
 
 
 def eliminate(plan: EliminationPlan, d: list, a: list, thr: list) -> Optional[int]:
     """plan_psd_check's Schur loop on lists d (diagonal, overwritten) and a
-    (edges), with a pivot at v within thr[v] of zero counted as zero: the
-    first vertex in plan.order whose pivot fails, or None when the matrix is
-    PSD."""
-    parent = plan.parent
-    for v in plan.order:
+    (edges), tree by tree, with a pivot within the tree's threshold of zero
+    counted as zero: the first vertex in plan.order whose pivot fails, or
+    None when the matrix is PSD.
+
+    thr holds one threshold per tree, in the order the plan finishes its
+    trees, and the last one also holds for every tree after it: a tree ends
+    at its root, so the plan must eliminate each tree's vertices together,
+    as prufer_plan's forests do.  One threshold serves any plan.
+    """
+    order, parent = plan.order, plan.parent
+    thr = iter(thr)
+    t = next(thr)
+    for v in order:
         u = parent[v]
-        t = thr[v]
         if u < 0:
             if d[v] < -t:
                 return v
+            t = next(thr, t)
         elif d[v] > t:
             d[u] -= a[v] * a[v] / d[v]
         elif d[v] >= -t:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -155,22 +156,31 @@ def _certify(resid: float, margin: float, k: int, base: float = 1.0) -> bool:
     return resid <= KERNEL_TOL and margin > floor
 
 
-def _margin_value(margin: float, base: float, k: int) -> Union[float, str]:
-    """margin * base^k: a float, or, where it lies beyond float range, its
-    decimal string to 17 digits."""
+def _rounded(num: int, den: int) -> Union[float, str]:
+    """num / den, den > 0, rounded once: the nearest float, or, where it lies
+    beyond float range, its decimal string to 17 digits."""
     try:
-        value = margin * base ** k
-        if math.isfinite(value):
-            return value
-    except OverflowError:  # base^k alone is beyond float range
+        return num / den  # int division rounds correctly
+    except OverflowError:
         pass
     # imported on first use, like fractions: each adds ~1 ms to every start-up
     from decimal import Decimal, localcontext
     with localcontext() as ctx:  # a decimal cannot overflow
         ctx.prec = 17
-        exact = Decimal(margin) * Decimal(base) ** k
-    value = float(exact)
-    return value if math.isfinite(value) else f"{exact:e}"
+        return f"{Decimal(num) / Decimal(den):e}"
+
+
+def _dyadic(values: np.ndarray) -> Tuple[List[int], int]:
+    """Integers m and one power of two d with values = m / d exactly."""
+    ratios = [x.as_integer_ratio() for x in values.tolist()]
+    d = max(q for _, q in ratios)
+    return [p * (d // q) for p, q in ratios], d
+
+
+def _margin_value(margin: float, base: float, k: int) -> Union[float, str]:
+    """margin * base^k, rounded once."""
+    (mn, md), (bn, bd) = margin.as_integer_ratio(), base.as_integer_ratio()
+    return _rounded(mn * bn ** k, md * bd ** k)
 
 
 def nk_membership(a: np.ndarray, beta: np.ndarray, k: int,
@@ -209,10 +219,12 @@ def _project_perp(v: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _certified_record(residuals: Tuple[float, float], beta: np.ndarray, k: int,
-                      base: float = 1.0) -> WitnessRecord:
-    """The record of a certified witness, whose margin is residuals[1] * base^k."""
+                      base: float = 1.0, value: Union[float, str, None] = None) -> WitnessRecord:
+    """The record of a certified witness, whose margin is residuals[1] * base^k;
+    value is the margin it prints, by default that product rounded once."""
     resid, margin = residuals
-    value = _margin_value(margin, base, k)
+    if value is None:
+        value = _margin_value(margin, base, k)
     if not _certify(resid, margin, k, base):
         shown = f"{value:.3e}" if isinstance(value, float) else value
         raise WitnessError(
@@ -233,7 +245,9 @@ def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
     from distinct nonzero alphas.  beta_k is the component of the k-th power
     vector orthogonal to the lower ones; Vandermonde independence makes it
     nonzero and (beta . alpha^(k))^2 > 0.  The witnesses are certified from
-    that closed form, and so is the set's recertify."""
+    that closed form, and so is the set's recertify.  Each printed margin is
+    that form too, (beta . alpha^(k))^2 / ||beta||^2, taken in integers, since
+    beta and the alphas are dyadic, and rounded once."""
     al = np.array(alphas, dtype=float)  # a copy: the set holds it as its factor
     n = al.size
     if np.any(al == 0.0) or not _distinct(al):
@@ -242,11 +256,17 @@ def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
     records = []
     powers, base = _power_vectors(al, None, n - 1)
     basis: List[np.ndarray] = [np.ones(n) / math.sqrt(n)]
+    num, den = _dyadic(al)
+    num_k = [1] * n  # alphas^(k) = num_k / den^k
     for k in range(1, n):
         beta = _project_perp(powers[k], basis)
         beta /= np.linalg.norm(beta)
+        num_k = list(map(operator.mul, num_k, num))
+        b, _ = _dyadic(beta)  # beta's common denominator cancels
+        dot = sum(map(operator.mul, b, num_k))
+        value = _rounded(dot * dot, den ** (2 * k) * sum(map(operator.mul, b, b)))
         records.append(_certified_record(
-            _closed_form_residuals(powers[:k + 1], beta, k, None), beta, k, base))
+            _closed_form_residuals(powers[:k + 1], beta, k, None), beta, k, base, value))
         basis = _orthonormalize(powers[k:k + 1], basis)
     return WitnessSet(a, tuple(records), al)
 

@@ -263,16 +263,19 @@ def star_suite_loop(stars, tol):
 def trial_loop(f, trials, draw, width, range_max, tol):
     """The preservation trials one at a time, stopping at the first failure:
     (index, certificate) of the first failing trial, or None.  Each trial calls
-    draw(1), which gives the next trial's elimination plan, its size and its
-    (2, n) block of uniforms; the commands' draws read the same stream for
-    draw(1) k times as for one draw(k).  width, the uniforms a trial reads,
-    sets the commands' chunks, and every trial here is a chunk of its own."""
+    draw(1), which gives the next trial's elimination plan, its parent array,
+    its bounds [0, n] and its (2, n) block of uniforms; the commands' draws
+    read the same stream for draw(1) k times as for one draw(k).  The parent
+    array is read off the plan here, not taken from the draw.  width, the
+    uniforms a trial reads, sets the commands' chunks, and every trial here
+    is a chunk of its own."""
     for index in range(trials):
-        plan, sizes, uniforms = draw(1)
-        diag, edge = stacked_psd_plan_entries(plan, sizes, range_max, uniforms)
+        plan, _, bounds, uniforms = draw(1)
+        parent = np.array(plan.parent)
+        diag, edge = stacked_psd_plan_entries(parent, bounds, range_max, uniforms)
         # f on the diagonal and the tree edges; roots carry no edge entry
         fdiag = f.value(diag)
-        fedge = np.where(np.array(plan.parent) >= 0, f.value(edge), 0.0)
+        fedge = np.where(parent >= 0, f.value(edge), 0.0)
         if plan_psd_check(plan, fdiag, fedge, tol=tol):
             continue
         return index, {

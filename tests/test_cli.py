@@ -140,12 +140,12 @@ def test_witness_large_star_certifies_exactly(capsys, n):
     assert beyond_floats == (72 if n == 200 else 0)
 
 
-@pytest.mark.parametrize("n", [88, 200])
+@pytest.mark.parametrize("n", [20, 60, 88, 200])
 def test_witness_large_complete_graph_certifies_exactly(capsys, n):
     # the powers of a = (1, ..., n) reach n^(n-1): the Vandermonde set is
     # built and certified on power vectors scaled by n^m, and every printed
-    # beta holds in exact arithmetic (a margin beyond float range prints as
-    # a decimal string)
+    # beta holds in exact arithmetic; every printed margin is the exact one
+    # rounded once (a margin beyond float range prints as a decimal string)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow warning would exit 2
         code = main(["witness", f"complete {n}"])
@@ -171,12 +171,15 @@ def test_witness_large_complete_graph_certifies_exactly(capsys, n):
                    for d, f in zip(dots[:k], fro))
         margin = Fraction(dots[k] ** 2, nrm2)
         assert margin > POSITIVITY_TOL
-        # the float dot beta . a^(m) cancels: the printed margin is good to
-        # about 1e-3 here (measured worst 1.2e-3)
+        # one rounding: to the nearest float, within 2^-53 relative, or to
+        # 17 significant digits, within half a unit of the 17th
         shown = w["positivity_margin"]
         beyond_floats += isinstance(shown, str)
-        assert abs(Fraction(Decimal(shown) if isinstance(shown, str) else shown) / margin - 1) < 1e-2
-    assert beyond_floats == {88: 2, 200: 127}[n]
+        if isinstance(shown, str):
+            assert abs(Fraction(Decimal(shown)) / margin - 1) <= Fraction(5, 10 ** 17)
+        else:
+            assert abs(Fraction(shown) / margin - 1) <= Fraction(1, 2 ** 53)
+    assert beyond_floats == {20: 0, 60: 0, 88: 2, 200: 127}[n]
 
 
 def test_witness_path2_sharp(capsys):

@@ -1,0 +1,94 @@
+"""Trial reports pinned to digests taken before each chunk built its parent
+array, tree bounds and Schur thresholds once.
+
+tests/oracles.trial_loop, the reference the chunked trials are compared with
+in test_trial_chunks.py, calls the same sampler and Schur check as the
+commands, so a change under both would go unseen there.  These digests were
+taken from the commands themselves: a report, without elapsed_ms, must stay
+the same bit for bit.
+
+The preserver-test functions below are ones the exact decider leaves open,
+so their trials run; 38 of their 60 commands fail in a trial and 10 more on
+the grid.  critical-exponent is pinned on its own proved rows, and
+with power_function replaced by a function its trials refute, on a single
+row (a row after a failing row starts where the failing row's trials end).
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from graphpsd import cli, functions
+
+SEEDS = (0, 1, 7)
+
+# (function, --tree-n): (digest of the three reports, [(exit code, trials)])
+PRESERVER_PINS = {
+    ("-1*x^1.5, 1*x^2.5", 3): ("e8919350c9217f18", [(1, 1), (1, 1), (1, 10)]),
+    ("-1*x^1.5, 1*x^2.5", 12): ("28d56af8638f4358", [(1, 1), (1, 1), (1, 4)]),
+    ("-1*x^1.5, 1*x^2.5", 40): ("18cc77f4db16e354", [(1, 1), (1, 1), (1, 1)]),
+    ("-1*x^1.5, 1*x^2.5", 1000): ("b27c54aa72b57fbb", [(1, 1), (1, 1), (1, 1)]),
+    ("1*x^1.5, -0.01*x^2.5, 1*x^3.5", 3): ("b9ee477660608d9d", [(0, 300), (0, 300), (0, 300)]),
+    ("1*x^1.5, -0.01*x^2.5, 1*x^3.5", 12): ("62b0925dfc30419f", [(0, 200), (0, 200), (0, 200)]),
+    ("1*x^1.5, -0.01*x^2.5, 1*x^3.5", 40): ("fc89c4b1b7dacb88", [(0, 60), (0, 60), (0, 60)]),
+    ("1*x^1.5, -0.01*x^2.5, 1*x^3.5", 1000): ("7249be5319bb7cbc", [(0, 4), (0, 4), (0, 4)]),
+    ("1*x^2, -0.3*x^1.5", 3): ("069993b36bc273c9", [(1, 300), (1, 300), (1, 300)]),
+    ("1*x^2, -0.3*x^1.5", 12): ("6eae2d793ae07668", [(1, 37), (1, 200), (1, 200)]),
+    ("1*x^2, -0.3*x^1.5", 40): ("b171445050918afa", [(1, 13), (1, 60), (1, 60)]),
+    ("1*x^2, -0.3*x^1.5", 1000): ("7d629f3050e925df", [(1, 4), (1, 4), (1, 2)]),
+    ("1*x^2, -0.6*x^1.5", 3): ("2f287c04e0ed2939", [(1, 1), (1, 41), (1, 300)]),
+    ("1*x^2, -0.6*x^1.5", 12): ("2702827b74192eed", [(1, 4), (1, 9), (1, 13)]),
+    ("1*x^2, -0.6*x^1.5", 40): ("b7c8a96f87bd47ca", [(1, 1), (1, 3), (1, 2)]),
+    ("1*x^2, -0.6*x^1.5", 1000): ("c25242690ba70c0d", [(1, 1), (1, 1), (1, 1)]),
+    ("1*x^2, -1*x^1.5", 3): ("16591b2b32680db8", [(1, 1), (1, 1), (1, 10)]),
+    ("1*x^2, -1*x^1.5", 12): ("7a202452aba577f6", [(1, 1), (1, 1), (1, 4)]),
+    ("1*x^2, -1*x^1.5", 40): ("b6860b40340f3140", [(1, 1), (1, 1), (1, 1)]),
+    ("1*x^2, -1*x^1.5", 1000): ("3650c28429a0c6e0", [(1, 1), (1, 1), (1, 1)]),
+}
+TRIALS = {3: 300, 12: 200, 40: 60, 1000: 4}
+
+# spec: (digest with the real power_function, digest with RARE_FAILURE)
+CRITICAL_PINS = {
+    "path 7": ("75ba93ecff199642", "b0681132d3035801"),
+    "star 9": ("06c1bc3436f0ad67", "ebfc122a8744aa54"),
+    "random_tree 12": ("a200204d44bf7e99", "9e9eb0146107ff88"),
+    "random_tree 300": ("3b2f25ad7a5e9be2", "29b10e78c685eaeb"),
+}
+RARE_FAILURE = "1*x^1, -1.9*x^2, 1*x^3"
+
+
+def reports(capsys, argv):
+    """[(exit code, report without elapsed_ms)] of argv with --seed s, for each seed."""
+    out = []
+    for seed in SEEDS:
+        code = cli.main([argv[0], "--seed", str(seed), *argv[1:]])
+        rep = json.loads(capsys.readouterr().out)
+        rep.pop("elapsed_ms")
+        out.append((code, rep))
+    return out
+
+
+def digest(runs):
+    return hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("lit,tree_n", sorted(PRESERVER_PINS))
+def test_preserver_reports_keep_their_digests(capsys, lit, tree_n):
+    runs = reports(capsys, ("preserver-test", "--trials", str(TRIALS[tree_n]),
+                            "--tree-n", str(tree_n), "--", lit))
+    assert (digest(runs), [(code, rep["trials"]) for code, rep in runs]) == \
+        PRESERVER_PINS[(lit, tree_n)]
+
+
+@pytest.mark.parametrize("spec", sorted(CRITICAL_PINS))
+def test_critical_exponent_reports_keep_their_digests(capsys, monkeypatch, spec):
+    proved = reports(capsys, ("critical-exponent", spec, "0.5", "1.0", "1.7", "3",
+                              "--trials", "300"))
+    assert [code for code, _ in proved] == [0, 0, 0]
+    f = functions.parse_function(RARE_FAILURE)
+    monkeypatch.setattr(functions, "power_function", lambda alpha: f)
+    monkeypatch.setattr(functions, "decide_tree_conditions",
+                        lambda f, bound: functions.ExactVerdict(None))
+    refuted = reports(capsys, ("critical-exponent", spec, "2.0", "--trials", "300"))
+    assert (digest(proved), digest(refuted)) == CRITICAL_PINS[spec]

@@ -53,9 +53,8 @@ def trial_samples(monkeypatch, argv):
 
     def spy(f, trials, draw, width, range_max, tol):
         for start, stop in cli._chunks(trials, width):
-            _, sizes, uniforms = draw(stop - start)
-            seen.extend(block.tobytes()
-                        for block in np.split(uniforms, np.cumsum(sizes)[:-1], axis=1))
+            _, _, bounds, uniforms = draw(stop - start)
+            seen.extend(block.tobytes() for block in np.split(uniforms, bounds[1:-1], axis=1))
 
     with monkeypatch.context() as m:
         m.setattr(cli, "_first_failing_trial", spy)

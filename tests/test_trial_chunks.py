@@ -47,7 +47,8 @@ def preserver_draw(seed, tree_n):
     default_rng(seed), read as the size n = 2 + floor(u (tree_n - 1)), then
     tree_n - 2 Pruefer entries floor(u n), then tree_n l_vv and tree_n l_uv
     uniforms; the trial uses the first n - 2, n and n of these.  Each tree is
-    decoded by the heap reference, and k trees make their union."""
+    decoded by the heap reference, and k trees make their union, given with
+    its parent array and tree bounds as the commands' draws give them."""
     rng = np.random.default_rng(seed)
 
     def draw(k):
@@ -60,8 +61,15 @@ def preserver_draw(seed, tree_n):
                 graphs.Graph(n, frozenset(reference_prufer_edges(seq, n)))))
             blocks.append(np.stack([row[tree_n - 1:tree_n - 1 + n],
                                     row[2 * tree_n - 1:2 * tree_n - 1 + n]]))
-        return union(plans), [len(p.parent) for p in plans], np.concatenate(blocks, axis=1)
+        return forest(plans, np.concatenate(blocks, axis=1))
     return draw
+
+
+def forest(plans, uniforms):
+    """A draw's (plan, parent array, tree bounds, uniforms) for the union of plans."""
+    plan = union(plans)
+    bounds = np.cumsum([0] + [len(p.parent) for p in plans])
+    return plan, np.array(plan.parent), bounds, uniforms
 
 
 def fixed_tree_draw(plan, seed):
@@ -69,8 +77,15 @@ def fixed_tree_draw(plan, seed):
     draws no tree: rng.random((2, n)) per trial."""
     rng = np.random.default_rng(seed)
     n = len(plan.parent)
-    return lambda k: (union([plan] * k), [n] * k,
-                      np.concatenate([rng.random((2, n)) for _ in range(k)], axis=1))
+    return lambda k: forest([plan] * k,
+                            np.concatenate([rng.random((2, n)) for _ in range(k)], axis=1))
+
+
+def assert_same_draw(got, want):
+    """Two draws equal: plan, parent array, tree bounds and uniform bytes."""
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.shape == b.shape and a.tobytes() == b.astype(a.dtype).tobytes()
 
 
 def run_main(capsys, argv):
@@ -125,11 +140,9 @@ def test_trials_draw_in_the_stated_order(capsys, monkeypatch, argv, want):
                                     for start, stop in cli._chunks(trials, width)))
     assert cli.main(list(argv) + ["--trials", "1100", "--seed", "4"]) == 0
     draw = want()
-    for plan, sizes, uniforms in seen:
-        want_plan, want_sizes, want_uniforms = draw(len(sizes))
-        assert (plan, sizes) == (want_plan, want_sizes)
-        assert uniforms.tobytes() == want_uniforms.tobytes()
-    assert [len(sizes) for _, sizes, _ in seen] == \
+    for got in seen:
+        assert_same_draw(got, draw(len(got[2]) - 1))
+    assert [len(bounds) - 1 for _, _, bounds, _ in seen] == \
         ([277, 277, 277, 269] if argv[0] == "preserver-test" else [1100])
 
 
@@ -152,13 +165,16 @@ def command_draw(monkeypatch, argv):
 def test_one_draw_of_k_trials_is_k_draws_of_one(capsys, monkeypatch, argv, k):
     one_by_one = command_draw(monkeypatch, argv)
     singles = [one_by_one(1) for _ in range(k)]
-    plan, sizes, uniforms = command_draw(monkeypatch, argv)(k)
+    got = command_draw(monkeypatch, argv)(k)
     capsys.readouterr()
-    # the forest of k trials is the union of the k one-tree forests
-    assert sizes == [n for _, (n,), _ in singles]
-    assert plan == union([p for p, _, _ in singles])
-    assert uniforms.tobytes() == np.concatenate([u for _, _, u in singles], axis=1).tobytes()
-    assert uniforms.shape == (2, sum(sizes)) == (2, len(plan.parent))
+    # the forest of k trials is the union of the k one-tree forests; the
+    # parent array is the plan's, and the bounds start at 0
+    assert all(list(b) == [0, len(p.parent)] for p, _, b, _ in singles)
+    assert_same_draw(got, forest([p for p, _, _, _ in singles],
+                                 np.concatenate([u for _, _, _, u in singles], axis=1)))
+    plan, parent, bounds, uniforms = got
+    assert parent.tolist() == list(plan.parent)
+    assert uniforms.shape == (2, bounds[-1]) == (2, len(plan.parent))
 
 
 def test_row_entries_stay_below_their_bound():
@@ -177,8 +193,8 @@ def test_rows_draw_uniform_labeled_trees(capsys, monkeypatch):
     # freedom, 37.70 for 15
     draw = command_draw(monkeypatch, ("preserver-test", "1*x^2", "--tree-n", "4", "--seed", "3"))
     capsys.readouterr()
-    plan, sizes, _ = draw(16000)
-    plans = split(plan, sizes)
+    plan, _, bounds, _ = draw(16000)
+    plans = split(plan, np.diff(bounds).tolist())
 
     def chi_square(counter):
         want = sum(counter.values()) / len(counter)
@@ -285,6 +301,31 @@ def test_critical_exponent_first_failure_at_chunk_edges(capsys, monkeypatch, ind
     assert got == want and got[0] == 1
     assert json.loads(got[1]["rows"][0]["certificate"]) == \
         trial_loop(f, 150, fixed_tree_draw(plan, seed), 12, 8.0, 1e-9)[1]
+
+
+@pytest.mark.parametrize("chunk_uniforms", [2 ** 14, 2 ** 9, 1])
+def test_a_row_after_a_failing_row_does_not_depend_on_the_chunks(capsys, monkeypatch,
+                                                                  chunk_uniforms):
+    # row 2.0 fails at trial 6 of 150, inside a chunk of 150, 42 or 1 trials;
+    # the generator then skips the row's undrawn trials, so row 3.0 starts
+    # after all 150, as after a pass, and the reference loop, which draws one
+    # trial at a time, gives the same report
+    seed = PATH6_SEEDS[6]
+    f = functions.parse_function(RARE_FAILURE)
+    monkeypatch.setattr(functions, "power_function", lambda alpha: f)
+    monkeypatch.setattr(cli, "CHUNK_UNIFORMS", chunk_uniforms)
+    got, want = run_both(capsys, monkeypatch, ("critical-exponent", "path 6", "2.0", "3.0",
+                                               "--trials", "150", "--seed", str(seed)),
+                         proved)
+    assert got == want and got[0] == 1
+    first, second = got[1]["rows"]
+    plan = graphs.elimination_plan(graphs.path_graph(6))
+    draw = fixed_tree_draw(plan, seed)
+    assert json.loads(first["certificate"]) == trial_loop(f, 150, draw, 12, 8.0, 1e-9)[1]
+    draw = fixed_tree_draw(plan, seed)
+    draw(150)
+    failure = trial_loop(f, 150, draw, 12, 8.0, 1e-9)
+    assert second["certificate"] == ("" if failure is None else json.dumps(failure[1]))
 
 
 # the same at the chunk edge of "path 6": W = 12, chunks of 1365 trials
@@ -408,12 +449,13 @@ def test_stacked_sampler_is_the_one_plan_sampler(seed):
     rng = np.random.default_rng(seed + 1000)
     blocks = [rng.random((2, len(p.order))) for p in plans]
     range_max = 0.5 + seed
-    diag, edge = stacked_psd_plan_entries(union(plans), [len(p.order) for p in plans],
-                                          range_max, np.concatenate(blocks, axis=1))
+    _, parent, bounds, uniforms = forest(plans, np.concatenate(blocks, axis=1))
+    diag, edge = stacked_psd_plan_entries(parent, bounds, range_max, uniforms)
     lo = 0
     for plan, block in zip(plans, blocks):
         hi = lo + len(plan.order)
-        want_diag, want_edge = stacked_psd_plan_entries(plan, [hi - lo], range_max, block)
+        want_diag, want_edge = stacked_psd_plan_entries(
+            np.array(plan.parent), np.array([0, hi - lo]), range_max, block)
         assert diag[lo:hi].tobytes() == want_diag.tobytes()
         assert edge[lo:hi].tobytes() == want_edge.tobytes()
         lo = hi
@@ -423,7 +465,7 @@ def test_stacked_sampler_is_the_one_plan_sampler(seed):
 def test_one_plan_sampler_reads_one_block_of_uniforms():
     plan = graphs.random_tree_plan(30, 4)
     block = np.random.default_rng(9).random((2, 30))
-    want = stacked_psd_plan_entries(plan, [30], 3.0, block)
+    want = stacked_psd_plan_entries(np.array(plan.parent), np.array([0, 30]), 3.0, block)
     for seed in (9, np.random.default_rng(9)):
         got = random_psd_plan_entries(plan, 3.0, seed)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
