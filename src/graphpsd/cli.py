@@ -273,8 +273,7 @@ def cmd_witness(args) -> Report:
 
 
 def cmd_critical_exponent(args) -> Report:
-    rng = np.random.default_rng(args.seed)
-    t = _parse_graph_spec(args.tree, rng)
+    t = _parse_graph_spec(args.tree, args.seed)
     try:
         plan = graphs.elimination_plan(t)
     except GraphError:
@@ -283,28 +282,12 @@ def cmd_critical_exponent(args) -> Report:
         raise UsageError("critical-exponent needs a tree spec")
     if t.n < 3:
         raise UsageError("critical-exponent needs a tree with at least 3 vertices")
-    rep = Report("critical-exponent", args.seed, args.tol, args.trials, "pass")
-
-    order, parent = np.array(plan.order), np.array(plan.parent)
-
-    def draw(k):
-        # k copies of the tree, copy j on vertices j n .. j n + n - 1, and
-        # the bytes of k draws of rng.random((2, n)), trial after trial;
-        # drawn counts the row's trials drawn so far
-        nonlocal drawn
-        drawn += k
-        bounds = t.n * np.arange(k + 1)
-        forest_parent = np.where(parent >= 0, parent + bounds[:-1, None], -1).ravel()
-        forest = graphs.EliminationPlan(tuple((order + bounds[:-1, None]).ravel().tolist()),
-                                        tuple(forest_parent.tolist()))
-        return (forest, forest_parent, bounds,
-                rng.random((k, 2, t.n)).transpose(1, 0, 2).reshape(2, -1))
-
+    # every row is decided, so no trial runs: GKR16 with GKR's critical
+    # exponents of graphs, x^alpha preserves PSD on every tree iff alpha >= 1
+    rep = Report("critical-exponent", args.seed, args.tol, 0, "pass")
     for alpha in args.alphas:
-        # decided first, as in preserver-test: x^alpha is proved for alpha >= 1
-        # and refuted at (x, x) for alpha < 1, with no trial drawn
-        f = functions.power_function(alpha)
-        exact = functions.decide_tree_conditions(f, args.range)
+        # x^alpha is proved for alpha >= 1 and refuted at (x, x) for alpha < 1
+        exact = functions.decide_tree_conditions(functions.power_function(alpha), args.range)
         if exact is None:
             raise UsageError(f"--range {args.range!r} is too small to decide alpha = {alpha!r}: "
                              "its witness x, with 2x <= R, underflows")
@@ -313,17 +296,8 @@ def cmd_critical_exponent(args) -> Report:
             note = matrices.format_matrix(
                 constructors.superadditivity_counterexample(t, x, y)).replace("\n", ";")
             rep.rows.append({"alpha": alpha, "preserved": "no", "certificate": note})
-            continue
-        # proved: a failing trial can only be a rounding artifact, and fails the run
-        drawn = 0
-        failure = _first_failing_trial(f, args.trials, draw, 2 * t.n, args.range, args.tol)
-        # past the trials a failing row left undrawn, one 64-bit step per
-        # uniform: the next row starts where it would after a pass
-        rng.bit_generator.advance(2 * t.n * (args.trials - drawn))
-        if failure is not None:
-            rep.verdict = "fail"
-        rep.rows.append({"alpha": alpha, "preserved": "yes" if failure is None else "no",
-                         "certificate": "" if failure is None else json.dumps(failure[1])})
+        else:
+            rep.rows.append({"alpha": alpha, "preserved": "yes", "certificate": ""})
     return rep
 
 

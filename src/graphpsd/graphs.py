@@ -213,24 +213,32 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The graph format_graph writes: a line "n m", then m lines "i j" with
+    i < j, each edge once.  Any other text raises GraphError, which names
+    the line."""
+    lines = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise GraphError("empty graph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphError("first line must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+
+    def integers(k, parts, form):
+        try:
+            a, b = parts
+            return int(a), int(b)
+        except ValueError:
+            raise GraphError(f"line {k}: expected {form}, got {' '.join(parts)!r}") from None
+
+    k, head = lines[0]
+    n, m = integers(k, head, "'n m'")
+    if n < 1:
+        raise GraphError(f"line {k}: graph needs at least one vertex, got n={n}")
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if i >= j:
-            raise GraphError(f"edge line {ln!r} must have i < j")
+    for k, parts in lines[1:]:
+        i, j = integers(k, parts, "an edge 'i j'")
+        if not 0 <= i < j < n:
+            raise GraphError(f"line {k}: edge ({i}, {j}) must have 0 <= i < j < n={n}")
         if (i, j) in edges:
-            raise GraphError(f"duplicate edge {(i, j)}")
+            raise GraphError(f"line {k}: duplicate edge {(i, j)}")
         edges.add((i, j))
     return Graph(n, frozenset(edges))

@@ -206,17 +206,32 @@ def format_plan(plan: EliminationPlan, diag, edge, check: bool = True) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The matrix format_matrix writes: a line "n", then one line "i j value"
+    per listed entry, i <= j < n, each (i, j) once; an entry not listed is 0.
+    Any other text raises MatrixError, which names the line."""
+    lines = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise MatrixError("empty matrix text")
-    n = int(lines[0])
+    k, head = lines[0]
+    try:
+        (n,) = map(int, head)
+    except ValueError:
+        raise MatrixError(f"line {k}: expected 'n', got {' '.join(head)!r}") from None
+    if n < 1:
+        raise MatrixError(f"line {k}: matrix needs at least one row, got n={n}")
     a = np.zeros((n, n))
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise MatrixError(f"bad entry line {ln!r}")
-        i, j, val = int(parts[0]), int(parts[1]), float(parts[2])
+    listed = set()
+    for k, parts in lines[1:]:
+        try:
+            i, j, val = parts
+            i, j, val = int(i), int(j), float(val)
+        except ValueError:
+            raise MatrixError(f"line {k}: expected an entry 'i j value', "
+                              f"got {' '.join(parts)!r}") from None
         if not (0 <= i <= j < n):
-            raise MatrixError(f"entry {ln!r} out of range")
+            raise MatrixError(f"line {k}: entry ({i}, {j}) out of range for n={n}")
+        if (i, j) in listed:
+            raise MatrixError(f"line {k}: duplicate entry {(i, j)}")
+        listed.add((i, j))
         a[i, j] = a[j, i] = val
     return a

@@ -16,9 +16,12 @@ it to:
   trials and no grid scan, and the exact_witness certificate of a violation
   is re-checked in Fraction arithmetic and, as the benchmark's checker does,
   by eigvalsh;
-- critical-exponent: each alpha row is decided first by the same decider.
-  A row alpha < 1 prints the decider's witness matrix and draws no trial,
-  and a row the decider leaves undecided is a usage error.
+- critical-exponent: each alpha row is decided by the same decider, and no
+  row runs a trial.  A row alpha < 1 prints the decider's witness matrix, a
+  proved row alpha >= 1 prints "yes", and a row the decider leaves
+  undecided is a usage error.  The trials that proved rows ran before are a
+  test here: tests/oracles.trial_loop on the spec's tree, where a trial that
+  fails in floats must be PSD in Fraction arithmetic.
 """
 
 import json
@@ -45,7 +48,9 @@ from graphpsd.functions import (
 from graphpsd.graphs import find_open_triangle, parse_graph
 from graphpsd.matrices import parse_matrix
 
+from oracles import trial_loop
 from test_grid_scans import FIXED, GRIDS, LATE_SUPERADDITIVE, WRONG_PASS
+from test_trial_chunks import fixed_tree_draw
 
 # f >= 0 with a zero at 1/2: f > 0 is undecided, superadditivity fails
 ZERO_INSIDE = "0.5*x^5, -1.5*x^6, 2*x^8"
@@ -530,3 +535,47 @@ def test_an_undecided_row_names_the_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: --range ")
 
+
+
+def exact_tree_psd(tree, a):
+    """The tree-patterned matrix a is PSD in Fraction arithmetic: leaf
+    elimination, where a pivot below 0, or a zero pivot with a nonzero edge,
+    refutes."""
+    plan = graphs.elimination_plan(tree)
+    d = [Fraction(float(a[v, v])) for v in range(tree.n)]
+    for v in plan.order:
+        u = plan.parent[v]
+        if d[v] < 0:
+            return False
+        if u >= 0:
+            edge = Fraction(float(a[v, u]))
+            if d[v] > 0:
+                d[u] -= edge * edge / d[v]
+            elif edge != 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("spec", ["path 7", "star 9", "random_tree 12", "random_tree 300"])
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.one_of(st.sampled_from([1.0, 1 + 2 ** -52]), st.floats(1.0, 6.0)),
+       range_max=st.sampled_from([8.0, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_proved_power_is_psd_on_every_trial(spec, alpha, range_max, seed):
+    # GKR16 with the critical exponent of trees: x^alpha, alpha >= 1,
+    # preserves PSD on every tree; critical-exponent prints the proof and
+    # runs no trial, so 200 trials of the reference loop cross-check it.  The
+    # float loop's Schur threshold tol * max(1, max |entry|) counts a pivot
+    # of the image below it as zero, which fails a positive pivot with a
+    # nonzero edge at large alpha; such a failing trial must be PSD exactly,
+    # and the loop goes on after it
+    f = functions.power_function(alpha)
+    assert decide_tree_conditions(f, range_max) == ExactVerdict(None)
+    plan = graphs.elimination_plan(critical_tree(spec))
+    draw = fixed_tree_draw(plan, seed)
+    left = 200
+    while (failure := trial_loop(f, left, draw, 2 * len(plan.parent), range_max,
+                                 1e-9)) is not None:
+        index, cert = failure
+        assert exact_tree_psd(parse_graph(cert["tree"]), parse_matrix(cert["image"]))
+        left -= index + 1

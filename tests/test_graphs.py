@@ -97,3 +97,21 @@ def test_format_parse_roundtrip():
 def test_parse_rejects_garbage():
     with pytest.raises(GraphError):
         parse_graph("3 1\n2 2\n")
+
+
+@pytest.mark.parametrize("text,line", [
+    ("x y", 1),
+    ("3", 1),
+    ("0 0", 1),
+    ("-2 0", 1),
+    ("3 1\n0 1.5", 2),
+    ("3 1\n0 1 2", 2),
+    ("3 1\n0 3", 2),
+    ("3 1\n-1 2", 2),
+    ("3 2\n0 1\n\n0 1", 4),
+])
+def test_parse_names_the_line_it_refuses(text, line):
+    # a count or index that is no integer, n < 1, an edge out of range and a
+    # duplicate edge are GraphErrors that name their line, blank lines counted
+    with pytest.raises(GraphError, match=f"^line {line}: "):
+        parse_graph(text)

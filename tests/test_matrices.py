@@ -132,6 +132,27 @@ def test_format_parse_roundtrip():
     assert np.allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("2\n0 0 1\n0 0 2", 3),
+    ("-1", 1),
+    ("0", 1),
+    ("1.5\n0 0 1", 1),
+    ("2 2", 1),
+    ("2\n0 1", 2),
+    ("2\n0 x 1", 2),
+    ("2\n0 1 y", 2),
+    ("2\n0 2 1", 2),
+    ("2\n1 0 1", 2),
+    ("2\n\n0 1 1\n1 1 2\n0 1 3", 5),
+])
+def test_parse_names_the_line_it_refuses(text, line):
+    # a duplicate (i, j), n < 1, a count, index or value that does not
+    # parse and an entry out of range are MatrixErrors that name their line,
+    # blank lines counted
+    with pytest.raises(MatrixError, match=f"^line {line}: "):
+        parse_matrix(text)
+
+
 def test_check_asymmetric_rejected():
     with pytest.raises(MatrixError):
         is_psd(np.array([[1.0, 2], [0, 1]]))

@@ -1,10 +1,12 @@
 """One seeded generator per randomized command.
 
-preserver-test, critical-exponent and star-suite each make one
-default_rng(--seed) and read every draw from it in a fixed order.  These
-tests count the generators a command makes, compare the samples of adjacent
-seeds, and check that a trial's sample, and so a failing trial's report,
-does not depend on --trials.
+preserver-test and star-suite each make one default_rng(--seed) and read
+every draw from it in a fixed order; critical-exponent, which decides every
+row and runs no trial, draws only the tree of a random spec, from
+default_rng(--seed) as witness does.  These tests count the generators a
+command makes, compare the samples of adjacent seeds, and check that a
+trial's sample, and so a failing trial's report, does not depend on
+--trials.
 """
 
 import json
@@ -12,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from graphpsd import cli, functions, star_tree
+from graphpsd import cli, functions, graphs, star_tree
 
 COMMANDS = {
     "preserver-test": ("preserver-test", "1*x^1, 1*x^2"),
@@ -45,8 +47,53 @@ def test_one_generator_per_command(capsys, monkeypatch, command, trials):
     assert code == 0 and len(made) == 1
 
 
+@pytest.mark.parametrize("spec", ["path 7", "star 9"])
+def test_critical_exponent_draws_nothing_for_a_fixed_tree(capsys, monkeypatch, spec):
+    # every row is decided: a proved row prints "yes" with no trial, and a
+    # path or star spec needs no generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("critical-exponent drew a sample or ran a trial")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(cli, "_first_failing_trial", refuse)
+    code, rep = run(capsys, ("critical-exponent", spec, "0.5", "1.0", "2.5", "6",
+                             "--trials", "300"))
+    assert (code, rep["verdict"], rep["trials"]) == (0, "pass", 0)
+    assert [(row["preserved"], row["certificate"]) for row in rep["rows"][1:]] == \
+        [("yes", "")] * 3
+    assert rep["rows"][0]["preserved"] == "no"
+
+
+@pytest.mark.parametrize("spec", ["random_tree 12", "random_tree 300"])
+def test_critical_exponent_draws_only_the_tree_of_a_random_spec(capsys, monkeypatch, spec):
+    # the one generator a random spec makes draws the tree and nothing after
+    # it, and no row runs a trial
+    kind, n = spec.split()
+    alone = np.random.default_rng(11)
+    graphs.build_graph(kind, int(n), seed=alone)
+    after_tree = alone.bit_generator.state
+    made = []
+    real = np.random.default_rng
+
+    def recording(*args, **kwargs):
+        rng = real(*args, **kwargs)
+        made.append(rng)
+        return rng
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("critical-exponent ran a trial")
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setattr(cli, "_first_failing_trial", refuse)
+    code, rep = run(capsys, ("critical-exponent", spec, "0.5", "1.0", "2.5", "6",
+                             "--trials", "300", "--seed", "11"))
+    assert (code, rep["verdict"], rep["trials"]) == (0, "pass", 0)
+    assert [row["preserved"] for row in rep["rows"]] == ["no", "yes", "yes", "yes"]
+    assert len(made) == 1 and made[0].bit_generator.state == after_tree
+
+
 def trial_samples(monkeypatch, argv):
-    """The uniform blocks a tree command's trials draw, as bytes, one per
+    """The uniform blocks preserver-test's trials draw, as bytes, one per
     trial in order, drawn chunk by chunk as the trials draw them; the trials
     themselves are not run."""
     seen = []
@@ -77,24 +124,21 @@ def star_samples(monkeypatch, argv):
     return seen
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", ["preserver-test", "star-suite"])
 @pytest.mark.parametrize("seed", [0, 41])
 def test_adjacent_seeds_share_no_sample(capsys, monkeypatch, command, seed):
     samples = star_samples if command == "star-suite" else trial_samples
     here, next_seed = (samples(monkeypatch, COMMANDS[command] + ("--trials", "200", "--seed", s))
                        for s in (str(seed), str(seed + 1)))
     capsys.readouterr()
-    # 200 stars, or 200 trials per tree test (critical-exponent has two rows)
-    assert len(here) == len(next_seed) == (400 if command == "critical-exponent" else 200)
+    # 200 stars, or 200 trials
+    assert len(here) == len(next_seed) == 200
     assert len(set(here)) == len(here) and not set(here) & set(next_seed)
 
 
-@pytest.mark.parametrize("argv", [COMMANDS["preserver-test"],
-                                  ("critical-exponent", "random_tree 12", "2.0")])
-def test_trial_samples_do_not_depend_on_trials(capsys, monkeypatch, argv):
-    # (a second alpha row of critical-exponent draws after all of the first
-    # row's trials, so its samples do depend on --trials)
-    few, many = (trial_samples(monkeypatch, argv + ("--trials", t, "--seed", "5"))
+def test_trial_samples_do_not_depend_on_trials(capsys, monkeypatch):
+    few, many = (trial_samples(monkeypatch, COMMANDS["preserver-test"] +
+                               ("--trials", t, "--seed", "5"))
                  for t in ("10", "150"))
     capsys.readouterr()
     assert few == many[:10]
@@ -120,8 +164,8 @@ def test_a_failing_trial_gives_one_report_for_any_longer_run(capsys, monkeypatch
 
 
 def test_tree_spec_is_the_first_draw(capsys, monkeypatch):
-    # critical-exponent draws its random tree first, from the command's
-    # generator; witness reads the same spec from --seed alone
+    # critical-exponent and witness read a random tree spec from --seed: the
+    # tree is default_rng(--seed)'s first draw, the same tree for both
     seen = []
     real = cli._parse_graph_spec
 

@@ -1,19 +1,17 @@
 """The chunked preservation trials against the trial-by-trial reference.
 
-preserver-test and critical-exponent run their trials in chunks of
-floor(2^14 / W) trials, W being the uniforms one trial reads (3 --tree-n - 1
-and 2n), and at least one.  A chunk of k trials is one forest of k trees:
-one Pruefer walk decodes it, one sampler call and one f evaluation map it,
-and one Schur loop checks it, tree after tree.  These tests hold the
-commands' reports to the loop in tests/oracles.py, which decodes each tree
-by the heap reference and maps and checks one trial at a time on the same
-draws, and the forest sampler to the one-tree sampler.
+preserver-test runs its trials in chunks of floor(2^14 / W) trials, W = 3
+--tree-n - 1 being the uniforms one trial reads, and at least one.  A chunk
+of k trials is one forest of k trees: one Pruefer walk decodes it, one
+sampler call and one f evaluation map it, and one Schur loop checks it, tree
+after tree.  These tests hold the command's reports to the loop in
+tests/oracles.py, which decodes each tree by the heap reference and maps and
+checks one trial at a time on the same draws, and the forest sampler to the
+one-tree sampler.
 
-Both commands refute a function that the exact decider refutes before any
-trial.  The tests that compare preserver-test's trials stub the decider to
-None, as for an undecided function, so that every function they name runs
-its trials; critical-exponent refuses an undecided row, so the tests that
-make its trials fail stub the decider to a proof (ExactVerdict(None)).
+preserver-test refutes a function that the exact decider refutes before any
+trial.  The tests that compare its trials stub the decider to None, as for
+an undecided function, so that every function they name runs its trials.
 """
 
 import argparse
@@ -73,8 +71,8 @@ def forest(plans, uniforms):
 
 
 def fixed_tree_draw(plan, seed):
-    """The trial draws of critical-exponent on a path or star spec, which
-    draws no tree: rng.random((2, n)) per trial."""
+    """Trial draws on the one tree of plan, from default_rng(seed):
+    rng.random((2, n)) per trial."""
     rng = np.random.default_rng(seed)
     n = len(plan.parent)
     return lambda k: forest([plan] * k,
@@ -101,16 +99,12 @@ def undecided(monkeypatch):
     monkeypatch.setattr(functions, "decide_tree_conditions", lambda f, bound: None)
 
 
-def proved(f, bound):
-    return functions.ExactVerdict(None)
-
-
-def run_both(capsys, monkeypatch, argv, decide=lambda f, bound: None):
+def run_both(capsys, monkeypatch, argv):
     """(exit code, report without elapsed_ms) from the chunked trials and from
-    the reference loop, both with the decider replaced by decide: by default
-    a stub that leaves every function undecided."""
+    the reference loop, both with the decider stubbed to leave every function
+    undecided."""
     with monkeypatch.context() as m:
-        m.setattr(functions, "decide_tree_conditions", decide)
+        undecided(m)
         got = run_main(capsys, argv)
         m.setattr(cli, "_first_failing_trial", trial_loop)
         want = run_main(capsys, argv)
@@ -126,24 +120,19 @@ def first_failure(f, draw, limit=1000, range_max=8.0):
     return None
 
 
-@pytest.mark.parametrize("argv,want", [
-    (("preserver-test", "1*x^2", "--tree-n", "20"), lambda: preserver_draw(4, 20)),
-    (("critical-exponent", "path 6", "2.0"),
-     lambda: fixed_tree_draw(graphs.elimination_plan(graphs.path_graph(6)), 4)),
-])
-def test_trials_draw_in_the_stated_order(capsys, monkeypatch, argv, want):
+def test_trials_draw_in_the_stated_order(capsys, monkeypatch):
     # the command's draws, chunk by chunk, against the reference's, trial by
     # trial; 1100 trials at --tree-n 20 (W = 59) make chunks of 277
     seen = []
     monkeypatch.setattr(cli, "_first_failing_trial", lambda f, trials, draw, width, *rest:
                         seen.extend(draw(stop - start)
                                     for start, stop in cli._chunks(trials, width)))
-    assert cli.main(list(argv) + ["--trials", "1100", "--seed", "4"]) == 0
-    draw = want()
+    assert cli.main(["preserver-test", "1*x^2", "--tree-n", "20", "--trials", "1100",
+                     "--seed", "4"]) == 0
+    draw = preserver_draw(4, 20)
     for got in seen:
         assert_same_draw(got, draw(len(got[2]) - 1))
-    assert [len(bounds) - 1 for _, _, bounds, _ in seen] == \
-        ([277, 277, 277, 269] if argv[0] == "preserver-test" else [1100])
+    assert [len(bounds) - 1 for _, _, bounds, _ in seen] == [277, 277, 277, 269]
 
 
 def command_draw(monkeypatch, argv):
@@ -159,7 +148,6 @@ def command_draw(monkeypatch, argv):
     ("preserver-test", "1*x^2", "--tree-n", "12", "--seed", "6"),
     ("preserver-test", "1*x^2", "--tree-n", "3", "--seed", "6"),
     ("preserver-test", "1*x^2", "--tree-n", "300", "--seed", "6"),
-    ("critical-exponent", "path 6", "2.0", "--seed", "6"),
 ])
 @pytest.mark.parametrize("k", [1, 5, 64, 500])
 def test_one_draw_of_k_trials_is_k_draws_of_one(capsys, monkeypatch, argv, k):
@@ -210,7 +198,7 @@ def test_chunk_schedule():
     # --tree-n 12: W = 35, chunks of 468 trials; 200 trials are one chunk
     assert list(cli._chunks(200, 35)) == [(0, 200)]
     assert list(cli._chunks(1000, 35)) == [(0, 468), (468, 936), (936, 1000)]
-    # --tree-n 3: W = 8, chunks of 2048; critical-exponent on 6 vertices: W = 12
+    # --tree-n 3: W = 8, chunks of 2048; W = 12: chunks of 1365
     assert list(cli._chunks(2049, 8)) == [(0, 2048), (2048, 2049)]
     assert list(cli._chunks(1365, 12)) == [(0, 1365)]
     # --tree-n 1000: W = 2999, chunks of 5
@@ -281,77 +269,10 @@ def test_preserver_first_failure_at_the_chunk_edge(capsys, monkeypatch, tree_n, 
     assert got[1]["trials"] == index + 1
 
 
-# critical-exponent on "path 6", with power_function replaced by a function
-# that fails on some trials: seeds as above
-PATH6_SEEDS = {0: 25, 1: 6, 2: 61, 3: 65, 6: 11, 7: 39, 63: 206, 64: 167,
-               126: 3327, 127: 149}
-RARE_FAILURE = "1*x^1, -1.9*x^2, 1*x^3"
-
-
-@pytest.mark.parametrize("index", sorted(PATH6_SEEDS))
-def test_critical_exponent_first_failure_at_chunk_edges(capsys, monkeypatch, index):
-    seed = PATH6_SEEDS[index]
-    f = functions.parse_function(RARE_FAILURE)
-    plan = graphs.elimination_plan(graphs.path_graph(6))
-    assert first_failure(f, fixed_tree_draw(plan, seed)) == index
-    monkeypatch.setattr(functions, "power_function", lambda alpha: f)
-    got, want = run_both(capsys, monkeypatch, ("critical-exponent", "path 6", "2.0",
-                                               "--trials", "150", "--seed", str(seed)),
-                         proved)
-    assert got == want and got[0] == 1
-    assert json.loads(got[1]["rows"][0]["certificate"]) == \
-        trial_loop(f, 150, fixed_tree_draw(plan, seed), 12, 8.0, 1e-9)[1]
-
-
-@pytest.mark.parametrize("chunk_uniforms", [2 ** 14, 2 ** 9, 1])
-def test_a_row_after_a_failing_row_does_not_depend_on_the_chunks(capsys, monkeypatch,
-                                                                  chunk_uniforms):
-    # row 2.0 fails at trial 6 of 150, inside a chunk of 150, 42 or 1 trials;
-    # the generator then skips the row's undrawn trials, so row 3.0 starts
-    # after all 150, as after a pass, and the reference loop, which draws one
-    # trial at a time, gives the same report
-    seed = PATH6_SEEDS[6]
-    f = functions.parse_function(RARE_FAILURE)
-    monkeypatch.setattr(functions, "power_function", lambda alpha: f)
-    monkeypatch.setattr(cli, "CHUNK_UNIFORMS", chunk_uniforms)
-    got, want = run_both(capsys, monkeypatch, ("critical-exponent", "path 6", "2.0", "3.0",
-                                               "--trials", "150", "--seed", str(seed)),
-                         proved)
-    assert got == want and got[0] == 1
-    first, second = got[1]["rows"]
-    plan = graphs.elimination_plan(graphs.path_graph(6))
-    draw = fixed_tree_draw(plan, seed)
-    assert json.loads(first["certificate"]) == trial_loop(f, 150, draw, 12, 8.0, 1e-9)[1]
-    draw = fixed_tree_draw(plan, seed)
-    draw(150)
-    failure = trial_loop(f, 150, draw, 12, 8.0, 1e-9)
-    assert second["certificate"] == ("" if failure is None else json.dumps(failure[1]))
-
-
-# the same at the chunk edge of "path 6": W = 12, chunks of 1365 trials
-PATH6_EDGE_SEEDS = {1364: 6147, 1365: 1283}
-EDGE_FAILURE = "1*x^1, -1.7*x^2, 1*x^3"
-
-
-@pytest.mark.parametrize("index", sorted(PATH6_EDGE_SEEDS))
-def test_critical_exponent_first_failure_at_the_chunk_edge(capsys, monkeypatch, index):
-    seed = PATH6_EDGE_SEEDS[index]
-    f = functions.parse_function(EDGE_FAILURE)
-    plan = graphs.elimination_plan(graphs.path_graph(6))
-    assert first_failure(f, fixed_tree_draw(plan, seed), limit=index + 1) == index
-    monkeypatch.setattr(functions, "power_function", lambda alpha: f)
-    got, want = run_both(capsys, monkeypatch, ("critical-exponent", "path 6", "2.0",
-                                               "--trials", "2730", "--seed", str(seed)),
-                         proved)
-    assert got == want and got[0] == 1
-    assert json.loads(got[1]["rows"][0]["certificate"]) == \
-        trial_loop(f, 2730, fixed_tree_draw(plan, seed), 12, 8.0, 1e-9)[1]
-
-
 FUNCTIONS = [
     "1*x^0.5",
     "1*x^0.9",
-    RARE_FAILURE,
+    "1*x^1, -1.9*x^2, 1*x^3",
     "1*x^2, -0.3*x^1",
     "2*x^0, 1*x^1",  # f(0) != 0: root edges must stay 0
     "3*x^0, -1*x^0.5",
@@ -376,14 +297,6 @@ def test_preserver_reports_match_the_loop_at_tree_n_1000(capsys, monkeypatch, li
     got, want = run_both(capsys, monkeypatch, ("preserver-test", lit, "--trials", "4",
                                                "--tree-n", "1000", "--seed", str(seed)))
     assert got == want
-
-
-@pytest.mark.parametrize("spec", ["path 5", "star 7", "random_tree 12", "random_tree 1000"])
-def test_critical_exponent_reports_match_the_loop(capsys, monkeypatch, spec):
-    got, want = run_both(capsys, monkeypatch, ("critical-exponent", spec, "0.5", "1.0", "2.5",
-                                               "--trials", "70", "--seed", "4"),
-                         functions.decide_tree_conditions)
-    assert got == want and got[0] == 0
 
 
 def handler_args(lit, tol, range_max, tree_n, seed, trials=60):
