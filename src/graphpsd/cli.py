@@ -26,9 +26,9 @@ from .graphs import GraphError
 from .matrices import MatrixError
 
 
-# A wider band turns wrong verdicts into passes: the tree check takes pivots
-# within it for zero, and the spectral oracle parts from the exact star
-# criterion.
+# A wider band turns wrong verdicts into passes: preserver-test's --tol sets
+# only the Schur band of its trials, which take pivots within it for zero,
+# and star-suite's spectral oracle parts from the exact star criterion.
 MAX_TOL = 1e-6
 
 FUNCTION_HELP = ('power-sum literal, e.g. "1*x^1, 1*x^2"; a literal that starts with "-" '
@@ -166,12 +166,9 @@ def cmd_preserver_test(args) -> Report:
     # so a refuted f fails before any trial is drawn
     exact = functions.decide_tree_conditions(f, args.range)
     if exact is not None and exact.failed is not None:
-        # the witness was checked in exact arithmetic: f[A] is not PSD
-        t, mat = _condition_counterexample(exact.failed, exact.witness)
+        # the witness was checked in exact arithmetic
         rep.verdict = "fail"
-        rep.certificate = {"tree": graphs.format_graph(t),
-                           "matrix": matrices.format_matrix(mat),
-                           "exact_witness": list(exact.witness)}
+        rep.certificate = _condition_certificate("exact_witness", exact.failed, exact.witness)
         return rep
     rng = np.random.default_rng(args.seed)
     tree_n = args.tree_n
@@ -198,49 +195,43 @@ def cmd_preserver_test(args) -> Report:
         rep.trials, rep.verdict = index + 1, "fail"
         return rep
     rep.trials = args.trials
-    if exact is not None:
-        rep.certificate = {"grid_superadditive": True, "grid_mult_convex": True,
-                           "grid_nonnegative": True, "decided": "exact"}
-        return rep
-    # undecided: the grid scans decide.  f >= 0 is the order-0 forward difference
-    scans = {"nonnegative": functions.check_abs_monotonic(f, 0, args.grid, args.range),
-             "superadditive": functions.check_superadditive(f, args.grid, args.range),
-             "mult_convex": functions.check_mult_midpoint_convex(f, args.grid, args.range)}
-    failed = next((name for name, v in scans.items() if not v.holds), None)
-    if failed is not None:
-        # a grid violation pins down a concrete bad matrix
-        witness = scans[failed].witness
-        if failed == "nonnegative":
-            witness = witness[1:2]  # (order, x, step)
-        t, mat = _condition_counterexample(failed, witness)
-        fm = matrices.apply_entrywise(f.value, mat, t)
-        if not star_tree.tree_psd_check(fm, t, tol=args.tol):
+    if exact is None:
+        # undecided: the grid scans decide, and a violation is final, as an
+        # exact one is.  f >= 0 is the order-0 forward difference
+        scans = {"nonnegative": functions.check_abs_monotonic(f, 0, args.grid, args.range),
+                 "superadditive": functions.check_superadditive(f, args.grid, args.range),
+                 "mult_convex": functions.check_mult_midpoint_convex(f, args.grid, args.range)}
+        failed = next((name for name, v in scans.items() if not v.holds), None)
+        if failed is not None:
+            witness = scans[failed].witness
+            if failed == "nonnegative":
+                witness = witness[1:2]  # (order, x, step)
             rep.verdict = "fail"
-            rep.certificate = {"tree": graphs.format_graph(t),
-                               "matrix": matrices.format_matrix(mat),
-                               "grid_witness": list(witness)}
+            rep.certificate = _condition_certificate("grid_witness", failed, witness)
             return rep
-    rep.certificate = {"grid_superadditive": scans["superadditive"].holds,
-                       "grid_mult_convex": scans["mult_convex"].holds,
-                       "grid_nonnegative": scans["nonnegative"].holds,
-                       "decided": "grid"}
+    rep.certificate = {"grid_superadditive": True, "grid_mult_convex": True,
+                       "grid_nonnegative": True, "decided": "grid" if exact is None else "exact"}
     return rep
 
 
-def _condition_counterexample(failed: str, witness: tuple):
-    """(tree, PSD matrix A on it) such that f[A] is not PSD where the named
-    condition fails at witness."""
+def _condition_certificate(key: str, failed: str, witness: tuple) -> dict:
+    """The certificate of a PSD matrix A on a tree with f[A] not PSD, where
+    the named condition fails at witness, listed under key: by GKR16 each
+    violation of the three conditions gives one."""
     if failed == "nonnegative":
         # f(x) < 0: the 1x1 matrix [[x]]
-        return graphs.Graph(1), np.array([witness])
-    x, y = witness
-    if failed == "superadditive":
+        t, mat = graphs.Graph(1), np.array([witness])
+    elif failed == "superadditive":
         # B(x+y, x, y) on the open triangle (1; 0, 2) of the 3-vertex path
         t = graphs.path_graph(3)
-        return t, constructors.superadditivity_counterexample(t, x, y)
-    # midpoint convexity: the rank-one edge [[x, sqrt(xy)], [sqrt(xy), y]]
-    m = np.sqrt(x * y)
-    return graphs.path_graph(2), np.array([[x, m], [m, y]])
+        mat = constructors.superadditivity_counterexample(t, *witness)
+    else:
+        # midpoint convexity: the rank-one edge [[x, sqrt(xy)], [sqrt(xy), y]]
+        x, y = witness
+        m = np.sqrt(x * y)
+        t, mat = graphs.path_graph(2), np.array([[x, m], [m, y]])
+    return {"tree": graphs.format_graph(t), "matrix": matrices.format_matrix(mat),
+            key: list(witness)}
 
 
 def cmd_absmon_test(args) -> Report:

@@ -48,6 +48,8 @@ class EntrywiseFunction:
         cleaned = []
         for c, e in self.terms:
             c, e = float(c), float(e)
+            if not (math.isfinite(c) and math.isfinite(e)):
+                raise FunctionError(f"term {c!r}*x^{e!r} is not finite")
             if c == 0.0:
                 continue
             if e < 0:
@@ -103,7 +105,9 @@ class EntrywiseFunction:
         return ", ".join(f"{c!r}*x^{e!r}" for c, e in self.terms)
 
 
-_TERM_RE = re.compile(r"^\s*([+-]?[\d.eE+-]+)\s*\*\s*x\s*\^\s*([\d.]+)\s*$")
+# a decimal number as float() reads it, without "inf", "nan" or underscores
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)"
+_TERM_RE = re.compile(rf"^\s*([+-]?{_NUMBER}(?:[eE][+-]?\d+)?)\s*\*\s*x\s*\^\s*({_NUMBER})\s*$")
 
 
 def parse_function(text: str) -> EntrywiseFunction:
@@ -136,7 +140,10 @@ def _grid_count(step: float, bound: float, min_count: int) -> int:
     """Index of the last grid point h * count <= bound."""
     if step <= 0:
         raise FunctionError("grid step must be positive")
-    count = int(math.floor(bound / step))
+    quotient = bound / step
+    if not math.isfinite(quotient):
+        raise FunctionError(f"grid of step {step!r} up to {bound!r} has too many points")
+    count = int(math.floor(quotient))
     if count < min_count:
         raise FunctionError("grid is empty for the given step and bound")
     return count

@@ -368,6 +368,24 @@ def test_out_of_range_numbers_are_named(capsys, argv, name):
     assert capsys.readouterr().err.startswith(f"error: {name} must be ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    # bound / step overflows to inf: the grid is refused, not counted
+    (("preserver-test", "1*x^2", "--range", "1e308"),
+     "grid of step 0.015625 up to 1e+308 has too many points"),
+    (("absmon-test", "1*x^2", "--grid", "5e-324"),
+     "grid of step 5e-324 up to 8.0 has too many points"),
+    # the term syntax admits only numbers that float() reads
+    (("preserver-test", "1*x^."), "cannot parse term '1*x^.'"),
+    (("preserver-test", "1*x^1.2.3"), "cannot parse term '1*x^1.2.3'"),
+    # 1e400 reads as inf, which no rule may prove or refute
+    (("preserver-test", "1e400*x^2", "--trials", "5"), "term inf*x^2.0 is not finite"),
+    (("absmon-test", "1e400*x^2"), "term inf*x^2.0 is not finite"),
+])
+def test_unrepresentable_functions_and_grids_are_usage_errors(capsys, argv, message):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("lit,order", [
     ("1*x^400, -1*x^401", 0),  # f is -inf or NaN near the top of the grid
     ("1*x^1.5", 3),

@@ -101,7 +101,7 @@ def surface():
 
 def test_every_public_function_is_reached():
     public, reached = surface()
-    assert "star_tree.plan_psd_check" in reached  # the analysis follows cli.main
+    assert "functions.decide_tree_conditions" in reached  # the analysis follows cli.main
     assert "functions.EntrywiseFunction.value" in reached
     assert sorted(public - reached) == []
 

@@ -16,10 +16,13 @@ an undecided function, so that every function they name runs its trials.
 
 import argparse
 import collections
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphpsd import cli, functions, graphs
 from graphpsd.matrices import random_psd_plan_entries, stacked_psd_plan_entries
@@ -384,17 +387,48 @@ def test_one_plan_sampler_reads_one_block_of_uniforms():
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-def test_negative_function_fails_on_the_grid_when_trials_pass(capsys, monkeypatch):
+@pytest.mark.parametrize("argv,x", [
     # x^1.5 (x - 1) has fractional exponents and a negative coefficient, so
-    # the exact decider leaves it to the grid; f >= 0, the first condition
-    # scanned, fails at the first grid point after 0, and [[x]] is the
-    # certificate
+    # the exact decider leaves it to the grid
+    (("--trials", "5", "--", "-1*x^1.5, 1*x^2.5"), "0.015625"),
+    # x^1.5 (x^0.5 - 1) < 0 on (0, 1), and on [0, 1e-6] |f| < 2e-12, under
+    # the trials' absolute Schur floor of 1e-9: its 1000 trials pass unstubbed
+    (("1*x^2, -1*x^1.5", "--range", "1e-6", "--grid", "1.5625e-08"), "1.5625e-08"),
+])
+def test_negative_function_fails_on_the_grid_when_trials_pass(capsys, monkeypatch, argv, x):
+    # f >= 0, the first condition scanned, fails at the first grid point
+    # after 0, and [[x]] is the certificate
     monkeypatch.setattr(cli, "_first_failing_trial", lambda *args: None)
-    code, rep = run_main(capsys, ("preserver-test", "--trials", "5", "--",
-                                  "-1*x^1.5, 1*x^2.5"))
+    code, rep = run_main(capsys, ("preserver-test",) + argv)
     assert code == 1 and rep["verdict"] == "fail"
-    assert rep["certificate"] == {"tree": "1 0\n", "matrix": "1\n0 0 0.015625\n",
-                                  "grid_witness": [0.015625]}
+    assert rep["certificate"] == {"tree": "1 0\n", "matrix": f"1\n0 0 {x}\n",
+                                  "grid_witness": [float(x)]}
+
+
+# 1-3 terms c x^e with |c| = 10^u, u uniform in [-13, 1]: fractional
+# exponents with a negative coefficient leave f to the grid, and a small
+# |c| puts its violations under the Schur floor
+GRID_TERMS = st.lists(
+    st.tuples(st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1.0, -1.0]),
+                        st.floats(-13.0, 1.0)),
+              st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])),
+    min_size=1, max_size=3, unique_by=lambda term: term[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRID_TERMS)
+@example([(1e-10, 2.0), (-1e-10, 1.5)])
+def test_a_grid_pass_has_every_grid_flag_true(terms):
+    # no undecided f passes with a failing scan: a grid violation is final
+    literal = ", ".join(f"{c!r}*x^{e!r}" for c, e in terms)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["preserver-test", "--trials", "5", "--", literal])
+    rep = json.loads(out.getvalue())
+    assert code == (0 if rep["verdict"] == "pass" else 1)
+    if rep["verdict"] == "pass" and rep["certificate"]["decided"] == "grid":
+        assert rep["certificate"] == {"grid_superadditive": True, "grid_mult_convex": True,
+                                      "grid_nonnegative": True, "decided": "grid"}
 
 
 def test_negative_constant_fails_at_zero(capsys, monkeypatch):
