@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -124,7 +125,10 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
     those; the parent and bounds arrays serve all three and the thresholds.
     Each tree keeps its own Schur threshold tol * max(1, max |entry|), one
     per tree, and one Schur loop runs over the forest, tree after tree: its
-    first failing pivot lies in the first failing trial.
+    first failing pivot lies in the first trial that fails in floats.  That
+    trial's image is re-checked in Fraction arithmetic; if it is PSD
+    exactly, the loop resumes at the next tree, so the first trial that
+    fails both decides.
     """
     for start, stop in _chunks(trials, width):
         plan, parent, bounds, uniforms = draw(stop - start)
@@ -138,13 +142,23 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
         starts = bounds[:-1]
         thr = tol * np.fmax(np.fmax(1.0, np.maximum.reduceat(np.abs(fdiag), starts)),
                             np.maximum.reduceat(np.abs(fedge), starts))
-        v = star_tree.eliminate(plan, fdiag.tolist(), fedge.tolist(), thr.tolist())
-        if v is not None:
+        d, a, thr = fdiag.tolist(), fedge.tolist(), thr.tolist()
+        k = 0
+        while k < len(thr):
+            v = star_tree.eliminate(plan, d, a, thr[k:], int(bounds[k]))
+            if v is None:
+                break
             k = int(np.searchsorted(bounds, v, side="right")) - 1
             lo, hi = int(bounds[k]), int(bounds[k + 1])
             tree = graphs.EliminationPlan(tuple(w - lo for w in plan.order[lo:hi]),
                                           tuple(u - lo if u >= 0 else -1
                                                 for u in plan.parent[lo:hi]))
+            # a float fail may be a positive pivot under the threshold: a
+            # tree whose image is PSD exactly passes, and the loop goes on
+            # at the next tree
+            if star_tree.exact_plan_psd_check(tree, fdiag[lo:hi], fedge[lo:hi]):
+                k += 1
+                continue
             return start + k, {
                 "tree": graphs.format_graph(tree.graph()),
                 "matrix": matrices.format_plan(tree, diag[lo:hi], edge[lo:hi]),
@@ -226,9 +240,15 @@ def _condition_certificate(key: str, failed: str, witness: tuple) -> dict:
         t = graphs.path_graph(3)
         mat = constructors.superadditivity_counterexample(t, *witness)
     else:
-        # midpoint convexity: the rank-one edge [[x, sqrt(xy)], [sqrt(xy), y]]
+        # midpoint convexity: the rank-one edge [[x, sqrt(xy)], [sqrt(xy), y]],
+        # m = fl(sqrt(xy)) stepped down until m^2 <= xy exactly, so that the
+        # edge is PSD; an exact witness has sqrt(xy) exact and keeps it
+        from fractions import Fraction
+
         x, y = witness
-        m = np.sqrt(x * y)
+        m = math.sqrt(x * y)
+        while math.isfinite(m) and Fraction(m) ** 2 > Fraction(x) * Fraction(y):
+            m = math.nextafter(m, 0.0)
         t, mat = graphs.path_graph(2), np.array([[x, m], [m, y]])
     return {"tree": graphs.format_graph(t), "matrix": matrices.format_matrix(mat),
             key: list(witness)}
@@ -337,14 +357,14 @@ def _draw_stars(rng: np.random.Generator, trials: int):
 
 def cmd_star_suite(args) -> Report:
     rep = Report("star-suite", args.seed, args.tol, args.trials, "pass")
-    # one stack per degree, for the oracle and the criterion; a star the
-    # criterion calls PSD needs no kernel-stability check, since for a PSD
-    # star ker A and ker A^(2) meet inside every ker A^(m) (README)
+    # one stack per degree, for the oracle and the criterion; the oracle's
+    # eigvalsh sees only the stars whose diagonal leaves its verdict open.  A
+    # star the criterion calls PSD needs no kernel-stability check, since for
+    # a PSD star ker A and ker A^(2) meet inside every ker A^(m) (README)
     oracle, boundary, claim = (np.zeros(args.trials, dtype=bool) for _ in range(3))
     stacks = []
     for idx, p, alpha in _draw_stars(np.random.default_rng(args.seed), args.trials):
-        oracle[idx], boundary[idx], _ = matrices.spectral_boundary_band(
-            star_tree.stacked_dense(p, alpha), args.tol)
+        oracle[idx], boundary[idx] = star_tree.stacked_oracle(p, alpha, args.tol)
         claim[idx] = star_tree.stacked_criterion(p, alpha) == 0
         stacks.append((idx, p, alpha))
     # the first failing sample in index order decides; the boundary band

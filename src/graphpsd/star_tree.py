@@ -2,11 +2,14 @@
 
 A star matrix has center diagonal p1, leaf diagonals p2..p_{d+1}, first-row
 entries alpha2..alpha_{d+1}, and zeros elsewhere.  Tree patterns are tested by
-leaf elimination with scalar Schur complements and never touch an eigensolver.
+leaf elimination with scalar Schur complements and never touch an eigensolver;
+the spectral oracle of stacked stars calls eigvalsh only on the stars whose
+diagonal leaves its verdict open.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -14,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .graphs import EliminationPlan, Graph, elimination_plan
-from .matrices import DEFAULT_PSD_TOL, MatrixError
+from .matrices import DEFAULT_PSD_TOL, MatrixError, spectral_boundary_band
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,25 @@ def stacked_dense(p: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     a[:, 0, 1:] = alpha
     a[:, 1:, 0] = alpha
     return a
+
+
+def stacked_oracle(p: np.ndarray, alpha: np.ndarray, tol: float = DEFAULT_PSD_TOL):
+    """spectral_boundary_band's (is_psd, boundary) for the stars stacked as
+    rows of p (B, d+1) and alpha (B, d), with eigvalsh run only on the rows
+    whose diagonal leaves the verdict open.
+
+    A row whose least diagonal entry lies below -(2 tol max(1, G) + 1e-12 G),
+    G = ||A||_inf, is neither PSD nor in the band, with no eigensolve:
+    lambda_min <= min_i A_ii (Courant-Fischer), every |lambda| <= ||A||_2 <=
+    G, and 1e-12 G covers eigvalsh's backward error (README).
+    """
+    g = np.maximum(np.abs(p[:, 0]) + np.abs(alpha).sum(axis=1),
+                   (np.abs(p[:, 1:]) + np.abs(alpha)).max(axis=1, initial=0.0))
+    open_ = ~(p.min(axis=1) < -(2.0 * tol * np.maximum(1.0, g) + 1e-12 * g))
+    psd, boundary = np.zeros(len(p), dtype=bool), np.zeros(len(p), dtype=bool)
+    psd[open_], boundary[open_], _ = spectral_boundary_band(
+        stacked_dense(p[open_], alpha[open_]), tol)
+    return psd, boundary
 
 
 @dataclass(frozen=True)
@@ -113,21 +135,23 @@ def plan_psd_check(
                      np.asarray(edge, dtype=float).tolist(), [thr]) is None
 
 
-def eliminate(plan: EliminationPlan, d: list, a: list, thr: list) -> Optional[int]:
+def eliminate(plan: EliminationPlan, d: list, a: list, thr: list,
+              start: int = 0) -> Optional[int]:
     """plan_psd_check's Schur loop on lists d (diagonal, overwritten) and a
     (edges), tree by tree, with a pivot within the tree's threshold of zero
-    counted as zero: the first vertex in plan.order whose pivot fails, or
-    None when the matrix is PSD.
+    counted as zero: the first vertex in plan.order[start:] whose pivot
+    fails, or None when the matrix is PSD.
 
     thr holds one threshold per tree, in the order the plan finishes its
-    trees, and the last one also holds for every tree after it: a tree ends
-    at its root, so the plan must eliminate each tree's vertices together,
-    as prufer_plan's forests do.  One threshold serves any plan.
+    trees from start on, and the last one also holds for every tree after
+    it: a tree ends at its root, so the plan must eliminate each tree's
+    vertices together, as prufer_plan's forests do, and start must be where
+    a tree begins.  One threshold serves any plan.
     """
     order, parent = plan.order, plan.parent
     thr = iter(thr)
     t = next(thr)
-    for v in order:
+    for v in itertools.islice(order, start, None):
         u = parent[v]
         if u < 0:
             if d[v] < -t:
@@ -141,6 +165,29 @@ def eliminate(plan: EliminationPlan, d: list, a: list, thr: list) -> Optional[in
         else:
             return v
     return None
+
+
+def exact_plan_psd_check(plan: EliminationPlan, diag, edge) -> bool:
+    """plan_psd_check in Fraction arithmetic, with no threshold: whether the
+    matrix of the floats diag and edge, aligned with plan, is PSD exactly.
+    It stops at the first pivot that fails, and a NaN or +-inf entry fails."""
+    diag = np.asarray(diag, dtype=float).tolist()
+    edge = np.asarray(edge, dtype=float).tolist()
+    if not all(map(math.isfinite, diag + edge)):
+        return False
+    from fractions import Fraction
+
+    d = [Fraction(x) for x in diag]
+    for v in plan.order:
+        u = plan.parent[v]
+        if d[v] < 0:
+            return False
+        if u >= 0:
+            if d[v] > 0:
+                d[u] -= Fraction(edge[v]) ** 2 / d[v]
+            elif edge[v] != 0.0:
+                return False
+    return True
 
 
 def tree_psd_check_sparse(

@@ -12,6 +12,7 @@ samples the commands draw, one at a time.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from graphpsd.functions import (
     Verdict,
     _grid_count,
 )
-from graphpsd.graphs import Graph, GraphError, find_open_triangle, format_graph
+from graphpsd.graphs import Graph, GraphError, elimination_plan, find_open_triangle, format_graph
 from graphpsd.matrices import (
     MatrixError,
     check_symmetric,
@@ -260,9 +261,33 @@ def star_suite_loop(stars, tol):
     return "pass", {"checked": checked, "boundary_skipped": boundary}
 
 
+def exact_tree_psd(tree, a):
+    """The tree-patterned float matrix a is PSD in Fraction arithmetic: leaf
+    elimination in the order of tree's elimination plan, where a pivot below
+    0, or a zero pivot with a nonzero edge, refutes, and so does a NaN or
+    +-inf entry."""
+    if not np.all(np.isfinite(a)):
+        return False
+    plan = elimination_plan(tree)
+    d = [Fraction(float(a[v, v])) for v in range(tree.n)]
+    for v in plan.order:
+        u = plan.parent[v]
+        if d[v] < 0:
+            return False
+        if u >= 0:
+            edge = Fraction(float(a[v, u]))
+            if d[v] > 0:
+                d[u] -= edge * edge / d[v]
+            elif edge != 0:
+                return False
+    return True
+
+
 def trial_loop(f, trials, draw, width, range_max, tol):
     """The preservation trials one at a time, stopping at the first failure:
-    (index, certificate) of the first failing trial, or None.  Each trial calls
+    (index, certificate) of the first failing trial, or None.  A trial fails
+    when the float Schur check fails its image and the dense image is not
+    PSD in Fraction arithmetic either.  Each trial calls
     draw(1), which gives the next trial's elimination plan, its parent array,
     its bounds [0, n] and its (2, n) block of uniforms; the commands' draws
     read the same stream for draw(1) k times as for one draw(k).  The parent
@@ -278,9 +303,12 @@ def trial_loop(f, trials, draw, width, range_max, tol):
         fedge = np.where(parent >= 0, f.value(edge), 0.0)
         if plan_psd_check(plan, fdiag, fedge, tol=tol):
             continue
+        image = dense_from_plan(plan, fdiag, fedge)
+        if exact_tree_psd(plan.graph(), image):
+            continue
         return index, {
             "tree": format_graph(plan.graph()),
             "matrix": format_matrix(dense_from_plan(plan, diag, edge)),
-            "image": format_square(dense_from_plan(plan, fdiag, fedge)),
+            "image": format_square(image),
         }
     return None

@@ -316,6 +316,32 @@ def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
     assert not is_psd(apply_entrywise(parse_function(lit).value, a, t)).is_psd
 
 
+# undecided functions that pass one trial and fail the midpoint-convexity
+# scan at (0.015625, 0.03125), where sqrt(xy) = 2^-5.5 is irrational
+GRID_MULT_CONVEX = ["9.661*x^1.5, -5.627*x^3.0, 2.596*x^4.0",
+                    "8.832*x^1.5, -5.76*x^2.5, 4.252*x^3.5",
+                    "1.18*x^2.0, -2.481*x^2.5, 8.066*x^4.0",
+                    "4.767*x^3.0, -8.639*x^3.5, 7.019*x^5.0"]
+
+
+@pytest.mark.parametrize("lit", GRID_MULT_CONVEX)
+def test_a_grid_mult_convex_certificate_is_psd_exactly(capsys, lit):
+    # fl(sqrt(xy)) rounds up here; the printed m is stepped down until
+    # m^2 <= xy in Fraction arithmetic, one ulp, and f[A] still fails the
+    # benchmark checker's eigvalsh test, lambda_min < -tol max(1, rho)
+    assert functions.decide_tree_conditions(parse_function(lit), 5.0) is None
+    code, rep = run(capsys, "preserver-test", lit, "--trials", "1")
+    cert = rep["certificate"]
+    assert code == 1 and cert["grid_witness"] == [0.015625, 0.03125]
+    assert parse_graph(cert["tree"]).n == 2
+    a = parse_matrix(cert["matrix"])
+    x, y, m = (Fraction(float(v)) for v in (a[0, 0], a[1, 1], a[0, 1]))
+    assert m * m <= x * y < Fraction(math.nextafter(float(m), 1.0)) ** 2
+    assert float(m) == math.nextafter(math.sqrt(0.015625 * 0.03125), 0.0)
+    lam = np.linalg.eigvalsh(parse_function(lit).value(a))
+    assert lam[0] < -rep["tolerance"] * max(1.0, np.max(np.abs(lam)))
+
+
 # (argv, the argument its error names): main checks every number once
 OUT_OF_RANGE = [
     # GKR16's characterization needs trees on 3 or more vertices

@@ -20,8 +20,10 @@ it to:
   row runs a trial.  A row alpha < 1 prints the decider's witness matrix, a
   proved row alpha >= 1 prints "yes", and a row the decider leaves
   undecided is a usage error.  The trials that proved rows ran before are a
-  test here: tests/oracles.trial_loop on the spec's tree, where a trial that
-  fails in floats must be PSD in Fraction arithmetic.
+  test here: tests/oracles.trial_loop on the spec's tree, which re-checks a
+  trial that fails in floats in Fraction arithmetic, must pass every trial.
+  preserver-test's trials re-check a float fail the same way, so a proved
+  high power, whose float loop fails positive pivots, passes.
 """
 
 import json
@@ -34,7 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpsd import _exact, cli, functions, graphs
+from graphpsd import _exact, cli, functions, graphs, star_tree
 from graphpsd.constructors import build_entire_function_partial, build_tree_preserver_poly
 from graphpsd.functions import (
     EntrywiseFunction,
@@ -345,6 +347,25 @@ def test_high_powers_pass_exactly(capsys, lit):
     assert (code, rep["verdict"], rep["certificate"]) == (0, "pass", EXACT_PASS)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_proved_high_power_passes_its_trials(capsys, monkeypatch, seed):
+    # x^6 is a Schur power; the float Schur loop takes a positive pivot of
+    # the image below tol * max(1, max |entry|) for zero and fails its
+    # nonzero edge, and the Fraction re-check of that tree passes it
+    rechecks = []
+    real = star_tree.exact_plan_psd_check
+
+    def recording(*args):
+        rechecks.append(real(*args))
+        return rechecks[-1]
+
+    monkeypatch.setattr(star_tree, "exact_plan_psd_check", recording)
+    code, rep = run_main(capsys, ("preserver-test", "1*x^6", "--trials", "200",
+                                  "--seed", str(seed)))
+    assert (code, rep["trials"], rep["certificate"]) == (0, 200, EXACT_PASS)
+    assert rechecks and all(rechecks)
+
+
 def refuse_grid_scans(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("grid scan")
@@ -537,25 +558,6 @@ def test_an_undecided_row_names_the_range(capsys):
 
 
 
-def exact_tree_psd(tree, a):
-    """The tree-patterned matrix a is PSD in Fraction arithmetic: leaf
-    elimination, where a pivot below 0, or a zero pivot with a nonzero edge,
-    refutes."""
-    plan = graphs.elimination_plan(tree)
-    d = [Fraction(float(a[v, v])) for v in range(tree.n)]
-    for v in plan.order:
-        u = plan.parent[v]
-        if d[v] < 0:
-            return False
-        if u >= 0:
-            edge = Fraction(float(a[v, u]))
-            if d[v] > 0:
-                d[u] -= edge * edge / d[v]
-            elif edge != 0:
-                return False
-    return True
-
-
 @pytest.mark.parametrize("spec", ["path 7", "star 9", "random_tree 12", "random_tree 300"])
 @settings(max_examples=20, deadline=None)
 @given(alpha=st.one_of(st.sampled_from([1.0, 1 + 2 ** -52]), st.floats(1.0, 6.0)),
@@ -567,15 +569,10 @@ def test_a_proved_power_is_psd_on_every_trial(spec, alpha, range_max, seed):
     # runs no trial, so 200 trials of the reference loop cross-check it.  The
     # float loop's Schur threshold tol * max(1, max |entry|) counts a pivot
     # of the image below it as zero, which fails a positive pivot with a
-    # nonzero edge at large alpha; such a failing trial must be PSD exactly,
-    # and the loop goes on after it
+    # nonzero edge at large alpha; the loop re-checks such a trial in
+    # Fraction arithmetic, where it must be PSD
     f = functions.power_function(alpha)
     assert decide_tree_conditions(f, range_max) == ExactVerdict(None)
     plan = graphs.elimination_plan(critical_tree(spec))
-    draw = fixed_tree_draw(plan, seed)
-    left = 200
-    while (failure := trial_loop(f, left, draw, 2 * len(plan.parent), range_max,
-                                 1e-9)) is not None:
-        index, cert = failure
-        assert exact_tree_psd(parse_graph(cert["tree"]), parse_matrix(cert["image"]))
-        left -= index + 1
+    assert trial_loop(f, 200, fixed_tree_draw(plan, seed), 2 * len(plan.parent), range_max,
+                      1e-9) is None

@@ -110,16 +110,18 @@ def trial_samples(monkeypatch, argv):
 
 
 def star_samples(monkeypatch, argv):
-    """The (p, alpha) rows star-suite checks, as bytes."""
+    """The (p, alpha) rows star-suite checks, as bytes: the rows of its
+    criterion's stacks, which are every star it draws (its oracle's eigvalsh
+    sees only some)."""
     seen = []
-    stacked_dense = star_tree.stacked_dense
+    stacked_criterion = star_tree.stacked_criterion
 
     def spy(p, alpha):
         seen.extend(pr.tobytes() + ar.tobytes() for pr, ar in zip(p, alpha))
-        return stacked_dense(p, alpha)
+        return stacked_criterion(p, alpha)
 
     with monkeypatch.context() as m:
-        m.setattr(star_tree, "stacked_dense", spy)
+        m.setattr(star_tree, "stacked_criterion", spy)
         assert cli.main(list(argv)) == 0
     return seen
 

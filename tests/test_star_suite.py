@@ -18,9 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphpsd import cli, star_tree
-from graphpsd.matrices import DEFAULT_PSD_TOL
+from graphpsd.matrices import DEFAULT_PSD_TOL, spectral_boundary_band
 from graphpsd.star_tree import (
     StarMatrix,
     leaf_load,
@@ -82,6 +83,112 @@ def test_fail_path_matches_the_loop(seed):
     rep = cli.cmd_star_suite(argparse.Namespace(trials=200, seed=seed, tol=1.0))
     assert rep.verdict == "fail" and "criterion" in rep.certificate
     assert (rep.verdict, rep.certificate) == star_suite_loop(drawn_stars(seed, 200), 1.0)
+
+
+def diagonal_margin(p, alpha, tol):
+    """2 tol max(1, G) + 1e-12 G per row, G = ||A||_inf: a star whose least
+    diagonal entry lies below minus this is neither PSD nor in the band."""
+    g = np.maximum(np.abs(p[:, 0]) + np.abs(alpha).sum(axis=1),
+                   (np.abs(p[:, 1:]) + np.abs(alpha)).max(axis=1))
+    return 2.0 * tol * np.maximum(1.0, g) + 1e-12 * g
+
+
+def at_the_margin(p, alpha, tol, column):
+    """Copies of the rows with p[:, column] one ulp below minus the margin, at
+    it and one ulp above it.  The margin grows with |p[:, column]| by 2 tol +
+    1e-12, so a few rounds of p = -margin(p) settle while that is below 1;
+    at tol 1 they do not, and no row is ever below the margin, since every
+    |p_i| <= G."""
+    p = p.copy()
+    for _ in range(8):
+        p[:, column] = -diagonal_margin(p, alpha, tol)
+    at = p[:, column].copy()
+    rows = []
+    for toward in (-np.inf, None, np.inf):
+        q = p.copy()
+        q[:, column] = at if toward is None else np.nextafter(at, toward)
+        rows.append(q)
+    return np.concatenate(rows), np.concatenate([alpha] * 3)
+
+
+TOLS = [1e-300, 1e-13, 1e-9, cli.MAX_TOL, 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), tol=st.sampled_from(TOLS),
+       scale=st.sampled_from([1.0, 1e-6, 1e6]))
+def test_the_diagonal_mask_keeps_the_oracle(d, seed, tol, scale):
+    # stacked_oracle leaves eigvalsh out on the stars whose least diagonal
+    # entry lies below the margin; on every row its (is_psd, boundary) must
+    # be what eigvalsh on the whole stack gives, also on rows whose least
+    # diagonal entry sits at minus the margin or one ulp either side of it
+    p, alpha = _stars(d, 24, seed)
+    rng = np.random.default_rng(seed)
+    edge = [at_the_margin(p[:8], alpha[:8], tol, int(rng.integers(d + 1)))
+            for _ in range(2)]
+    p = scale * np.concatenate([p] + [q for q, _ in edge])
+    alpha = scale * np.concatenate([alpha] + [a for _, a in edge])
+    psd, boundary, _ = spectral_boundary_band(stacked_dense(p, alpha), tol)
+    got = star_tree.stacked_oracle(p, alpha, tol)
+    assert got[0].tolist() == psd.tolist() and got[1].tolist() == boundary.tolist()
+
+
+@pytest.mark.parametrize("tol", TOLS[:-1])
+def test_the_mask_is_sharp_at_the_margin(tol):
+    # PSD stars with their center, or their first leaf, moved to the margin:
+    # one ulp below minus the margin is decided without eigvalsh, at the
+    # margin the star goes to eigvalsh
+    psd = random_psd_star(8, 3, np.random.default_rng(5))
+    p, alpha = map(np.concatenate, zip(at_the_margin(*psd, tol, 0), at_the_margin(*psd, tol, 1)))
+    seen = []
+
+    def recording(a, tol):
+        seen.append(len(a))
+        return spectral_boundary_band(a, tol)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(star_tree, "spectral_boundary_band", recording)
+        star_tree.stacked_oracle(p, alpha, tol)
+    assert seen == [32]
+
+
+def test_a_star_below_the_margin_never_reaches_the_oracle(monkeypatch):
+    # the leaf diagonal -0.5 lies far below minus the margin, which is about
+    # 8e-9 here: that star never reaches spectral_boundary_band, the others do
+    p = np.array([[3.0, 1.0, 1.0], [2.0, -0.5, 1.0], [-1e-12, 1.0, 1.0]])
+    alpha = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    seen = []
+
+    def recording(a, tol):
+        seen.extend(matrix.tobytes() for matrix in a)
+        return spectral_boundary_band(a, tol)
+
+    monkeypatch.setattr(star_tree, "spectral_boundary_band", recording)
+    psd, boundary = star_tree.stacked_oracle(p, alpha, 1e-9)
+    dense = stacked_dense(p, alpha)
+    assert seen == [dense[0].tobytes(), dense[2].tobytes()]
+    assert psd.tolist() == [True, False, True] and boundary.tolist() == [False, False, True]
+    # in star-suite, the random_star rows with such a diagonal are most of
+    # that kind: about half of all stars never reach the oracle
+    seen.clear()
+    assert cli.main(["star-suite", "--trials", "1000", "--seed", "4"]) == 0
+    assert 400 < 1000 - len(seen) < 550
+
+
+def test_the_reference_loop_calls_eigvalsh_on_every_star(monkeypatch):
+    # tests/oracles.star_suite_loop, which test_report_matches_the_loop holds
+    # star-suite to, keeps the eigensolve the mask leaves out
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    stars = drawn_stars(4, 300)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    star_suite_loop(stars, DEFAULT_PSD_TOL)
+    assert len(calls) == len(stars)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

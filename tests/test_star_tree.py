@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpsd.graphs import path_graph, star_graph
-from graphpsd.matrices import MatrixError, hadamard_power, is_psd
+from graphpsd.graphs import elimination_plan, path_graph, random_tree, star_graph
+from graphpsd.matrices import (
+    MatrixError,
+    dense_from_plan,
+    hadamard_power,
+    is_psd,
+    random_psd_plan_entries,
+)
 from graphpsd.star_tree import (
     StarMatrix,
+    exact_plan_psd_check,
     leaf_load,
+    plan_psd_check,
     random_psd_star,
     random_star,
     stacked_criterion,
@@ -17,7 +25,7 @@ from graphpsd.star_tree import (
     tree_psd_check,
     tree_psd_check_sparse,
 )
-from oracles import star_dense, star_eigenvalues_equal_p, star_factor, star_factor_am, star_sample
+from oracles import exact_tree_psd, star_dense, star_eigenvalues_equal_p, star_factor, star_factor_am, star_sample
 
 
 def test_star_psd_boundary_equality():
@@ -111,6 +119,38 @@ def test_tree_psd_rejects_off_pattern():
     skew = np.array([[1.0, 0.2, 0], [0.3, 1, 0.2], [0, 0.2, 1]])
     with pytest.raises(MatrixError):
         tree_psd_check(skew, t)
+
+
+def test_exact_check_takes_no_pivot_for_zero():
+    # the pivot 1e-10 lies under the float threshold 1e-9 and its edge does
+    # not, so the float loop fails; exactly, the leaf leaves 1 - 0.01 > 0
+    plan = elimination_plan(path_graph(2))
+    assert not plan_psd_check(plan, [1e-10, 1.0], [1e-6, 0.0])
+    assert exact_plan_psd_check(plan, [1e-10, 1.0], [1e-6, 0.0])
+    # 1 - 100 < 0, and the singular [[1, 1], [1, 1]] against one ulp less
+    assert not exact_plan_psd_check(plan, [1e-10, 1.0], [1e-4, 0.0])
+    assert exact_plan_psd_check(plan, [1.0, 1.0], [1.0, 0.0])
+    assert not exact_plan_psd_check(plan, [1.0, math.nextafter(1.0, 0.0)], [1.0, 0.0])
+    # a zero pivot passes only with a zero edge; NaN and inf entries fail
+    assert exact_plan_psd_check(plan, [0.0, 1.0], [0.0, 0.0])
+    assert not exact_plan_psd_check(plan, [0.0, 1.0], [1e-300, 0.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not exact_plan_psd_check(plan, [1.0, bad], [0.0, 0.0])
+        assert not exact_plan_psd_check(plan, [1.0, 1.0], [bad, 0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10_000), st.floats(0.0, 0.3))
+def test_exact_check_matches_the_dense_exact_check(n, seed, shift):
+    # sampled PSD tree matrices, their diagonal shifted down, so that about
+    # 40 % stay PSD: the plan's order against the reference's leaf
+    # elimination of the dense matrix
+    t = random_tree(n, seed)
+    plan = elimination_plan(t)
+    diag, edge = random_psd_plan_entries(plan, 2.0, seed)
+    diag = diag - shift
+    assert exact_plan_psd_check(plan, diag, edge) == \
+        exact_tree_psd(t, dense_from_plan(plan, diag, edge))
 
 
 def test_tree_sparse_zero_pivot_branch():

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from graphpsd import cli, functions, graphs
+from graphpsd import cli, functions, graphs, star_tree
 from graphpsd.matrices import random_psd_plan_entries, stacked_psd_plan_entries
 
 from oracles import trial_loop
@@ -344,6 +344,39 @@ def test_first_failure_in_a_chunk_is_reported():
         == [False, True, True]
     got = cli._first_failing_trial(f, 3, preserver_draw(18, 12), 35, 8.0, 1e-9)
     assert got[0] == 1 and got == trial_loop(f, 3, preserver_draw(18, 12), 35, 8.0, 1e-9)
+
+
+def recording_rechecks(monkeypatch):
+    """The results of the command's Fraction re-checks of float fails, in order."""
+    rechecks = []
+    real = star_tree.exact_plan_psd_check
+
+    def recording(*args):
+        rechecks.append(real(*args))
+        return rechecks[-1]
+
+    monkeypatch.setattr(star_tree, "exact_plan_psd_check", recording)
+    return rechecks
+
+
+def test_a_float_fail_that_is_psd_exactly_resumes_at_the_next_tree(capsys, monkeypatch):
+    # x^6 at seed 0: trial 24 fails the float Schur loop, a positive pivot
+    # under the threshold, and its image is PSD exactly (only a float fail
+    # is re-checked).  As the last tree of a 25-trial chunk it ends the
+    # chunk; in 200 trials the loop goes on
+    f = functions.parse_function("1*x^6")
+    rechecks = recording_rechecks(monkeypatch)
+    assert cli._first_failing_trial(f, 25, preserver_draw(0, 12), 35, 8.0, 1e-9) is None
+    assert rechecks == [True]
+    assert cli._first_failing_trial(f, 200, preserver_draw(0, 12), 35, 8.0, 1e-9) is None
+    assert rechecks == [True, True]
+    # a tree re-checked PSD, then a tree that fails exactly, in one chunk:
+    # the second decides, as in the reference loop
+    rechecks.clear()
+    got, want = run_both(capsys, monkeypatch, ("preserver-test", "1*x^6, -0.001*x^1.5",
+                                               "--trials", "200", "--seed", "1"))
+    assert got == want and (got[0], got[1]["trials"]) == (1, 105)
+    assert rechecks == [True, False]
 
 
 def _plans(seed):
