@@ -337,8 +337,9 @@ def cmd_construct(args) -> Report:
 
 
 def _draw_stars(rng: np.random.Generator, trials: int):
-    """star-suite's samples, as (sample indices, p, alpha) for each degree
-    d = 1..8, the stars stacked as rows in index order.
+    """star-suite's samples in one padded stack, as (degree, p, alpha): row i
+    holds sample i's star, with degree[i] leaves, in p (trials, 9) and alpha
+    (trials, 8), and its absent leaves have p_i = alpha_i = 0.
 
     Every sample's degree comes first, then every sample's kind, random_star
     or random_psd_star with probability 1/2 each; then, degree by degree,
@@ -346,37 +347,34 @@ def _draw_stars(rng: np.random.Generator, trials: int):
     """
     degree = rng.integers(1, 9, trials)
     psd_kind = rng.random(trials) >= 0.5
+    p, alpha = np.zeros((trials, 9)), np.zeros((trials, 8))
     for d in range(1, 9):
-        idx = np.flatnonzero(degree == d)
-        kind = psd_kind[idx]
-        p, alpha = np.empty((idx.size, d + 1)), np.empty((idx.size, d))
-        p[~kind], alpha[~kind] = star_tree.random_star(int(np.sum(~kind)), d, rng)
-        p[kind], alpha[kind] = star_tree.random_psd_star(int(np.sum(kind)), d, rng)
-        yield idx, p, alpha
+        for kind, sampler in ((~psd_kind, star_tree.random_star),
+                              (psd_kind, star_tree.random_psd_star)):
+            rows = np.flatnonzero((degree == d) & kind)
+            p[rows, :d + 1], alpha[rows, :d] = sampler(rows.size, d, rng)
+    return degree, p, alpha
 
 
 def cmd_star_suite(args) -> Report:
     rep = Report("star-suite", args.seed, args.tol, args.trials, "pass")
-    # one stack per degree, for the oracle and the criterion; the oracle's
-    # eigvalsh sees only the stars whose diagonal leaves its verdict open.  A
-    # star the criterion calls PSD needs no kernel-stability check, since for
-    # a PSD star ker A and ker A^(2) meet inside every ker A^(m) (README)
-    oracle, boundary, claim = (np.zeros(args.trials, dtype=bool) for _ in range(3))
-    stacks = []
-    for idx, p, alpha in _draw_stars(np.random.default_rng(args.seed), args.trials):
-        oracle[idx], boundary[idx] = star_tree.stacked_oracle(p, alpha, args.tol)
-        claim[idx] = star_tree.stacked_criterion(p, alpha) == 0
-        stacks.append((idx, p, alpha))
+    # one padded stack for the oracle and the criterion, whose absent leaves
+    # change no load; the oracle's eigvalsh sees only the stars that neither
+    # the diagonal nor the shifted criterion decides.  A star the criterion
+    # calls PSD needs no kernel-stability check, since for a PSD star ker A
+    # and ker A^(2) meet inside every ker A^(m) (README)
+    degree, p, alpha = _draw_stars(np.random.default_rng(args.seed), args.trials)
+    oracle, boundary = star_tree.stacked_oracle(p, alpha, args.tol, degree)
+    claim = star_tree.stacked_criterion(p, alpha) == 0
     # the first failing sample in index order decides; the boundary band
     # excuses a disagreement of criterion and oracle
     failed = ~boundary & (claim != oracle)
     if failed.any():
         i = int(np.argmax(failed))
-        idx, p, alpha = next(stack for stack in stacks if i in stack[0])
-        k = np.searchsorted(idx, i)
+        d = int(degree[i])
         rep.verdict = "fail"
         rep.certificate = {"matrix": matrices.format_matrix(
-            star_tree.stacked_dense(p[k:k + 1], alpha[k:k + 1])[0]),
+            star_tree.stacked_dense(p[i:i + 1, :d + 1], alpha[i:i + 1, :d])[0]),
             "criterion": bool(claim[i]), "oracle": bool(oracle[i])}
         return rep
     rep.certificate = {"checked": int(np.sum(~boundary)),

@@ -136,12 +136,16 @@ class Verdict:
     margin: float
 
 
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 def _grid_count(step: float, bound: float, min_count: int) -> int:
     """Index of the last grid point h * count <= bound."""
     if step <= 0:
         raise FunctionError("grid step must be positive")
     quotient = bound / step
-    if not math.isfinite(quotient):
+    # np.arange refuses a grid whose size in bytes overflows intp
+    if not (math.isfinite(quotient) and quotient < _MAX_GRID_POINTS):
         raise FunctionError(f"grid of step {step!r} up to {bound!r} has too many points")
     count = int(math.floor(quotient))
     if count < min_count:

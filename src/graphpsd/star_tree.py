@@ -2,9 +2,11 @@
 
 A star matrix has center diagonal p1, leaf diagonals p2..p_{d+1}, first-row
 entries alpha2..alpha_{d+1}, and zeros elsewhere.  Tree patterns are tested by
-leaf elimination with scalar Schur complements and never touch an eigensolver;
-the spectral oracle of stacked stars calls eigvalsh only on the stars whose
-diagonal leaves its verdict open.
+leaf elimination with scalar Schur complements and never touch an eigensolver.
+The spectral oracle of stacked stars, padded to one width or not, calls
+eigvalsh only on the stars whose verdict neither their diagonal nor the star
+criterion applied to A -+ tau I decides, which in star-suite are the stars in
+the boundary band.
 """
 
 from __future__ import annotations
@@ -48,23 +50,71 @@ def stacked_dense(p: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return a
 
 
-def stacked_oracle(p: np.ndarray, alpha: np.ndarray, tol: float = DEFAULT_PSD_TOL):
+def stacked_oracle(p: np.ndarray, alpha: np.ndarray, tol: float = DEFAULT_PSD_TOL,
+                   degree: Optional[np.ndarray] = None):
     """spectral_boundary_band's (is_psd, boundary) for the stars stacked as
     rows of p (B, d+1) and alpha (B, d), with eigvalsh run only on the rows
-    whose diagonal leaves the verdict open.
+    whose verdict neither their diagonal nor the star criterion shifted by
+    -+tau decides.
 
-    A row whose least diagonal entry lies below -(2 tol max(1, G) + 1e-12 G),
-    G = ||A||_inf, is neither PSD nor in the band, with no eigensolve:
-    lambda_min <= min_i A_ii (Courant-Fischer), every |lambda| <= ||A||_2 <=
-    G, and 1e-12 G covers eigvalsh's backward error (README).
+    Row k has degree[k] leaves, its trailing leaves padding with p_i =
+    alpha_i = 0; by default every row has d.  With G = ||A||_inf and tau =
+    2 tol max(1, G) + 1e-12 G, a row is PSD outside the band when A - tau I
+    is positive definite, and neither PSD nor in the band when its least
+    diagonal entry lies below -tau or A + tau I is not PSD; the criterion
+    decides the shifted matrices only by a margin that covers its rounding
+    (README).  The other rows go to spectral_boundary_band unpadded, in one
+    stack per degree, since a zero leaf would add an eigenvalue 0.
     """
     g = np.maximum(np.abs(p[:, 0]) + np.abs(alpha).sum(axis=1),
                    (np.abs(p[:, 1:]) + np.abs(alpha)).max(axis=1, initial=0.0))
-    open_ = ~(p.min(axis=1) < -(2.0 * tol * np.maximum(1.0, g) + 1e-12 * g))
-    psd, boundary = np.zeros(len(p), dtype=bool), np.zeros(len(p), dtype=bool)
-    psd[open_], boundary[open_], _ = spectral_boundary_band(
-        stacked_dense(p[open_], alpha[open_]), tol)
+    g1 = np.maximum(1.0, g)
+    tau = 2.0 * tol * g1 + 1e-12 * g
+    if degree is None:
+        degree = np.full(len(p), p.shape[1] - 1)
+    s, bound, q = _shifted_schur(p, alpha, -tau, tau, g1)
+    pad = np.arange(q.shape[1]) >= degree[:, None]
+    psd = ((q > 0.0) | pad).all(axis=1) & (s > bound)
+    s, bound, _ = _shifted_schur(p, alpha, tau, tau, g1)
+    open_ = ~(psd | (p.min(axis=1) < -tau) | (s < -bound))
+    boundary = np.zeros(len(p), dtype=bool)
+    for d in range(p.shape[1]):
+        rows = np.flatnonzero(open_ & (degree == d))
+        if rows.size:
+            psd[rows], boundary[rows], _ = spectral_boundary_band(
+                stacked_dense(p[rows, :d + 1], alpha[rows, :d]), tol)
     return psd, boundary
+
+
+def _shifted_schur(p, alpha, shift, tau, g1):
+    """(s, bound, q) of the stars stacked as rows of p and alpha, shifted to
+    A + shift I, shift = -tau or +tau per row: q their leaf diagonals, s
+    their center's Schur complement p1 + shift - sum alpha_i (alpha_i / q_i)
+    over the leaves with q_i > 0, folded left to right, and bound >= |s - S|
+    for the exact complement S wherever every q_i > 0.
+
+    bound is (d + 4) eps (|p1| + tau + load) + g1 * 2^-1022, with d leaf
+    columns and g1 = max(1, ||A||_inf): the first term covers the relative
+    errors of d + 3 roundings, the second those of underflow (README).
+    alpha_i (alpha_i / q_i) keeps these near g1 * 2^-1074 per leaf, where
+    alpha_i^2 / q_i would let them grow as 1 / q_i.
+    """
+    q = p[:, 1:] + shift[:, None]
+    # an overflow makes s or bound infinite, or s NaN, which decides nothing
+    with np.errstate(over="ignore"):
+        load = _fold(alpha * np.divide(alpha, q, out=np.zeros(q.shape), where=q > 0.0))
+        gamma = (q.shape[1] + 4) * np.finfo(float).eps
+        bound = gamma * ((np.abs(p[:, 0]) + tau) + load) + np.finfo(float).tiny * g1
+        return (p[:, 0] + shift) - load, bound, q
+
+
+def _fold(terms):
+    """The rows of terms (B, d) summed left to right, one column at a time;
+    a 1-D terms is one row."""
+    total = 0.0
+    for column in terms.T:
+        total = total + column
+    return total
 
 
 @dataclass(frozen=True)
@@ -85,11 +135,8 @@ def leaf_load(p_leaf, alpha):
     """
     p_leaf = np.asarray(p_leaf, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    terms = np.divide(alpha * alpha, p_leaf, out=np.zeros(p_leaf.shape), where=p_leaf != 0.0)
-    load = 0.0
-    for column in terms.T:
-        load = load + column
-    return load
+    return _fold(np.divide(alpha * alpha, p_leaf, out=np.zeros(p_leaf.shape),
+                           where=p_leaf != 0.0))
 
 
 def stacked_criterion(p: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -400,6 +400,11 @@ def test_out_of_range_numbers_are_named(capsys, argv, name):
      "grid of step 0.015625 up to 1e+308 has too many points"),
     (("absmon-test", "1*x^2", "--grid", "5e-324"),
      "grid of step 5e-324 up to 8.0 has too many points"),
+    # bound / step is finite, but np.arange cannot size an array that long
+    (("absmon-test", "1*x^2", "--grid", "1e-300"),
+     "grid of step 1e-300 up to 8.0 has too many points"),
+    (("preserver-test", "1*x^1.5, -0.01*x^2.5, 1*x^3.5", "--grid", "1e-300"),
+     "grid of step 1e-300 up to 8.0 has too many points"),
     # the term syntax admits only numbers that float() reads
     (("preserver-test", "1*x^."), "cannot parse term '1*x^.'"),
     (("preserver-test", "1*x^1.2.3"), "cannot parse term '1*x^1.2.3'"),

@@ -1,11 +1,13 @@
 """The stacked star-suite against the sample-by-sample reference.
 
-star-suite draws its samples from one generator, degree by degree, then
-checks them in one stack per star degree.  These tests hold its draws to the
-order it states, its reports to the loop in tests/oracles.py on the same
-samples (which also checks kernel stability in floats), its stacked criterion
-to the one-star loop there, and the stacked LAPACK calls to the per-matrix
-calls they replace.  The kernel-stability lemma that lets star-suite skip
+star-suite draws its samples from one generator, degree by degree, into one
+stack padded with zero leaves, then checks them in that stack.  These tests
+hold its draws to the order it states, its reports to the loop in
+tests/oracles.py on the same samples (which also checks kernel stability in
+floats), its stacked criterion to the one-star loop there, its padded rows to
+the unpadded ones, the rows its oracle decides without eigvalsh to exact
+arithmetic, and the stacked LAPACK calls to the per-matrix calls they
+replace.  The kernel-stability lemma that lets star-suite skip
 that check is tested exactly, on an enumerated grid of PSD stars, and
 against the float check on the stars star-suite draws.
 """
@@ -43,11 +45,14 @@ def _stars(d, count, seed):
 
 def drawn_stars(seed, trials):
     """The samples of star-suite --seed seed --trials trials, in index order."""
-    stars = [None] * trials
-    for idx, p, alpha in cli._draw_stars(np.random.default_rng(seed), trials):
-        for i, pr, ar in zip(idx.tolist(), p, alpha):
-            stars[i] = StarMatrix(pr, ar)
-    return stars
+    degree, p, alpha = cli._draw_stars(np.random.default_rng(seed), trials)
+    return [StarMatrix(pr[:d + 1], ar[:d]) for d, pr, ar in zip(degree.tolist(), p, alpha)]
+
+
+def degree_stacks(seed, trials):
+    """star-suite's samples as one unpadded stack (p, alpha) per degree."""
+    degree, p, alpha = cli._draw_stars(np.random.default_rng(seed), trials)
+    return [(p[degree == d, :d + 1], alpha[degree == d, :d]) for d in range(1, 9)]
 
 
 @pytest.mark.parametrize("seed,trials", [(0, 1), (5, 40), (8, 1000)])
@@ -93,15 +98,15 @@ def diagonal_margin(p, alpha, tol):
     return 2.0 * tol * np.maximum(1.0, g) + 1e-12 * g
 
 
-def at_the_margin(p, alpha, tol, column):
-    """Copies of the rows with p[:, column] one ulp below minus the margin, at
-    it and one ulp above it.  The margin grows with |p[:, column]| by 2 tol +
-    1e-12, so a few rounds of p = -margin(p) settle while that is below 1;
-    at tol 1 they do not, and no row is ever below the margin, since every
-    |p_i| <= G."""
+def at_the_margin(p, alpha, tol, column, sign=-1.0):
+    """Copies of the rows with p[:, column] one ulp below sign times the
+    margin, at it and one ulp above it, minus the margin by default.  The
+    margin grows with |p[:, column]| by 2 tol + 1e-12, so a few rounds of p =
+    sign * margin(p) settle while that is below 1; at tol 1 they do not, and
+    no row is ever beyond the margin, since every |p_i| <= G."""
     p = p.copy()
     for _ in range(8):
-        p[:, column] = -diagonal_margin(p, alpha, tol)
+        p[:, column] = sign * diagonal_margin(p, alpha, tol)
     at = p[:, column].copy()
     rows = []
     for toward in (-np.inf, None, np.inf):
@@ -133,46 +138,144 @@ def test_the_diagonal_mask_keeps_the_oracle(d, seed, tol, scale):
     assert got[0].tolist() == psd.tolist() and got[1].tolist() == boundary.tolist()
 
 
+def recording_oracle(seen):
+    """spectral_boundary_band, with each matrix it is given appended to seen
+    as bytes."""
+    def recording(a, tol):
+        seen.extend(matrix.tobytes() for matrix in a)
+        return spectral_boundary_band(a, tol)
+    return recording
+
+
 @pytest.mark.parametrize("tol", TOLS[:-1])
 def test_the_mask_is_sharp_at_the_margin(tol):
-    # PSD stars with their center, or their first leaf, moved to the margin:
-    # one ulp below minus the margin is decided without eigvalsh, at the
-    # margin the star goes to eigvalsh
+    # PSD stars with their center, or their first leaf, moved to minus the
+    # margin tau.  One ulp below -tau the diagonal decides.  A leaf at -tau
+    # makes its diagonal in A + tau I zero, so only eigvalsh decides that
+    # star; one ulp above, alpha_1^2 / (p_1 + tau) is huge and A + tau I is
+    # not PSD.  A center at or above -tau leaves a center near 0 in A + tau I
+    # against a load near 1, so A + tau I is not PSD either
     psd = random_psd_star(8, 3, np.random.default_rng(5))
     p, alpha = map(np.concatenate, zip(at_the_margin(*psd, tol, 0), at_the_margin(*psd, tol, 1)))
     seen = []
-
-    def recording(a, tol):
-        seen.append(len(a))
-        return spectral_boundary_band(a, tol)
-
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(star_tree, "spectral_boundary_band", recording)
-        star_tree.stacked_oracle(p, alpha, tol)
-    assert seen == [32]
+        m.setattr(star_tree, "spectral_boundary_band", recording_oracle(seen))
+        got = star_tree.stacked_oracle(p, alpha, tol)
+    # rows 0..23 move the center, 24..47 the leaf; 32..39 sit at the margin
+    assert seen == [a.tobytes() for a in stacked_dense(p[32:40], alpha[32:40])]
+    assert not got[0].any() and not got[1].any()
 
 
 def test_a_star_below_the_margin_never_reaches_the_oracle(monkeypatch):
     # the leaf diagonal -0.5 lies far below minus the margin, which is about
-    # 8e-9 here: that star never reaches spectral_boundary_band, the others do
+    # 8e-9 here, and the first star minus the margin is positive definite
+    # by far: neither reaches spectral_boundary_band.  The third star's least
+    # eigenvalue, -1e-12, lies inside the band, where no bound decides
     p = np.array([[3.0, 1.0, 1.0], [2.0, -0.5, 1.0], [-1e-12, 1.0, 1.0]])
     alpha = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     seen = []
-
-    def recording(a, tol):
-        seen.extend(matrix.tobytes() for matrix in a)
-        return spectral_boundary_band(a, tol)
-
-    monkeypatch.setattr(star_tree, "spectral_boundary_band", recording)
+    monkeypatch.setattr(star_tree, "spectral_boundary_band", recording_oracle(seen))
     psd, boundary = star_tree.stacked_oracle(p, alpha, 1e-9)
-    dense = stacked_dense(p, alpha)
-    assert seen == [dense[0].tobytes(), dense[2].tobytes()]
+    assert seen == [stacked_dense(p, alpha)[2].tobytes()]
     assert psd.tolist() == [True, False, True] and boundary.tolist() == [False, False, True]
-    # in star-suite, the random_star rows with such a diagonal are most of
-    # that kind: about half of all stars never reach the oracle
+    # in star-suite every star in the band reaches the oracle, and few others
     seen.clear()
-    assert cli.main(["star-suite", "--trials", "1000", "--seed", "4"]) == 0
-    assert 400 < 1000 - len(seen) < 550
+    rep = cli.cmd_star_suite(cli.build_parser().parse_args(
+        ["star-suite", "--trials", "1000", "--seed", "4"]))
+    assert rep.verdict == "pass"
+    assert rep.certificate["boundary_skipped"] <= len(seen) <= 200
+
+
+def exactly_psd(center, leaves, alpha, definite=False):
+    """Whether the star with Fraction entries is PSD, or positive definite,
+    by its exact Schur complement."""
+    for x, a in zip(leaves, alpha):
+        if x < 0 or (x == 0 and (definite or a != 0)):
+            return False
+    s = center - sum(a * a / x for x, a in zip(leaves, alpha) if x != 0)
+    return s > 0 if definite else s >= 0
+
+
+def check_rows_decided_without_eigvalsh(p, alpha, degree, tol):
+    """Run stacked_oracle on the padded rows and check every row it decides
+    without eigvalsh exactly: minus the float margin tau it is positive
+    definite where called PSD, and plus tau it is not PSD where called not
+    PSD.  Every verdict must be eigvalsh's on the unpadded star.  Returns
+    how many rows each way were decided."""
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(star_tree, "spectral_boundary_band", recording_oracle(seen))
+        psd, boundary = star_tree.stacked_oracle(p, alpha, tol, degree)
+    seen = set(seen)
+    tau = diagonal_margin(p, alpha, tol)
+    decided = [0, 0]
+    for k, d in enumerate(degree.tolist()):
+        dense = stacked_dense(p[k:k + 1, :d + 1], alpha[k:k + 1, :d])
+        want_psd, want_boundary, _ = spectral_boundary_band(dense, tol)
+        assert (psd[k], boundary[k]) == (want_psd[0], want_boundary[0])
+        if dense[0].tobytes() in seen:
+            continue
+        t = Fraction(float(tau[k]))
+        center, al = Fraction(float(p[k, 0])), [Fraction(x) for x in alpha[k, :d].tolist()]
+        leaves = [Fraction(x) for x in p[k, 1:d + 1].tolist()]
+        assert not boundary[k]
+        if psd[k]:
+            assert exactly_psd(center - t, [x - t for x in leaves], al, definite=True), k
+        else:
+            assert not exactly_psd(center + t, [x + t for x in leaves], al), k
+        decided[bool(psd[k])] += 1
+    return decided
+
+
+def at_the_shifted_load(p, alpha, tol, sign):
+    """Copies of the rows with the center at -sign tau plus the leaf load of
+    A + sign tau I, and one ulp either side: there only rounding tells the
+    sign of the shifted criterion.  A few rounds settle, as in
+    at_the_margin."""
+    p = p.copy()
+    for _ in range(8):
+        tau = diagonal_margin(p, alpha, tol)
+        p[:, 0] = leaf_load(p[:, 1:] + sign * tau[:, None], alpha) - sign * tau
+    rows = []
+    for toward in (-np.inf, None, np.inf):
+        q = p.copy()
+        q[:, 0] = p[:, 0] if toward is None else np.nextafter(p[:, 0], toward)
+        rows.append(q)
+    return np.concatenate(rows), np.concatenate([alpha] * 3)
+
+
+def padded(p, alpha, width=8):
+    """The rows of p and alpha with zero leaves appended up to width leaves."""
+    pad = width - alpha.shape[1]
+    return np.pad(p, ((0, 0), (0, pad))), np.pad(alpha, ((0, 0), (0, pad)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), tol=st.sampled_from(TOLS),
+       scale=st.sampled_from([1.0, 1e-6, 1e6, 1e-150, 1e150]))
+def test_rows_decided_without_eigvalsh_hold_exactly(d, seed, tol, scale):
+    # padded stars at every scale, and copies with a center or leaf moved to
+    # -tau or +tau and one ulp either side, or with the center moved to the
+    # load of A -+ tau I, each moved after scaling and padding so that it
+    # sits at the oracle's own tau
+    p, alpha = padded(*_stars(d, 24, seed))
+    p, alpha = scale * p, scale * alpha
+    rng = np.random.default_rng(seed)
+    moved = [at_the_margin(p[:8], alpha[:8], tol, int(rng.integers(d + 1)), sign)
+             for sign in (-1.0, 1.0) for _ in range(2)]
+    # rows 12.. are random_psd_star's, whose leaves are positive
+    moved += [at_the_shifted_load(p[12:], alpha[12:], tol, sign) for sign in (-1.0, 1.0)]
+    p = np.concatenate([p] + [q for q, _ in moved])
+    alpha = np.concatenate([alpha] + [a for _, a in moved])
+    check_rows_decided_without_eigvalsh(p, alpha, np.full(len(p), d), tol)
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_star_suite_draws_are_decided_exactly(seed):
+    # on star-suite's own draws both bounds decide hundreds of stars
+    degree, p, alpha = cli._draw_stars(np.random.default_rng(seed), 1000)
+    not_psd, psd = check_rows_decided_without_eigvalsh(p, alpha, degree, DEFAULT_PSD_TOL)
+    assert not_psd > 300 and psd > 300
 
 
 def test_the_reference_loop_calls_eigvalsh_on_every_star(monkeypatch):
@@ -215,6 +318,26 @@ def test_stacked_criterion_matches_the_loop(d):
 
 
 @pytest.mark.parametrize("d", range(1, 9))
+def test_padding_changes_no_load_and_no_verdict(d):
+    # star-suite checks every degree in one stack padded with zero leaves:
+    # leaf_load skips them and folds + 0.0, so each load and each criterion
+    # verdict is the unpadded one bit for bit.  leaf_load folds in numpy, not
+    # with builtin sum, so this holds on Python 3.12 and later too
+    p, alpha = _stars(d, 200, seed=300 + d)
+    rng = np.random.default_rng(400 + d)
+    p[:60, 1:] = rng.choice([-1.0, 0.0, 0.3, 1.9], size=(60, d))
+    alpha[:60] = rng.choice([0.0, -1.1, 0.5], size=(60, d))
+    p[:60:2, 0] = leaf_load(p[:60:2, 1:], alpha[:60:2])
+    # PSD draws (the second half) with their center one ulp below the load
+    p[100:120, 0] = np.nextafter(leaf_load(p[100:120, 1:], alpha[100:120]), -np.inf)
+    wide_p, wide_alpha = padded(p, alpha)
+    assert leaf_load(wide_p[:, 1:], wide_alpha).tobytes() == leaf_load(p[:, 1:], alpha).tobytes()
+    got = stacked_criterion(wide_p, wide_alpha)
+    assert got.tolist() == stacked_criterion(p, alpha).tolist()
+    assert {0, 1, 2, 3} <= set(got.tolist())
+
+
+@pytest.mark.parametrize("d", range(1, 9))
 def test_criterion_psd_stars_pass_the_float_kernel_check(d):
     # star-suite checks no kernel stability on the stars its criterion calls
     # PSD; the float check in tests/oracles.py must agree with the lemma there
@@ -230,7 +353,7 @@ def test_drawn_psd_stars_pass_the_float_kernel_check(seed):
     # scaled by 25, most with ||A|| > 10, where the SVD cutoff of the float
     # check lies above the boundary band: none fails the check that the
     # lemma lets star-suite skip
-    stacks = [(p, alpha) for _, p, alpha in cli._draw_stars(np.random.default_rng(seed), 200)]
+    stacks = degree_stacks(seed, 200)
     stacks += [(25.0 * p, 25.0 * alpha) for p, alpha in stacks]
     large = 0
     for p, alpha in stacks:
