@@ -28,9 +28,13 @@ from .matrices import MatrixError
 
 
 # A wider band turns wrong verdicts into passes: preserver-test's --tol sets
-# only the Schur band of its trials, which take pivots within it for zero,
-# and star-suite's spectral oracle parts from the exact star criterion.
+# only the Schur band of its trials, which take pivots within it for zero.
+# critical-exponent echoes its --tol, which checks of its certificates read
+# as their threshold.
 MAX_TOL = 1e-6
+
+# star-suite's stages, in the order they decide (star_tree.stacked_exact)
+STAGES = ("conditions", "float", "double_double", "integers")
 
 FUNCTION_HELP = ('power-sum literal, e.g. "1*x^1, 1*x^2"; a literal that starts with "-" '
                  'goes after "--", which ends the flags: [flags] -- "-1*x^1"')
@@ -39,8 +43,8 @@ FUNCTION_HELP = ('power-sum literal, e.g. "1*x^1, 1*x^2"; a literal that starts 
 @dataclass
 class Report:
     command: str
-    seed: int
-    tolerance: float
+    seed: Optional[int]  # None for a command that reads no --seed
+    tolerance: Optional[float]  # None for a command that reads no --tol
     trials: int
     verdict: str  # "pass" | "fail"
     certificate: Optional[dict] = None
@@ -258,7 +262,7 @@ def cmd_absmon_test(args) -> Report:
     f = functions.parse_function(args.function)
     verdict = functions.check_abs_monotonic(f, n_max=args.n_max, step=args.grid,
                                             bound=args.range)
-    rep = Report("absmon-test", args.seed, args.tol, 1,
+    rep = Report("absmon-test", None, None, 1,
                  "pass" if verdict.holds else "fail")
     if not verdict.holds:
         n, x, h = verdict.witness
@@ -276,7 +280,7 @@ def cmd_witness(args) -> Report:
     if g.edges == graphs.complete_graph(g.n).edges:
         sets.append(witnesses.vandermonde_witnesses([float(i) for i in range(1, g.n + 1)]))
     ok = all(ws.recertify() for ws in sets)
-    rep = Report("witness", args.seed, args.tol, len(sets),
+    rep = Report("witness", args.seed, None, len(sets),
                  "pass" if ok else "fail")
     rep.certificate = {"lower_bound": bound.lower, "upper_bound": bound.upper,
                        "witness_sets": [ws.payload() for ws in sets]}
@@ -313,7 +317,7 @@ def cmd_critical_exponent(args) -> Report:
 
 
 def cmd_construct(args) -> Report:
-    rep = Report(f"construct-{args.kind}", args.seed, args.tol, 1, "pass")
+    rep = Report(f"construct-{args.kind}", None, None, 1, "pass")
     if args.kind == "poly":
         f = constructors.build_tree_preserver_poly(args.n)
         rep.certificate = {"literal": f.literal()}
@@ -342,43 +346,48 @@ def _draw_stars(rng: np.random.Generator, trials: int):
     (trials, 8), and its absent leaves have p_i = alpha_i = 0.
 
     Every sample's degree comes first, then every sample's kind, random_star
-    or random_psd_star with probability 1/2 each; then, degree by degree,
-    the random_star rows and the random_psd_star rows.
+    or random_psd_star with probability 1/2 each; then all random_star rows
+    in one call, and all random_psd_star rows in one.
     """
     degree = rng.integers(1, 9, trials)
     psd_kind = rng.random(trials) >= 0.5
     p, alpha = np.zeros((trials, 9)), np.zeros((trials, 8))
-    for d in range(1, 9):
-        for kind, sampler in ((~psd_kind, star_tree.random_star),
-                              (psd_kind, star_tree.random_psd_star)):
-            rows = np.flatnonzero((degree == d) & kind)
-            p[rows, :d + 1], alpha[rows, :d] = sampler(rows.size, d, rng)
+    for kind, sampler in ((~psd_kind, star_tree.random_star),
+                          (psd_kind, star_tree.random_psd_star)):
+        rows = np.flatnonzero(kind)
+        kind_p, kind_alpha = sampler(degree[rows], rng)
+        p[rows, :kind_p.shape[1]], alpha[rows, :kind_alpha.shape[1]] = kind_p, kind_alpha
     return degree, p, alpha
 
 
 def cmd_star_suite(args) -> Report:
-    rep = Report("star-suite", args.seed, args.tol, args.trials, "pass")
-    # one padded stack for the oracle and the criterion, whose absent leaves
-    # change no load; the oracle's eigvalsh sees only the stars that neither
-    # the diagonal nor the shifted criterion decides.  A star the criterion
-    # calls PSD needs no kernel-stability check, since for a PSD star ker A
-    # and ker A^(2) meet inside every ker A^(m) (README)
+    rep = Report("star-suite", args.seed, None, args.trials, "pass")
+    # one padded stack for the criterion and the exact verdicts, whose absent
+    # leaves change no load.  A star the criterion calls PSD needs no
+    # kernel-stability check, since for a PSD star ker A and ker A^(2) meet
+    # inside every ker A^(m) (README)
     degree, p, alpha = _draw_stars(np.random.default_rng(args.seed), args.trials)
-    oracle, boundary = star_tree.stacked_oracle(p, alpha, args.tol, degree)
     claim = star_tree.stacked_criterion(p, alpha) == 0
-    # the first failing sample in index order decides; the boundary band
-    # excuses a disagreement of criterion and oracle
-    failed = ~boundary & (claim != oracle)
+    exact, stage = star_tree.stacked_exact(p, alpha)
+    wrong = claim != exact
+    # where the conditions or the float stage decide, the criterion's verdict
+    # is proved (the conditions compare floats exactly, and the float margin
+    # covers the criterion's load), so a wrong claim there fails the run, at
+    # the first such sample in index order; elsewhere it is counted
+    failed = wrong & (stage <= 1)
     if failed.any():
         i = int(np.argmax(failed))
         d = int(degree[i])
         rep.verdict = "fail"
         rep.certificate = {"matrix": matrices.format_matrix(
             star_tree.stacked_dense(p[i:i + 1, :d + 1], alpha[i:i + 1, :d])[0]),
-            "criterion": bool(claim[i]), "oracle": bool(oracle[i])}
+            "criterion": bool(claim[i]), "exact": bool(exact[i]),
+            "checked": i + 1, "boundary_skipped": 0}
         return rep
-    rep.certificate = {"checked": int(np.sum(~boundary)),
-                       "boundary_skipped": int(np.sum(boundary))}
+    counts = np.bincount(stage, minlength=len(STAGES)).tolist()
+    rep.certificate = {"checked": args.trials, "boundary_skipped": 0,
+                       "exact_psd": int(exact.sum()), "criterion_wrong": int(wrong.sum()),
+                       "decided_by": dict(zip(STAGES, counts))}
     return rep
 
 
@@ -393,9 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, *knobs):
-        """The flags every subcommand reads, plus those of knobs it reads."""
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
+        """--out and --format, which every subcommand reads, plus the flags
+        of knobs, the ones it reads."""
+        if "seed" in knobs:
+            p.add_argument("--seed", type=int, default=0)
+        if "tol" in knobs:
+            p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
         if "trials" in knobs:
             p.add_argument("--trials", type=int, default=1000)
         if "grid" in knobs:
@@ -411,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trials draw trees on 2..TREE_N vertices; at least 3, since "
                         "GKR16's characterization, which decides the verdict, is for "
                         "trees on 3 or more vertices")
-    common(p, "trials", "grid", "range")
+    common(p, "seed", "tol", "trials", "grid", "range")
 
     p = sub.add_parser("absmon-test", help="forward-difference absolute monotonicity")
     p.add_argument("function", help=FUNCTION_HELP)
@@ -420,12 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="order bounds and witness sets for a graph")
     p.add_argument("graph", help='graph spec "kind n", e.g. "star 6"')
-    common(p)
+    common(p, "seed")
 
     p = sub.add_parser("critical-exponent", help="entrywise powers on a tree pattern")
     p.add_argument("tree", help='tree spec "kind n"')
     p.add_argument("alphas", type=float, nargs="+")
-    common(p, "trials", "range")
+    common(p, "seed", "tol", "trials", "range")
 
     p = sub.add_parser("construct", help="threshold reports and preserver polynomials")
     p.add_argument("kind", choices=("poly", "entire", "thresholds"))
@@ -433,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=float, nargs="*")
     common(p)
 
-    p = sub.add_parser("star-suite", help="star criterion against the spectral oracle")
-    common(p, "trials")
+    p = sub.add_parser("star-suite", help="star criterion against the exact verdicts")
+    common(p, "seed", "trials")
 
     return parser
 
@@ -469,7 +481,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if given.get(flag, least) < least:
                 raise UsageError(f"--{flag.replace('_', '-')} must be >= {least}, "
                                  f"got {given[flag]}")
-        if args.tol > MAX_TOL:
+        if given.get("tol", 0.0) > MAX_TOL:
             raise UsageError(f"--tol must be at most {MAX_TOL!r}, got {args.tol!r}")
         report = handler(args)
         report.elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -61,26 +61,18 @@ def quadratic_form(a: np.ndarray, beta: np.ndarray) -> float:
 
 
 def is_psd(a: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
-    """Spectral PSD oracle: PSD iff lambda_min >= -tol * max(1, spectral radius).
+    """Spectral PSD oracle, one eigvalsh: PSD iff lambda_min >= -tol * max(1,
+    spectral radius).
 
     boundary is set when |lambda_min| <= tol * max(1, |lambda_max|), the band
     around zero where floating-point verdicts are allowed to disagree."""
     if tol <= 0:
         raise MatrixError("tolerance must be positive")
-    a = check_symmetric(a)
-    psd, boundary, eigs = spectral_boundary_band(a[None], tol)
-    return PsdVerdict(bool(psd[0]), float(eigs[0, 0]), tol, bool(boundary[0]))
-
-
-def spectral_boundary_band(a: np.ndarray, tol: float = DEFAULT_PSD_TOL):
-    """is_psd's verdicts for a stack (B, n, n) of symmetric matrices, n >= 1,
-    from one eigvalsh: (is_psd, boundary, eigs), the first two of shape (B,)
-    and eigs the ascending eigenvalues, of shape (B, n)."""
-    eigs = np.linalg.eigvalsh(a)
-    lam_min = eigs[:, 0]
-    radius = np.abs(eigs).max(axis=1)
-    boundary = np.abs(lam_min) <= tol * np.maximum(1.0, np.abs(eigs[:, -1]))
-    return lam_min >= -tol * np.maximum(1.0, radius), boundary, eigs
+    eigs = np.linalg.eigvalsh(check_symmetric(a))
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    radius = max(-lam_min, lam_max)
+    boundary = abs(lam_min) <= tol * max(1.0, abs(lam_max))
+    return PsdVerdict(lam_min >= -tol * max(1.0, radius), lam_min, tol, boundary)
 
 
 def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Graph) -> np.ndarray:

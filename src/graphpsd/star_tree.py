@@ -3,10 +3,10 @@
 A star matrix has center diagonal p1, leaf diagonals p2..p_{d+1}, first-row
 entries alpha2..alpha_{d+1}, and zeros elsewhere.  Tree patterns are tested by
 leaf elimination with scalar Schur complements and never touch an eigensolver.
-The spectral oracle of stacked stars, padded to one width or not, calls
-eigvalsh only on the stars whose verdict neither their diagonal nor the star
-criterion applied to A -+ tau I decides, which in star-suite are the stars in
-the boundary band.
+Stacked stars, padded to one width or not, get their exact verdicts from the
+criterion's sign of the center's Schur complement, told in floats, then in
+double-double, then in integers, each stage on the stars the one before
+leaves open; no eigensolver runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .graphs import EliminationPlan, Graph, elimination_plan
-from .matrices import DEFAULT_PSD_TOL, MatrixError, spectral_boundary_band
+from .matrices import DEFAULT_PSD_TOL, MatrixError
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # 2^-1022
 
 
 @dataclass(frozen=True)
@@ -50,62 +53,139 @@ def stacked_dense(p: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return a
 
 
-def stacked_oracle(p: np.ndarray, alpha: np.ndarray, tol: float = DEFAULT_PSD_TOL,
-                   degree: Optional[np.ndarray] = None):
-    """spectral_boundary_band's (is_psd, boundary) for the stars stacked as
-    rows of p (B, d+1) and alpha (B, d), with eigvalsh run only on the rows
-    whose verdict neither their diagonal nor the star criterion shifted by
-    -+tau decides.
+def stacked_exact(p: np.ndarray, alpha: np.ndarray):
+    """The exact PSD verdicts of the stars stacked as rows of p (B, d+1) and
+    alpha (B, d), finite and padded with zero leaves or not, and the stage
+    that decided each: (psd, stage), both of shape (B,).
 
-    Row k has degree[k] leaves, its trailing leaves padding with p_i =
-    alpha_i = 0; by default every row has d.  With G = ||A||_inf and tau =
-    2 tol max(1, G) + 1e-12 G, a row is PSD outside the band when A - tau I
-    is positive definite, and neither PSD nor in the band when its least
-    diagonal entry lies below -tau or A + tau I is not PSD; the criterion
-    decides the shifted matrices only by a margin that covers its rounding
-    (README).  The other rows go to spectral_boundary_band unpadded, in one
-    stack per degree, since a zero leaf would add an eigenvalue 0.
+    Stage 0 is the criterion's first two conditions, p >= 0 and alpha_i = 0
+    where p_i = 0, which compare floats exactly.  A row that meets both is
+    PSD iff S = p1 - sum alpha_i^2 / p_i over its leaves with p_i > 0 is >=
+    0, and three stages tell the sign of S, each on the rows the one before
+    leaves open: 1 floats, decided where |s| > margin (_float_schur), which
+    also proves the criterion's own verdict there; 2 double-double, decided
+    where |s| > bound (_double_double_schur); 3 integers, which decide every
+    row (README).
     """
-    g = np.maximum(np.abs(p[:, 0]) + np.abs(alpha).sum(axis=1),
-                   (np.abs(p[:, 1:]) + np.abs(alpha)).max(axis=1, initial=0.0))
-    g1 = np.maximum(1.0, g)
-    tau = 2.0 * tol * g1 + 1e-12 * g
-    if degree is None:
-        degree = np.full(len(p), p.shape[1] - 1)
-    s, bound, q = _shifted_schur(p, alpha, -tau, tau, g1)
-    pad = np.arange(q.shape[1]) >= degree[:, None]
-    psd = ((q > 0.0) | pad).all(axis=1) & (s > bound)
-    s, bound, _ = _shifted_schur(p, alpha, tau, tau, g1)
-    open_ = ~(psd | (p.min(axis=1) < -tau) | (s < -bound))
-    boundary = np.zeros(len(p), dtype=bool)
-    for d in range(p.shape[1]):
-        rows = np.flatnonzero(open_ & (degree == d))
-        if rows.size:
-            psd[rows], boundary[rows], _ = spectral_boundary_band(
-                stacked_dense(p[rows, :d + 1], alpha[rows, :d]), tol)
-    return psd, boundary
+    leaf = p[:, 1:]
+    psd = ~((p < 0.0).any(axis=1) | ((leaf == 0.0) & (alpha != 0.0)).any(axis=1))
+    stage = np.zeros(len(p), dtype=np.intp)
+    rows = np.flatnonzero(psd)
+    for level, schur in ((1, _float_schur), (2, _double_double_schur)):
+        s, bound = schur(p[rows], alpha[rows])
+        decided = np.abs(s) > bound
+        psd[rows[decided]] = s[decided] > 0.0
+        stage[rows[decided]] = level
+        rows = rows[~decided]
+    for k in rows.tolist():
+        psd[k] = _integer_schur_sign(p[k].tolist(), alpha[k].tolist()) >= 0
+    stage[rows] = 3
+    return psd, stage
 
 
-def _shifted_schur(p, alpha, shift, tau, g1):
-    """(s, bound, q) of the stars stacked as rows of p and alpha, shifted to
-    A + shift I, shift = -tau or +tau per row: q their leaf diagonals, s
-    their center's Schur complement p1 + shift - sum alpha_i (alpha_i / q_i)
-    over the leaves with q_i > 0, folded left to right, and bound >= |s - S|
-    for the exact complement S wherever every q_i > 0.
+def _float_schur(p, alpha):
+    """(s, margin) of the stars stacked as rows of p and alpha: s their
+    center's Schur complement p1 - sum alpha_i (alpha_i / p_i) over the
+    leaves with p_i > 0, folded left to right, and margin >= |s - S| +
+    |L_c - L|, with S the exact complement, L the exact leaf load and L_c
+    the criterion's (leaf_load), wherever p >= 0.  So |s| > margin gives
+    the sign of S, and the criterion's verdict is the exact one.
 
-    bound is (d + 4) eps (|p1| + tau + load) + g1 * 2^-1022, with d leaf
-    columns and g1 = max(1, ||A||_inf): the first term covers the relative
-    errors of d + 3 roundings, the second those of underflow (README).
-    alpha_i (alpha_i / q_i) keeps these near g1 * 2^-1074 per leaf, where
-    alpha_i^2 / q_i would let them grow as 1 / q_i.
+    margin is (d + 4) eps (|p1| + 2 load) + 2^-1022 (1 + sum (alpha_i^2 +
+    1 / p_i)) with d leaf columns: the first term covers the relative errors
+    of both loads, the second those of underflow, which in the criterion's
+    alpha_i^2 / p_i grow as 1 / p_i (README).  An overflow in either load,
+    or in an alpha_i^2, makes s or margin infinite, which decides nothing.
     """
-    q = p[:, 1:] + shift[:, None]
-    # an overflow makes s or bound infinite, or s NaN, which decides nothing
+    leaf = p[:, 1:]
+    pos = leaf > 0.0
     with np.errstate(over="ignore"):
-        load = _fold(alpha * np.divide(alpha, q, out=np.zeros(q.shape), where=q > 0.0))
-        gamma = (q.shape[1] + 4) * np.finfo(float).eps
-        bound = gamma * ((np.abs(p[:, 0]) + tau) + load) + np.finfo(float).tiny * g1
-        return (p[:, 0] + shift) - load, bound, q
+        load = _fold(alpha * np.divide(alpha, leaf, out=np.zeros(leaf.shape), where=pos))
+        underflow = _fold(np.divide(1.0, leaf, out=np.zeros(leaf.shape), where=pos)
+                          + alpha * alpha)
+        gamma = (leaf.shape[1] + 4) * _EPS
+        margin = gamma * (np.abs(p[:, 0]) + 2.0 * load) + _TINY * (1.0 + underflow)
+        return p[:, 0] - load, margin
+
+
+# Dekker's splitting constant 2^27 + 1, and the range [2^-200, 2^200] in
+# which every nonzero entry of a row must lie for the double-double stage:
+# then none of its operations underflows or overflows (README).
+_SPLIT = 134217729.0
+_DD_RANGE = (2.0 ** -200, 2.0 ** 200)
+
+
+def _split(x):
+    """Veltkamp's split of x into a high half and x minus it, 26 bits each."""
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
+def _two_product(a, b):
+    """(x, e) with x = fl(a b) and x + e = a b exactly (Dekker)."""
+    x = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return x, al * bl - (((x - ah * bh) - al * bh) - ah * bl)
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _double_double_schur(p, alpha):
+    """(s, bound) of the stars stacked as rows of p >= 0 and alpha: s =
+    fl(h + l), which has the sign of h + l, for a double-double complement
+    h + l, and bound >= (1 + 2^-53) |h + l - S|, so that |s| > bound gives
+    the sign of S; a row with a nonzero entry outside _DD_RANGE gets bound
+    NaN, which decides nothing.
+
+    Each leaf with p_i > 0 gives r = fl(alpha / p_i), the exact remainder
+    rho = alpha - r p_i, and alpha r = m + n exactly, so that alpha^2 / p_i
+    = m + n + alpha rho / p_i.  The m are summed from p1 down by TwoSum,
+    exactly, and their errors, the n and fl(alpha fl(rho / p_i)) in floats;
+    bound is (d + 2)^2 eps^2 (|p1| + sum m) (README).
+    """
+    leaf = p[:, 1:]
+    pos = leaf > 0.0
+    q = np.where(pos, leaf, 1.0)
+    a = np.where(pos, alpha, 0.0)
+    lo, hi = _DD_RANGE
+    safe = np.ones(len(p), dtype=bool)
+    for x in (np.abs(p), np.abs(a)):
+        safe &= ((x == 0.0) | ((x >= lo) & (x <= hi))).all(axis=1)
+    # a row outside the range may overflow, which its NaN bound discards
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = a / q
+        ph, pl = _two_product(r, q)
+        rho = (a - ph) - pl
+        m, n = _two_product(a, r)
+        c = a * (rho / q)
+        s = p[:, 0]
+        errors = np.empty(m.shape)
+        for k, column in enumerate(m.T):
+            s, errors[:, k] = _two_sum(s, -column)
+        low = ((errors - n) - c).sum(axis=1)
+        bound = (leaf.shape[1] + 2) ** 2 * _EPS ** 2 * (np.abs(p[:, 0]) + _fold(m))
+        return s + low, np.where(safe, bound, np.nan)
+
+
+def _integer_schur_sign(p, alpha) -> int:
+    """The sign of S, -1, 0 or 1, for one star given as lists of floats p
+    and alpha with p >= 0, in integers: every float is an integer over a
+    power of two."""
+    num, den = p[0].as_integer_ratio()
+    for x, a in zip(p[1:], alpha):
+        if x > 0.0 and a != 0.0:
+            an, ad = a.as_integer_ratio()
+            xn, xd = x.as_integer_ratio()
+            tn, td = an * an * xd, ad * ad * xn
+            num, den = num * td - tn * den, den * td
+    return (num > 0) - (num < 0)
 
 
 def _fold(terms):
@@ -280,25 +360,42 @@ def tree_psd_check(a: np.ndarray, t: Graph, tol: float = DEFAULT_PSD_TOL) -> boo
     return plan_psd_check(plan, np.diag(a), edge, tol)
 
 
-def random_star(b: int, d: int, rng: np.random.Generator):
-    """b stars of degree d with i.i.d. uniform entries on [-2, 2), not
-    necessarily PSD, stacked as rows (p, alpha) of shapes (b, d+1), (b, d)."""
-    return rng.uniform(-2.0, 2.0, (b, d + 1)), rng.uniform(-2.0, 2.0, (b, d))
+def random_star(degree: np.ndarray, rng: np.random.Generator):
+    """Stars with i.i.d. uniform entries on [-2, 2), not necessarily PSD, row
+    k with degree[k] leaves, stacked as rows (p, alpha) padded to the largest
+    degree w: shapes (b, w+1) and (b, w), absent leaves p_i = alpha_i = 0.
+    One generator call per array."""
+    pad = _absent_leaves(degree)
+    p = rng.uniform(-2.0, 2.0, (len(pad), pad.shape[1] + 1))
+    alpha = rng.uniform(-2.0, 2.0, pad.shape)
+    p[:, 1:][pad] = alpha[pad] = 0.0
+    return p, alpha
 
 
-def random_psd_star(b: int, d: int, rng: np.random.Generator):
-    """b PSD stars of degree d >= 1, stacked as random_star's are.  In about
-    30 % of the rows a random leaf has alpha_i = p_i, which populates the
-    joint kernel; in about 30 % the center diagonal sits exactly at the leaf
-    load, which is where nontrivial kernels live."""
-    p_leaf = rng.uniform(0.1, 2.0, (b, d))
-    alpha = rng.uniform(-1.0, 1.0, (b, d)) * np.sqrt(p_leaf)
+def random_psd_star(degree: np.ndarray, rng: np.random.Generator):
+    """PSD stars, row k with degree[k] >= 1 leaves, stacked and padded as
+    random_star's are, with one generator call per array.  In about 30 % of
+    the rows a random leaf has alpha_i = p_i, which populates the joint
+    kernel; in about 30 % the center diagonal sits exactly at the leaf load,
+    which is where nontrivial kernels live."""
+    pad = _absent_leaves(degree)
+    b = len(pad)
+    p_leaf = rng.uniform(0.1, 2.0, pad.shape)
+    alpha = rng.uniform(-1.0, 1.0, pad.shape) * np.sqrt(p_leaf)
     rows = np.flatnonzero(rng.uniform(size=b) < 0.3)
-    leaf = rng.integers(d, size=rows.size)
+    leaf = rng.integers(np.asarray(degree)[rows])
     alpha[rows, leaf] = p_leaf[rows, leaf]
+    p_leaf[pad] = alpha[pad] = 0.0
     # the criterion's own load, so boundary draws land on its notion of
-    # equality, not one ulp below it
+    # equality, not one ulp below it; absent leaves add + 0.0 to it
     load = leaf_load(p_leaf, alpha)
     at_load = rng.uniform(size=b) < 0.3
     above = load * (1.0 + rng.uniform(0.0, 1.0, b)) + rng.uniform(0.0, 0.5, b)
     return np.column_stack([np.where(at_load, load, above), p_leaf]), alpha
+
+
+def _absent_leaves(degree):
+    """The mask (b, w) of the absent leaves of rows with degree[k] leaves, w
+    the largest degree (0 for no rows)."""
+    degree = np.asarray(degree)
+    return np.arange(degree.max(initial=0)) >= degree[:, None]

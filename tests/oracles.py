@@ -230,35 +230,58 @@ def kernel_stability_loop(s, m_max):
 
 def star_sample(sampler, d, rng):
     """One star of degree d from random_star or random_psd_star."""
-    p, alpha = sampler(1, d, rng)
+    p, alpha = sampler(np.array([d]), rng)
     return StarMatrix(p[0], alpha[0])
 
 
-def star_suite_loop(stars, tol):
+def exact_star_psd(p, alpha):
+    """Whether the star of the floats p (center first) and alpha is PSD, in
+    Fraction arithmetic: p >= 0, alpha_i = 0 where p_i = 0, and the center's
+    Schur complement p1 - sum alpha_i^2 / p_i over the leaves with p_i > 0
+    is >= 0."""
+    p, alpha = [Fraction(x) for x in p], [Fraction(x) for x in alpha]
+    if min(p) < 0 or any(x == 0 and a != 0 for x, a in zip(p[1:], alpha)):
+        return False
+    return p[0] - sum((a * a / x for x, a in zip(p[1:], alpha) if x), Fraction(0)) >= 0
+
+
+def eigvalsh_verdict(a):
+    """eigvalsh's PSD verdict on the symmetric matrix a where its least
+    eigenvalue clears the backward-error bound 1e-12 ||a||_inf, else None.
+    eigvalsh gives the eigenvalues of a + E with ||E||_2 far below that for
+    n <= 9, and by Weyl each moves by at most ||E||_2 (README)."""
+    lam = float(np.linalg.eigvalsh(a)[0])
+    bound = 1e-12 * float(np.abs(a).sum(axis=1).max())
+    if not math.isfinite(bound) or abs(lam) <= bound:
+        return None
+    return lam > 0.0
+
+
+def star_suite_loop(stars):
     """(verdict, certificate) of star-suite on the StarMatrix samples stars,
-    in index order, one sample at a time: is_psd's spectral verdicts, the
-    criterion and kernel stability, stopping at the first failure.  A sample
-    in the boundary band skips only the comparison of criterion and oracle.
-    star-suite itself checks no kernel stability, which the lemma in README
-    proves for PSD stars; the float check here stays, so that a report
-    compared with this loop cross-checks the lemma on every star the
-    criterion calls PSD, in or out of the band."""
-    checked = boundary = 0
+    in index order, one sample at a time: each star's exact verdict in
+    Fraction arithmetic, the criterion's claim counted against it, eigvalsh
+    on every star, whose verdict must be the exact one wherever its least
+    eigenvalue clears its backward-error bound, and kernel stability,
+    stopping at the first failure.  The certificate has every key of
+    star-suite's but its per-stage counts.  star-suite itself runs no
+    eigensolver and checks no kernel stability, which the lemma in README
+    proves for PSD stars; the float checks here stay, so that a report
+    compared with this loop cross-checks both on every star."""
+    exact_psd = wrong = 0
     for s in stars:
         dense = star_dense(s)
-        eigs = np.linalg.eigvalsh(dense)
+        exact = exact_star_psd(s.p, s.alpha)
+        spectral = eigvalsh_verdict(dense)
+        if spectral is not None and spectral != exact:
+            return "fail", {"matrix": format_matrix(dense), "exact": exact, "eigvalsh": spectral}
         claim = star_criterion_loop(s) == 0
-        if abs(eigs[0]) <= tol * max(1.0, abs(eigs[-1])):  # the boundary band
-            boundary += 1
-        else:
-            oracle = bool(eigs[0] >= -tol * max(1.0, np.max(np.abs(eigs))))
-            if claim != oracle:
-                return "fail", {"matrix": format_matrix(dense), "criterion": claim,
-                                "oracle": oracle}
-            checked += 1
+        exact_psd += exact
+        wrong += claim != exact
         if claim and not kernel_stability_loop(s, 8):
             return "fail", {"matrix": format_matrix(dense), "kernel_stability": False}
-    return "pass", {"checked": checked, "boundary_skipped": boundary}
+    return "pass", {"checked": len(stars), "boundary_skipped": 0, "exact_psd": exact_psd,
+                    "criterion_wrong": wrong}
 
 
 def exact_tree_psd(tree, a):

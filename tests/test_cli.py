@@ -201,7 +201,7 @@ def test_witness_report_encodes_each_set_once(kind, n):
     sets = list(bound.witness_sets)
     if kind == "complete":
         sets.append(witnesses.vandermonde_witnesses([float(i) for i in range(1, n + 1)]))
-    want = cli.Report("witness", 0, args.tol, len(sets), "pass", certificate={
+    want = cli.Report("witness", 0, None, len(sets), "pass", certificate={
         "lower_bound": bound.lower, "upper_bound": bound.upper,
         "witness_sets": [json.loads(ws.to_json()) for ws in sets]})
     assert got.to_json().encode() == want.to_json().encode()
@@ -357,7 +357,8 @@ OUT_OF_RANGE = [
     (("construct", "thresholds", "2", "5", "1", "inf"), "PARAMS"),
     (("absmon-test", "1*x^2", "--n-max", "-1"), "--n-max"),
     (("preserver-test", "1*x^2", "--seed", "-1"), "--seed"),
-    (("absmon-test", "1*x^2", "--seed", "-1"), "--seed"),
+    (("witness", "star 4", "--seed", "-1"), "--seed"),
+    (("critical-exponent", "path 5", "0.5", "--tol", "2e-6"), "--tol"),
 ]
 
 
@@ -367,16 +368,11 @@ OUT_OF_RANGE = [
     ("preserver-test", "1*x^2", "--grid", "nan"),
     ("absmon-test", "1*x^2", "--range", "0"),
     ("absmon-test", "1*x^2", "--grid", "100"),
-    ("star-suite", "--tol", "0"),
     ("preserver-test", "1*x^2, -1*x^1", "--tol", "inf"),
-    ("star-suite", "--tol", "inf"),
     ("critical-exponent", "path 5", "0.5", "--tol", "inf"),
+    ("critical-exponent", "path 5", "0.5", "--tol", "0"),
     ("preserver-test", "1*x^2", "--tol", "nan"),
-    ("witness", "star 4", "--tol", "nan"),
-    ("absmon-test", "1*x^2", "--tol", "-1"),
-    ("construct", "poly", "--tol", "-1"),
     ("preserver-test", "1*x^2, -1*x^1", "--tol", "0.5", "--trials", "50"),
-    ("star-suite", "--tol", "1", "--trials", "200"),
     # an empty grid, though the first trial fails
     ("preserver-test", "1*x^0.5", "--grid", "5", "--trials", "5"),
     # the exact decider leaves x^0.5 undecided at R = 2^-1074
@@ -432,7 +428,7 @@ def test_absmon_difference_is_the_one_at_its_witness(capsys, lit, order):
 
 
 def test_reports_refuse_nan_and_infinity():
-    rep = cli.Report("construct-thresholds", 0, 1e-9, 1, "pass",
+    rep = cli.Report("construct-thresholds", None, None, 1, "pass",
                      certificate={"threshold": float("nan")})
     for write in (rep.to_json, rep.to_csv):
         with pytest.raises(ValueError):
@@ -440,8 +436,23 @@ def test_reports_refuse_nan_and_infinity():
 
 
 def test_tol_cap_is_inclusive(capsys):
-    code, rep = run(capsys, "star-suite", "--tol", "1e-6", "--trials", "20")
+    code, rep = run(capsys, "critical-exponent", "path 3", "0.5", "2", "--tol", "1e-6")
     assert code == 0 and rep["tolerance"] == 1e-6
+    code, rep = run(capsys, "preserver-test", "1*x^2", "--trials", "20", "--tol", "1e-6")
+    assert code == 0 and rep["tolerance"] == 1e-6
+
+
+@pytest.mark.parametrize("argv,seed", [
+    (("absmon-test", "1*x^2"), None),
+    (("construct", "poly", "-n", "2"), None),
+    (("witness", "random_tree 6", "--seed", "3"), 3),
+    (("star-suite", "--trials", "20", "--seed", "3"), 3),
+])
+def test_commands_without_tol_print_null(capsys, argv, seed):
+    # the key stays in every report; a command that reads no --tol (and
+    # absmon-test and construct no --seed either) prints null for it
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep["tolerance"] is None and rep["seed"] == seed
 
 
 def test_literal_starting_with_minus_goes_after_double_dash(capsys):
@@ -479,7 +490,7 @@ def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
 
     def fake(args):
         seen.append(args.graph)
-        return cli.Report("witness", args.seed, args.tol, 1, "pass")
+        return cli.Report("witness", args.seed, None, 1, "pass")
 
     monkeypatch.setattr(cli, "cmd_witness", fake)
     code, rep = run(capsys, "witness", "star 4")

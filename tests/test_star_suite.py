@@ -1,18 +1,21 @@
-"""The stacked star-suite against the sample-by-sample reference.
+"""star-suite's draws and exact verdicts against references that share no
+code with it.
 
-star-suite draws its samples from one generator, degree by degree, into one
-stack padded with zero leaves, then checks them in that stack.  These tests
-hold its draws to the order it states, its reports to the loop in
-tests/oracles.py on the same samples (which also checks kernel stability in
-floats), its stacked criterion to the one-star loop there, its padded rows to
-the unpadded ones, the rows its oracle decides without eigvalsh to exact
-arithmetic, and the stacked LAPACK calls to the per-matrix calls they
-replace.  The kernel-stability lemma that lets star-suite skip
-that check is tested exactly, on an enumerated grid of PSD stars, and
-against the float check on the stars star-suite draws.
+star-suite draws its samples from one generator, each kind in one sampler
+call, into one stack padded with zero leaves, gives every sample its exact
+verdict by stages (star_tree.stacked_exact: the criterion's first two
+conditions, then the sign of the center's Schur complement in floats, in
+double-double and in integers) and checks the float criterion against it.
+These tests hold its draws to the order and the shares it states, its
+reports to the loop in tests/oracles.py on the same samples (exact verdicts
+in Fraction arithmetic, eigvalsh on every star, kernel stability in floats),
+every stage to Fraction arithmetic on rows built to be hard for it, its
+stacked criterion to the one-star loop there, and its padded rows to the
+unpadded ones.  The kernel-stability lemma that lets star-suite skip that
+check is tested exactly, on an enumerated grid of PSD stars, and against the
+float check on the stars star-suite draws.
 """
 
-import argparse
 import functools
 import itertools
 import json
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpsd import cli, star_tree
-from graphpsd.matrices import DEFAULT_PSD_TOL, spectral_boundary_band
+from graphpsd.matrices import format_matrix
 from graphpsd.star_tree import (
     StarMatrix,
     leaf_load,
@@ -31,15 +34,25 @@ from graphpsd.star_tree import (
     random_star,
     stacked_criterion,
     stacked_dense,
+    stacked_exact,
 )
 
-from oracles import kernel_stability_loop, star_criterion_loop, star_suite_loop
+from oracles import (
+    eigvalsh_verdict,
+    exact_star_psd,
+    kernel_stability_loop,
+    star_criterion_loop,
+    star_suite_loop,
+)
 
 
 def _stars(d, count, seed):
-    """count stars of degree d from both samplers, stacked as (p, alpha)."""
+    """count stars of degree d, the first half from random_star, the rest
+    from random_psd_star, stacked as (p, alpha)."""
     rng = np.random.default_rng(seed)
-    p, alpha = zip(random_star(count // 2, d, rng), random_psd_star(count - count // 2, d, rng))
+    half = count // 2
+    p, alpha = zip(random_star(np.full(half, d), rng),
+                   random_psd_star(np.full(count - half, d), rng))
     return np.concatenate(p), np.concatenate(alpha)
 
 
@@ -55,20 +68,55 @@ def degree_stacks(seed, trials):
     return [(p[degree == d, :d + 1], alpha[degree == d, :d]) for d in range(1, 9)]
 
 
+def padded(p, alpha, width=8):
+    """The rows of p and alpha with zero leaves appended up to width leaves."""
+    pad = width - alpha.shape[1]
+    return np.pad(p, ((0, 0), (0, pad))), np.pad(alpha, ((0, 0), (0, pad)))
+
+
 @pytest.mark.parametrize("seed,trials", [(0, 1), (5, 40), (8, 1000)])
 def test_draws_follow_the_stated_order(seed, trials):
+    # every degree, every kind, then all random_star rows in one call and
+    # all random_psd_star rows in one
     rng = np.random.default_rng(seed)
     degree = rng.integers(1, 9, trials)
     psd_kind = rng.random(trials) >= 0.5
     want = {}
-    for d in range(1, 9):
-        plain = np.flatnonzero((degree == d) & ~psd_kind).tolist()
-        psd = np.flatnonzero((degree == d) & psd_kind).tolist()
-        for sampler, rows in ((random_star, plain), (random_psd_star, psd)):
-            p, alpha = sampler(len(rows), d, rng)
-            want.update((i, (pr.tolist(), ar.tolist())) for i, pr, ar in zip(rows, p, alpha))
+    for sampler, kind in ((random_star, ~psd_kind), (random_psd_star, psd_kind)):
+        rows = np.flatnonzero(kind)
+        p, alpha = sampler(degree[rows], rng)
+        want.update((i, (pr[:d + 1].tolist(), ar[:d].tolist()))
+                    for i, d, pr, ar in zip(rows.tolist(), degree[rows].tolist(), p, alpha))
     got = {i: (list(s.p), list(s.alpha)) for i, s in enumerate(drawn_stars(seed, trials))}
     assert got == want
+
+
+def test_draws_are_padded_with_zeros_and_keep_their_shares():
+    trials = 20000
+    rng = np.random.default_rng(3)
+    degree = rng.integers(1, 9, trials)
+    psd_kind = rng.random(trials) >= 0.5
+    got_degree, p, alpha = cli._draw_stars(np.random.default_rng(3), trials)
+    assert got_degree.tolist() == degree.tolist()
+    absent = np.arange(8) >= degree[:, None]
+    assert not p[:, 1:][absent].any() and not alpha[absent].any()
+    # each kind about 1/2, each degree about 1/8, within each kind too
+    assert 0.48 < psd_kind.mean() < 0.52
+    for kind in (psd_kind, ~psd_kind):
+        assert all(0.11 < np.mean(degree[kind] == d) < 0.14 for d in range(1, 9))
+    # the entries of each kind on the leaves present
+    plain, psd = p[~psd_kind], p[psd_kind]
+    assert -2.0 <= plain.min() and plain.max() < 2.0
+    assert ((psd[:, 1:] >= 0.1) | absent[psd_kind]).all() and psd[:, 1:].max() < 2.0
+    # about 30 % of the PSD rows sit at the criterion's load bit for bit,
+    # padded or not, and about 30 % have a leaf with alpha_i = p_i
+    at_load = p[psd_kind, 0] == leaf_load(psd[:, 1:], alpha[psd_kind])
+    assert 0.27 < at_load.mean() < 0.33
+    for k in np.flatnonzero(psd_kind)[at_load][:400].tolist():
+        d = degree[k]
+        assert p[k, 0] == leaf_load(p[k, 1:d + 1], alpha[k, :d])
+    tied = ((alpha == p[:, 1:]) & ~absent)[psd_kind].any(axis=1)
+    assert 0.27 < tied.mean() < 0.33
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11, 250])
@@ -76,211 +124,184 @@ def test_draws_follow_the_stated_order(seed, trials):
 def test_report_matches_the_loop(capsys, seed, trials):
     code = cli.main(["star-suite", "--trials", str(trials), "--seed", str(seed)])
     rep = json.loads(capsys.readouterr().out)
-    assert (code, rep["verdict"], rep["certificate"]) == \
-        (0, *star_suite_loop(drawn_stars(seed, trials), DEFAULT_PSD_TOL))
+    cert = rep["certificate"]
+    stages = cert.pop("decided_by")
+    assert list(stages) == list(cli.STAGES) and sum(stages.values()) == trials
+    assert rep["tolerance"] is None
+    assert (code, rep["verdict"], cert) == (0, *star_suite_loop(drawn_stars(seed, trials)))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 42, 777])
-def test_fail_path_matches_the_loop(seed):
-    # main refuses --tol 1; at that band the oracle parts from the exact
-    # criterion within the first samples, and the handler must stop where the
-    # loop stops, with the same certificate
-    rep = cli.cmd_star_suite(argparse.Namespace(trials=200, seed=seed, tol=1.0))
-    assert rep.verdict == "fail" and "criterion" in rep.certificate
-    assert (rep.verdict, rep.certificate) == star_suite_loop(drawn_stars(seed, 200), 1.0)
+def test_star_suite_runs_no_eigensolver(capsys, monkeypatch):
+    # main turns an exception into exit 2; every run must pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("star-suite ran an eigensolver")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for seed in (0, 4, 9):
+        assert cli.main(["star-suite", "--seed", str(seed)]) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["checked"] == 1000
 
 
-def diagonal_margin(p, alpha, tol):
-    """2 tol max(1, G) + 1e-12 G per row, G = ||A||_inf: a star whose least
-    diagonal entry lies below minus this is neither PSD nor in the band."""
-    g = np.maximum(np.abs(p[:, 0]) + np.abs(alpha).sum(axis=1),
-                   (np.abs(p[:, 1:]) + np.abs(alpha)).max(axis=1))
-    return 2.0 * tol * np.maximum(1.0, g) + 1e-12 * g
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_a_wrong_claim_fails_the_run_where_a_margin_proves_the_criterion(monkeypatch, level):
+    # the criterion's claim flipped on one sample: where the conditions or
+    # the float stage decide, the margin proves the criterion's verdict, so
+    # the run fails there, with both verdicts and the keys every star-suite
+    # report has; where a later stage decides, the sample is counted
+    args = cli.build_parser().parse_args(["star-suite", "--seed", "4", "--trials", "300"])
+    degree, p, alpha = cli._draw_stars(np.random.default_rng(4), 300)
+    exact, stage = stacked_exact(p, alpha)
+    claim = stacked_criterion(p, alpha) == 0
+    before = cli.cmd_star_suite(args).certificate
+    k = int(np.flatnonzero(stage == level)[3])
+    real = star_tree.stacked_criterion
+
+    def flipped(p, alpha):
+        failed = real(p, alpha)
+        failed[k] = 0 if failed[k] else 3
+        return failed
+
+    monkeypatch.setattr(star_tree, "stacked_criterion", flipped)
+    rep = cli.cmd_star_suite(args)
+    if level <= 1:
+        d = int(degree[k])
+        matrix = format_matrix(stacked_dense(p[k:k + 1, :d + 1], alpha[k:k + 1, :d])[0])
+        assert (rep.verdict, rep.certificate) == ("fail", {
+            "matrix": matrix, "criterion": not claim[k], "exact": bool(exact[k]),
+            "checked": k + 1, "boundary_skipped": 0})
+    else:
+        assert rep.verdict == "pass"
+        step = 1 if claim[k] == exact[k] else -1
+        assert rep.certificate["criterion_wrong"] == before["criterion_wrong"] + step
 
 
-def at_the_margin(p, alpha, tol, column, sign=-1.0):
-    """Copies of the rows with p[:, column] one ulp below sign times the
-    margin, at it and one ulp above it, minus the margin by default.  The
-    margin grows with |p[:, column]| by 2 tol + 1e-12, so a few rounds of p =
-    sign * margin(p) settle while that is below 1; at tol 1 they do not, and
-    no row is ever beyond the margin, since every |p_i| <= G."""
-    p = p.copy()
-    for _ in range(8):
-        p[:, column] = sign * diagonal_margin(p, alpha, tol)
-    at = p[:, column].copy()
+def _exact_load(p, alpha):
+    """The exact leaf load of each row, as a Fraction."""
+    return [sum((Fraction(a) ** 2 / Fraction(x) for x, a in zip(pr[1:].tolist(), ar.tolist())
+                 if x > 0), Fraction(0)) for pr, ar in zip(p, alpha)]
+
+
+def _at_centers(p, alpha, centers):
+    """Copies of the rows with each center of centers and one ulp either side."""
     rows = []
     for toward in (-np.inf, None, np.inf):
         q = p.copy()
-        q[:, column] = at if toward is None else np.nextafter(at, toward)
-        rows.append(q)
-    return np.concatenate(rows), np.concatenate([alpha] * 3)
+        q[:, 0] = centers if toward is None else np.nextafter(centers, toward)
+        rows.append((q, alpha))
+    return rows
 
 
-TOLS = [1e-300, 1e-13, 1e-9, cli.MAX_TOL, 1.0]
-
-
-@settings(max_examples=150, deadline=None)
-@given(d=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), tol=st.sampled_from(TOLS),
-       scale=st.sampled_from([1.0, 1e-6, 1e6]))
-def test_the_diagonal_mask_keeps_the_oracle(d, seed, tol, scale):
-    # stacked_oracle leaves eigvalsh out on the stars whose least diagonal
-    # entry lies below the margin; on every row its (is_psd, boundary) must
-    # be what eigvalsh on the whole stack gives, also on rows whose least
-    # diagonal entry sits at minus the margin or one ulp either side of it
+def cascade_rows(d, seed, scale):
+    """Rows of degree d, padded to 8 leaves, built to be hard for the exact
+    stages: both samplers' draws with some leaves zeroed, scaled by scale;
+    copies of the PSD draws with the center at the criterion's load and at
+    the float nearest the exact load, and one ulp either side; kernel rows
+    alpha_j = p_j at the load, where S = 0; rows with S = 0 whose load is no
+    dyadic rational, from leaves (a, 3c) and (a, 3c / 2), and one ulp
+    either side; rows whose alpha_i^2 underflows in the criterion; and rows
+    whose alpha_i^2 or alpha_i^2 / p_i overflows."""
+    rng = np.random.default_rng(seed)
     p, alpha = _stars(d, 24, seed)
-    rng = np.random.default_rng(seed)
-    edge = [at_the_margin(p[:8], alpha[:8], tol, int(rng.integers(d + 1)))
-            for _ in range(2)]
-    p = scale * np.concatenate([p] + [q for q, _ in edge])
-    alpha = scale * np.concatenate([alpha] + [a for _, a in edge])
-    psd, boundary, _ = spectral_boundary_band(stacked_dense(p, alpha), tol)
-    got = star_tree.stacked_oracle(p, alpha, tol)
-    assert got[0].tolist() == psd.tolist() and got[1].tolist() == boundary.tolist()
+    zero = rng.random(alpha.shape) < 0.15
+    p[:, 1:][zero] = alpha[zero] = 0.0
+    p, alpha = scale * p, scale * alpha
+    psd_p, psd_alpha = p[12:], alpha[12:]
+    rows = [(p, alpha)]
+    rows += _at_centers(psd_p, psd_alpha, leaf_load(psd_p[:, 1:], psd_alpha))
+    rows += _at_centers(psd_p, psd_alpha, [float(x) for x in _exact_load(psd_p, psd_alpha)])
+    j = rng.integers(d, size=12)
+    q, a = psd_p.copy(), np.zeros_like(psd_alpha)
+    a[np.arange(12), j] = q[np.arange(12), 1 + j]
+    q[:, 0] = a[np.arange(12), j]
+    rows.append((q, a))
+    two = 2.0 ** np.round(np.log2(scale))
+    if d >= 2:
+        # a has 21 bits, so a^2 / c is exact and is the exact load
+        a = np.round(rng.uniform(0.5, 2.0, 12) * 2.0 ** 20) * 2.0 ** -20 * two
+        c = 2.0 ** rng.integers(-3, 4, 12) * two
+        q, al = psd_p.copy(), np.zeros_like(psd_alpha)
+        q[:, 1], q[:, 2], al[:, 0], al[:, 1] = 3.0 * c, 1.5 * c, a, a
+        rows += _at_centers(q, al, a * a / c)
+    q, a = np.zeros((6, d + 1)), np.zeros((6, d))
+    # alpha^2 underflows to 0 in the criterion, whose load is then 0
+    a[:2, 0] = 2.0 ** -540 * rng.uniform(0.5, 2.0, 2)
+    q[:2, 1] = 2.0 ** -600 * rng.uniform(0.5, 2.0, 2)
+    q[:2, 0] = a[:2, 0] * (a[:2, 0] / q[:2, 1]) * np.array([0.5, 2.0])
+    # alpha^2 overflows in the criterion alone, and alpha^2 / p_i in both loads
+    q[2:4, 1], a[2:4, 0], q[2:4, 0] = 1e200, 1e200, [1e199, 1e201]
+    q[4:, 1], a[4:, 0], q[4:, 0] = 1e-200, 1e200, [1e300, 1e308]
+    rows.append((q, a))
+    return padded(*map(np.concatenate, zip(*rows)))
 
 
-def recording_oracle(seen):
-    """spectral_boundary_band, with each matrix it is given appended to seen
-    as bytes."""
-    def recording(a, tol):
-        seen.extend(matrix.tobytes() for matrix in a)
-        return spectral_boundary_band(a, tol)
-    return recording
-
-
-@pytest.mark.parametrize("tol", TOLS[:-1])
-def test_the_mask_is_sharp_at_the_margin(tol):
-    # PSD stars with their center, or their first leaf, moved to minus the
-    # margin tau.  One ulp below -tau the diagonal decides.  A leaf at -tau
-    # makes its diagonal in A + tau I zero, so only eigvalsh decides that
-    # star; one ulp above, alpha_1^2 / (p_1 + tau) is huge and A + tau I is
-    # not PSD.  A center at or above -tau leaves a center near 0 in A + tau I
-    # against a load near 1, so A + tau I is not PSD either
-    psd = random_psd_star(8, 3, np.random.default_rng(5))
-    p, alpha = map(np.concatenate, zip(at_the_margin(*psd, tol, 0), at_the_margin(*psd, tol, 1)))
-    seen = []
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(star_tree, "spectral_boundary_band", recording_oracle(seen))
-        got = star_tree.stacked_oracle(p, alpha, tol)
-    # rows 0..23 move the center, 24..47 the leaf; 32..39 sit at the margin
-    assert seen == [a.tobytes() for a in stacked_dense(p[32:40], alpha[32:40])]
-    assert not got[0].any() and not got[1].any()
-
-
-def test_a_star_below_the_margin_never_reaches_the_oracle(monkeypatch):
-    # the leaf diagonal -0.5 lies far below minus the margin, which is about
-    # 8e-9 here, and the first star minus the margin is positive definite
-    # by far: neither reaches spectral_boundary_band.  The third star's least
-    # eigenvalue, -1e-12, lies inside the band, where no bound decides
-    p = np.array([[3.0, 1.0, 1.0], [2.0, -0.5, 1.0], [-1e-12, 1.0, 1.0]])
-    alpha = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-    seen = []
-    monkeypatch.setattr(star_tree, "spectral_boundary_band", recording_oracle(seen))
-    psd, boundary = star_tree.stacked_oracle(p, alpha, 1e-9)
-    assert seen == [stacked_dense(p, alpha)[2].tobytes()]
-    assert psd.tolist() == [True, False, True] and boundary.tolist() == [False, False, True]
-    # in star-suite every star in the band reaches the oracle, and few others
-    seen.clear()
-    rep = cli.cmd_star_suite(cli.build_parser().parse_args(
-        ["star-suite", "--trials", "1000", "--seed", "4"]))
-    assert rep.verdict == "pass"
-    assert rep.certificate["boundary_skipped"] <= len(seen) <= 200
-
-
-def exactly_psd(center, leaves, alpha, definite=False):
-    """Whether the star with Fraction entries is PSD, or positive definite,
-    by its exact Schur complement."""
-    for x, a in zip(leaves, alpha):
-        if x < 0 or (x == 0 and (definite or a != 0)):
-            return False
-    s = center - sum(a * a / x for x, a in zip(leaves, alpha) if x != 0)
-    return s > 0 if definite else s >= 0
-
-
-def check_rows_decided_without_eigvalsh(p, alpha, degree, tol):
-    """Run stacked_oracle on the padded rows and check every row it decides
-    without eigvalsh exactly: minus the float margin tau it is positive
-    definite where called PSD, and plus tau it is not PSD where called not
-    PSD.  Every verdict must be eigvalsh's on the unpadded star.  Returns
-    how many rows each way were decided."""
-    seen = []
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(star_tree, "spectral_boundary_band", recording_oracle(seen))
-        psd, boundary = star_tree.stacked_oracle(p, alpha, tol, degree)
-    seen = set(seen)
-    tau = diagonal_margin(p, alpha, tol)
-    decided = [0, 0]
-    for k, d in enumerate(degree.tolist()):
-        dense = stacked_dense(p[k:k + 1, :d + 1], alpha[k:k + 1, :d])
-        want_psd, want_boundary, _ = spectral_boundary_band(dense, tol)
-        assert (psd[k], boundary[k]) == (want_psd[0], want_boundary[0])
-        if dense[0].tobytes() in seen:
-            continue
-        t = Fraction(float(tau[k]))
-        center, al = Fraction(float(p[k, 0])), [Fraction(x) for x in alpha[k, :d].tolist()]
-        leaves = [Fraction(x) for x in p[k, 1:d + 1].tolist()]
-        assert not boundary[k]
-        if psd[k]:
-            assert exactly_psd(center - t, [x - t for x in leaves], al, definite=True), k
-        else:
-            assert not exactly_psd(center + t, [x + t for x in leaves], al), k
-        decided[bool(psd[k])] += 1
-    return decided
-
-
-def at_the_shifted_load(p, alpha, tol, sign):
-    """Copies of the rows with the center at -sign tau plus the leaf load of
-    A + sign tau I, and one ulp either side: there only rounding tells the
-    sign of the shifted criterion.  A few rounds settle, as in
-    at_the_margin."""
-    p = p.copy()
-    for _ in range(8):
-        tau = diagonal_margin(p, alpha, tol)
-        p[:, 0] = leaf_load(p[:, 1:] + sign * tau[:, None], alpha) - sign * tau
-    rows = []
-    for toward in (-np.inf, None, np.inf):
-        q = p.copy()
-        q[:, 0] = p[:, 0] if toward is None else np.nextafter(p[:, 0], toward)
-        rows.append(q)
-    return np.concatenate(rows), np.concatenate([alpha] * 3)
-
-
-def padded(p, alpha, width=8):
-    """The rows of p and alpha with zero leaves appended up to width leaves."""
-    pad = width - alpha.shape[1]
-    return np.pad(p, ((0, 0), (0, pad))), np.pad(alpha, ((0, 0), (0, pad)))
+def check_exact_verdicts(p, alpha, d):
+    """stacked_exact on padded rows of degree d: every verdict is the
+    Fraction one and, wherever its least eigenvalue clears the
+    backward-error bound, eigvalsh's on the unpadded star; wherever the
+    conditions or the float stage decide, the criterion's verdict is the
+    exact one.  Returns the stages."""
+    psd, stage = stacked_exact(p, alpha)
+    claim = stacked_criterion(p, alpha) == 0
+    assert (claim == psd)[stage <= 1].all()
+    dense = stacked_dense(p[:, :d + 1], alpha[:, :d])
+    for k in range(len(p)):
+        assert psd[k] == exact_star_psd(p[k].tolist(), alpha[k].tolist()), k
+        spectral = eigvalsh_verdict(dense[k])
+        assert spectral is None or spectral == psd[k], k
+    return stage
 
 
 @settings(max_examples=150, deadline=None)
-@given(d=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), tol=st.sampled_from(TOLS),
+@given(d=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
        scale=st.sampled_from([1.0, 1e-6, 1e6, 1e-150, 1e150]))
-def test_rows_decided_without_eigvalsh_hold_exactly(d, seed, tol, scale):
-    # padded stars at every scale, and copies with a center or leaf moved to
-    # -tau or +tau and one ulp either side, or with the center moved to the
-    # load of A -+ tau I, each moved after scaling and padding so that it
-    # sits at the oracle's own tau
-    p, alpha = padded(*_stars(d, 24, seed))
-    p, alpha = scale * p, scale * alpha
-    rng = np.random.default_rng(seed)
-    moved = [at_the_margin(p[:8], alpha[:8], tol, int(rng.integers(d + 1)), sign)
-             for sign in (-1.0, 1.0) for _ in range(2)]
-    # rows 12.. are random_psd_star's, whose leaves are positive
-    moved += [at_the_shifted_load(p[12:], alpha[12:], tol, sign) for sign in (-1.0, 1.0)]
-    p = np.concatenate([p] + [q for q, _ in moved])
-    alpha = np.concatenate([alpha] + [a for _, a in moved])
-    check_rows_decided_without_eigvalsh(p, alpha, np.full(len(p), d), tol)
+def test_exact_verdicts_hold_in_fractions_and_for_eigvalsh(d, seed, scale):
+    with np.errstate(over="ignore"):
+        check_exact_verdicts(*cascade_rows(d, seed, scale), d)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_every_stage_decides_hard_rows(d):
+    with np.errstate(over="ignore"):
+        stages = np.concatenate([check_exact_verdicts(*cascade_rows(d, seed, 1.0), d)
+                                 for seed in range(3)])
+    assert (np.bincount(stages, minlength=4) > 0).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 1e6]))
+def test_double_double_signs_hold_where_they_clear_the_bound(d, seed, scale):
+    # every row with p >= 0, the ones whose exact Schur complement is 0
+    # included: wherever |s| > bound, s has the exact sign, which is not 0.
+    # Rows with an entry outside the stage's range get bound NaN; of the
+    # others, nearly every one with a nonzero complement is decided
+    p, alpha = cascade_rows(d, seed, scale)
+    keep = (p >= 0.0).all(axis=1)
+    p, alpha = p[keep], alpha[keep]
+    s, bound = star_tree._double_double_schur(p, alpha)
+    exact = np.array([Fraction(x) - load
+                      for x, load in zip(p[:, 0].tolist(), _exact_load(p, alpha))])
+    decided = np.abs(s) > bound
+    for k in np.flatnonzero(decided).tolist():
+        assert exact[k] != 0 and (s[k] > 0) == (exact[k] > 0), k
+    nonzero = np.isfinite(bound) & (exact != 0)
+    assert decided[nonzero].mean() > 0.9
 
 
 @pytest.mark.parametrize("seed", [0, 4])
 def test_star_suite_draws_are_decided_exactly(seed):
-    # on star-suite's own draws both bounds decide hundreds of stars
+    # on star-suite's own draws every verdict is the Fraction one, and each
+    # stage leaves few rows to the next
     degree, p, alpha = cli._draw_stars(np.random.default_rng(seed), 1000)
-    not_psd, psd = check_rows_decided_without_eigvalsh(p, alpha, degree, DEFAULT_PSD_TOL)
-    assert not_psd > 300 and psd > 300
+    psd, stage = stacked_exact(p, alpha)
+    assert psd.tolist() == [exact_star_psd(pr.tolist(), ar.tolist()) for pr, ar in zip(p, alpha)]
+    counts = np.bincount(stage, minlength=4)
+    assert counts[1] > 300 and counts[2] > 100 and 0 < counts[3] < 30
 
 
 def test_the_reference_loop_calls_eigvalsh_on_every_star(monkeypatch):
     # tests/oracles.star_suite_loop, which test_report_matches_the_loop holds
-    # star-suite to, keeps the eigensolve the mask leaves out
+    # star-suite to, keeps the eigensolve that star-suite leaves out
     calls = []
     real = np.linalg.eigvalsh
 
@@ -290,17 +311,8 @@ def test_the_reference_loop_calls_eigvalsh_on_every_star(monkeypatch):
 
     stars = drawn_stars(4, 300)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    star_suite_loop(stars, DEFAULT_PSD_TOL)
+    star_suite_loop(stars)
     assert len(calls) == len(stars)
-
-
-@pytest.mark.parametrize("d", range(1, 9))
-def test_stacked_lapack_calls_equal_per_matrix_calls_bit_for_bit(d):
-    # the stacked suite relies on this: a numpy or LAPACK change that breaks
-    # it must fail here, not move a boundary verdict silently
-    dense = stacked_dense(*_stars(d, 40, seed=d))
-    stacked = np.linalg.eigvalsh(dense)
-    assert all(np.array_equal(stacked[k], np.linalg.eigvalsh(a)) for k, a in enumerate(dense))
 
 
 @pytest.mark.parametrize("d", range(0, 9))

@@ -174,7 +174,7 @@ def test_star_check_agrees_with_oracle(d, seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10_000))
 def test_random_psd_star_is_psd(d, seed):
-    p, alpha = random_psd_star(40, d, np.random.default_rng(seed))
+    p, alpha = random_psd_star(np.full(40, d), np.random.default_rng(seed))
     assert p.shape == (40, d + 1) and alpha.shape == (40, d)
     assert all(star_psd_check(StarMatrix(pr, ar)).is_psd for pr, ar in zip(p, alpha))
     assert (stacked_criterion(p, alpha) == 0).all()
@@ -183,7 +183,7 @@ def test_random_psd_star_is_psd(d, seed):
 def test_random_psd_star_boundary_rows_sit_exactly_at_the_load():
     # about 30 % of the rows have p1 equal to the criterion's own load, and
     # about 30 % have a leaf with alpha_i = p_i
-    p, alpha = random_psd_star(2000, 5, np.random.default_rng(1))
+    p, alpha = random_psd_star(np.full(2000, 5), np.random.default_rng(1))
     at_load = p[:, 0] == leaf_load(p[:, 1:], alpha)
     tied = (alpha == p[:, 1:]).any(axis=1)
     assert 0.25 < at_load.mean() < 0.35 and 0.25 < tied.mean() < 0.35
@@ -193,7 +193,7 @@ def test_random_psd_star_boundary_rows_sit_exactly_at_the_load():
 
 
 def test_random_star_rows():
-    p, alpha = random_star(500, 3, np.random.default_rng(2))
+    p, alpha = random_star(np.full(500, 3), np.random.default_rng(2))
     assert p.shape == (500, 4) and alpha.shape == (500, 3)
     assert -2.0 <= min(p.min(), alpha.min()) and max(p.max(), alpha.max()) < 2.0
     # both verdicts of the criterion occur

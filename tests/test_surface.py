@@ -117,6 +117,13 @@ REMOVED_FLAGS = [
     ("witness", "star 4", "--range", "4"),
     ("construct", "poly", "--range", "4"),
     ("star-suite", "--range", "4"),
+    # flags that these commands read nowhere
+    ("absmon-test", "1*x^2", "--tol", "1e-9"),
+    ("witness", "star 4", "--tol", "1e-9"),
+    ("construct", "poly", "--tol", "1e-9"),
+    ("star-suite", "--tol", "1e-9"),
+    ("absmon-test", "1*x^2", "--seed", "3"),
+    ("construct", "poly", "--seed", "3"),
 ]
 
 
