@@ -33,7 +33,7 @@ from .matrices import MatrixError
 # as their threshold.
 MAX_TOL = 1e-6
 
-# star-suite's stages, in the order they decide (star_tree.stacked_exact)
+# star-suite's stages, in the order they decide (star_tree.stacked_verdicts)
 STAGES = ("conditions", "float", "double_double", "integers")
 
 FUNCTION_HELP = ('power-sum literal, e.g. "1*x^1, 1*x^2"; a literal that starts with "-" '
@@ -341,34 +341,36 @@ def cmd_construct(args) -> Report:
 
 
 def _draw_stars(rng: np.random.Generator, trials: int):
-    """star-suite's samples in one padded stack, as (degree, p, alpha): row i
-    holds sample i's star, with degree[i] leaves, in p (trials, 9) and alpha
-    (trials, 8), and its absent leaves have p_i = alpha_i = 0.
+    """star-suite's samples in one padded leaf-major stack, as (degree, p,
+    alpha): column i holds sample i's star, with degree[i] leaves, in p (9,
+    trials) and alpha (8, trials), and its absent leaves have p_i = alpha_i
+    = 0.
 
     Every sample's degree comes first, then every sample's kind, random_star
-    or random_psd_star with probability 1/2 each; then all random_star rows
-    in one call, and all random_psd_star rows in one.
+    or random_psd_star with probability 1/2 each; then all random_star stars
+    in one call, and all random_psd_star stars in one, whose rows land in
+    the stack's columns.
     """
     degree = rng.integers(1, 9, trials)
     psd_kind = rng.random(trials) >= 0.5
-    p, alpha = np.zeros((trials, 9)), np.zeros((trials, 8))
+    p, alpha = np.zeros((9, trials)), np.zeros((8, trials))
     for kind, sampler in ((~psd_kind, star_tree.random_star),
                           (psd_kind, star_tree.random_psd_star)):
-        rows = np.flatnonzero(kind)
-        kind_p, kind_alpha = sampler(degree[rows], rng)
-        p[rows, :kind_p.shape[1]], alpha[rows, :kind_alpha.shape[1]] = kind_p, kind_alpha
+        cols = np.flatnonzero(kind)
+        kind_p, kind_alpha = sampler(degree[cols], rng)
+        p[:kind_p.shape[1], cols], alpha[:kind_alpha.shape[1], cols] = kind_p.T, kind_alpha.T
     return degree, p, alpha
 
 
 def cmd_star_suite(args) -> Report:
     rep = Report("star-suite", args.seed, None, args.trials, "pass")
-    # one padded stack for the criterion and the exact verdicts, whose absent
-    # leaves change no load.  A star the criterion calls PSD needs no
+    # one padded stack and one pass for the criterion and the exact verdicts;
+    # absent leaves change no load.  A star the criterion calls PSD needs no
     # kernel-stability check, since for a PSD star ker A and ker A^(2) meet
     # inside every ker A^(m) (README)
     degree, p, alpha = _draw_stars(np.random.default_rng(args.seed), args.trials)
-    claim = star_tree.stacked_criterion(p, alpha) == 0
-    exact, stage = star_tree.stacked_exact(p, alpha)
+    criterion, exact, stage = star_tree.stacked_verdicts(p, alpha)
+    claim = criterion == 0
     wrong = claim != exact
     # where the conditions or the float stage decide, the criterion's verdict
     # is proved (the conditions compare floats exactly, and the float margin
@@ -380,7 +382,7 @@ def cmd_star_suite(args) -> Report:
         d = int(degree[i])
         rep.verdict = "fail"
         rep.certificate = {"matrix": matrices.format_matrix(
-            star_tree.stacked_dense(p[i:i + 1, :d + 1], alpha[i:i + 1, :d])[0]),
+            star_tree.stacked_dense(p[None, :d + 1, i], alpha[None, :d, i])[0]),
             "criterion": bool(claim[i]), "exact": bool(exact[i]),
             "checked": i + 1, "boundary_skipped": 0}
         return rep

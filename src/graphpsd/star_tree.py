@@ -3,10 +3,13 @@
 A star matrix has center diagonal p1, leaf diagonals p2..p_{d+1}, first-row
 entries alpha2..alpha_{d+1}, and zeros elsewhere.  Tree patterns are tested by
 leaf elimination with scalar Schur complements and never touch an eigensolver.
-Stacked stars, padded to one width or not, get their exact verdicts from the
-criterion's sign of the center's Schur complement, told in floats, then in
-double-double, then in integers, each stage on the stars the one before
-leaves open; no eigensolver runs.
+Stars stacked leaf-major, column k star k, padded to one width or not, get
+the float criterion's claims and their exact verdicts in one pass
+(stacked_verdicts) over contiguous rows: the criterion's first two
+conditions, then the sign of the center's Schur complement, told in floats,
+then in double-double, then in integers, each stage on the stars the one
+before leaves open; no eigensolver runs.  star_psd_check is that pass on one
+star, so its verdict is exact.
 """
 
 from __future__ import annotations
@@ -53,63 +56,69 @@ def stacked_dense(p: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return a
 
 
-def stacked_exact(p: np.ndarray, alpha: np.ndarray):
-    """The exact PSD verdicts of the stars stacked as rows of p (B, d+1) and
-    alpha (B, d), finite and padded with zero leaves or not, and the stage
-    that decided each: (psd, stage), both of shape (B,).
+def stacked_verdicts(p: np.ndarray, alpha: np.ndarray):
+    """The float criterion's claims on the stars stacked leaf-major in p
+    (d+1, B) and alpha (d, B), column k star k, finite and padded with zero
+    leaves or not, their exact PSD verdicts, and the stage that decided
+    each: (claim, psd, stage), all of shape (B,), in one pass whose every
+    condition and fold runs over contiguous rows.
 
-    Stage 0 is the criterion's first two conditions, p >= 0 and alpha_i = 0
-    where p_i = 0, which compare floats exactly.  A row that meets both is
-    PSD iff S = p1 - sum alpha_i^2 / p_i over its leaves with p_i > 0 is >=
-    0, and three stages tell the sign of S, each on the rows the one before
-    leaves open: 1 floats, decided where |s| > margin (_float_schur), which
-    also proves the criterion's own verdict there; 2 double-double, decided
-    where |s| > bound (_double_double_schur); 3 integers, which decide every
-    row (README).
+    claim is the criterion's first failed condition, 1, 2 or 3, and 0 where
+    it calls the star PSD.  Its load, the left fold of fl(fl(alpha_i^2) /
+    p_i), is leaf_load's bit for bit on every star that meets the first two
+    conditions, the only stars whose claim reads it.
+
+    Stage 0 is those two conditions, p >= 0 and alpha_i = 0 where p_i = 0,
+    which compare floats exactly.  A star that meets both is PSD iff S = p1
+    - sum alpha_i^2 / p_i over its leaves with p_i > 0 is >= 0, and three
+    stages tell the sign of S, each on the stars the one before leaves
+    open: 1 floats, s = p1 minus the stage's own load, the left fold of
+    fl(alpha_i fl(alpha_i / p_i)), decided where |s| > margin, which also
+    proves the claim there; 2 double-double, decided where |s| > bound
+    (_double_double_schur); 3 integers, which decide every star (README).
+    The float stage does not reuse the claim's load: then the claim would
+    agree with every star it decides by construction.
+
+    The margin is (d + 4) eps (|p1| + 2 load) + 2^-1022 (1 + sum (alpha_i^2
+    + 1 / p_i)): the first term covers the relative errors of both loads,
+    the second those of underflow, which in the criterion's alpha_i^2 / p_i
+    grow as 1 / p_i.  An overflow in either load, or in an alpha_i^2, makes
+    s or the margin infinite, which decides nothing.
     """
-    leaf = p[:, 1:]
-    psd = ~((p < 0.0).any(axis=1) | ((leaf == 0.0) & (alpha != 0.0)).any(axis=1))
-    stage = np.zeros(len(p), dtype=np.intp)
-    rows = np.flatnonzero(psd)
-    for level, schur in ((1, _float_schur), (2, _double_double_schur)):
-        s, bound = schur(p[rows], alpha[rows])
+    leaf = p[1:]
+    negative = np.logical_or.reduce(p < 0.0)
+    loose = np.logical_or.reduce((leaf == 0.0) & (alpha != 0.0))
+    psd = ~(negative | loose)
+    # on a star that meets both conditions p_i != 0 just where p_i > 0, and
+    # elsewhere alpha_i = 0, which over p_i = inf adds 0 to every load below
+    q = np.where(leaf > 0.0, leaf, np.inf)
+    square = alpha * alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        claim = np.where(p[0] < _fold(square / q), 3, 0)
+        load = _fold(alpha * (alpha / q))
+        margin = ((len(leaf) + 4) * _EPS * (np.abs(p[0]) + 2.0 * load)
+                  + _TINY * (1.0 + _fold(1.0 / q + square)))
+        s = p[0] - load
+    claim[loose] = 2
+    claim[negative] = 1
+    decided = psd & (np.abs(s) > margin)
+    stage = decided.astype(np.intp)
+    psd &= (s > 0.0) | ~decided
+    cols = np.flatnonzero(psd & ~decided)
+    if len(cols):
+        s, bound = _double_double_schur(p[:, cols], alpha[:, cols])
         decided = np.abs(s) > bound
-        psd[rows[decided]] = s[decided] > 0.0
-        stage[rows[decided]] = level
-        rows = rows[~decided]
-    for k in rows.tolist():
-        psd[k] = _integer_schur_sign(p[k].tolist(), alpha[k].tolist()) >= 0
-    stage[rows] = 3
-    return psd, stage
-
-
-def _float_schur(p, alpha):
-    """(s, margin) of the stars stacked as rows of p and alpha: s their
-    center's Schur complement p1 - sum alpha_i (alpha_i / p_i) over the
-    leaves with p_i > 0, folded left to right, and margin >= |s - S| +
-    |L_c - L|, with S the exact complement, L the exact leaf load and L_c
-    the criterion's (leaf_load), wherever p >= 0.  So |s| > margin gives
-    the sign of S, and the criterion's verdict is the exact one.
-
-    margin is (d + 4) eps (|p1| + 2 load) + 2^-1022 (1 + sum (alpha_i^2 +
-    1 / p_i)) with d leaf columns: the first term covers the relative errors
-    of both loads, the second those of underflow, which in the criterion's
-    alpha_i^2 / p_i grow as 1 / p_i (README).  An overflow in either load,
-    or in an alpha_i^2, makes s or margin infinite, which decides nothing.
-    """
-    leaf = p[:, 1:]
-    pos = leaf > 0.0
-    with np.errstate(over="ignore"):
-        load = _fold(alpha * np.divide(alpha, leaf, out=np.zeros(leaf.shape), where=pos))
-        underflow = _fold(np.divide(1.0, leaf, out=np.zeros(leaf.shape), where=pos)
-                          + alpha * alpha)
-        gamma = (leaf.shape[1] + 4) * _EPS
-        margin = gamma * (np.abs(p[:, 0]) + 2.0 * load) + _TINY * (1.0 + underflow)
-        return p[:, 0] - load, margin
+        psd[cols[decided]] = s[decided] > 0.0
+        stage[cols[decided]] = 2
+        cols = cols[~decided]
+    for k in cols.tolist():
+        psd[k] = _integer_schur_sign(p[:, k].tolist(), alpha[:, k].tolist()) >= 0
+    stage[cols] = 3
+    return claim, psd, stage
 
 
 # Dekker's splitting constant 2^27 + 1, and the range [2^-200, 2^200] in
-# which every nonzero entry of a row must lie for the double-double stage:
+# which every nonzero entry of a star must lie for the double-double stage:
 # then none of its operations underflows or overflows (README).
 _SPLIT = 134217729.0
 _DD_RANGE = (2.0 ** -200, 2.0 ** 200)
@@ -138,39 +147,40 @@ def _two_sum(a, b):
 
 
 def _double_double_schur(p, alpha):
-    """(s, bound) of the stars stacked as rows of p >= 0 and alpha: s =
+    """(s, bound) of the stars stacked leaf-major in p >= 0 and alpha: s =
     fl(h + l), which has the sign of h + l, for a double-double complement
     h + l, and bound >= (1 + 2^-53) |h + l - S|, so that |s| > bound gives
-    the sign of S; a row with a nonzero entry outside _DD_RANGE gets bound
+    the sign of S; a star with a nonzero entry outside _DD_RANGE gets bound
     NaN, which decides nothing.
 
     Each leaf with p_i > 0 gives r = fl(alpha / p_i), the exact remainder
     rho = alpha - r p_i, and alpha r = m + n exactly, so that alpha^2 / p_i
     = m + n + alpha rho / p_i.  The m are summed from p1 down by TwoSum,
-    exactly, and their errors, the n and fl(alpha fl(rho / p_i)) in floats;
-    bound is (d + 2)^2 eps^2 (|p1| + sum m) (README).
+    exactly, and their errors, the n and fl(alpha fl(rho / p_i)), in a
+    float left fold; bound is (d + 2)^2 eps^2 (|p1| + sum m), which holds
+    for any order of that fold (README).
     """
-    leaf = p[:, 1:]
+    leaf = p[1:]
     pos = leaf > 0.0
     q = np.where(pos, leaf, 1.0)
     a = np.where(pos, alpha, 0.0)
     lo, hi = _DD_RANGE
-    safe = np.ones(len(p), dtype=bool)
+    safe = np.ones(p.shape[1], dtype=bool)
     for x in (np.abs(p), np.abs(a)):
-        safe &= ((x == 0.0) | ((x >= lo) & (x <= hi))).all(axis=1)
-    # a row outside the range may overflow, which its NaN bound discards
+        safe &= np.logical_and.reduce((x == 0.0) | ((x >= lo) & (x <= hi)))
+    # a star outside the range may overflow, which its NaN bound discards
     with np.errstate(over="ignore", invalid="ignore"):
         r = a / q
         ph, pl = _two_product(r, q)
         rho = (a - ph) - pl
         m, n = _two_product(a, r)
         c = a * (rho / q)
-        s = p[:, 0]
+        s = p[0]
         errors = np.empty(m.shape)
-        for k, column in enumerate(m.T):
-            s, errors[:, k] = _two_sum(s, -column)
-        low = ((errors - n) - c).sum(axis=1)
-        bound = (leaf.shape[1] + 2) ** 2 * _EPS ** 2 * (np.abs(p[:, 0]) + _fold(m))
+        for k, row in enumerate(-m):
+            s, errors[k] = _two_sum(s, row)
+        low = _fold((errors - n) - c)
+        bound = (len(leaf) + 2) ** 2 * _EPS ** 2 * (np.abs(p[0]) + _fold(m))
         return s + low, np.where(safe, bound, np.nan)
 
 
@@ -189,11 +199,11 @@ def _integer_schur_sign(p, alpha) -> int:
 
 
 def _fold(terms):
-    """The rows of terms (B, d) summed left to right, one column at a time;
-    a 1-D terms is one row."""
+    """terms summed over its leading axis left to right, one row at a time:
+    B sums for a leaf-major (d, B) stack, one for a vector (d,)."""
     total = 0.0
-    for column in terms.T:
-        total = total + column
+    for row in terms:
+        total = total + row
     return total
 
 
@@ -216,24 +226,19 @@ def leaf_load(p_leaf, alpha):
     p_leaf = np.asarray(p_leaf, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     return _fold(np.divide(alpha * alpha, p_leaf, out=np.zeros(p_leaf.shape),
-                           where=p_leaf != 0.0))
-
-
-def stacked_criterion(p: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The star criterion on stars stacked as rows of p (B, d+1) and alpha
-    (B, d): per row the first failed condition, 1, 2 or 3, and 0 when PSD."""
-    failed = np.zeros(len(p), dtype=int)
-    failed[p[:, 0] < leaf_load(p[:, 1:], alpha)] = 3
-    failed[((p[:, 1:] == 0.0) & (alpha != 0.0)).any(axis=1)] = 2
-    failed[(p < 0.0).any(axis=1)] = 1
-    return failed
+                           where=p_leaf != 0.0).T)
 
 
 def star_psd_check(s: StarMatrix) -> StarVerdict:
-    """PSD iff all p_i >= 0, (p_i = 0 implies alpha_i = 0), and
-    p1 >= sum of alpha_i^2 / p_i over leaves with p_i != 0."""
-    failed = int(stacked_criterion(np.array([s.p]), np.array([s.alpha]))[0])
-    return StarVerdict(not failed, failed or None)
+    """The exact verdict on s: PSD iff all p_i >= 0, (p_i = 0 implies
+    alpha_i = 0), and S = p1 - sum of alpha_i^2 / p_i over leaves with
+    p_i != 0 is >= 0 exactly, with the first condition that fails; 3 means
+    S < 0, which the float criterion may miss at the load."""
+    claim, psd, stage = stacked_verdicts(np.array(s.p)[:, None], np.array(s.alpha)[:, None])
+    if psd[0]:
+        return StarVerdict(True, None)
+    # the conditions decide exactly the stars whose claim fails them
+    return StarVerdict(False, int(claim[0]) if stage[0] == 0 else 3)
 
 
 def star_det(s: StarMatrix) -> float:
@@ -373,11 +378,13 @@ def random_star(degree: np.ndarray, rng: np.random.Generator):
 
 
 def random_psd_star(degree: np.ndarray, rng: np.random.Generator):
-    """PSD stars, row k with degree[k] >= 1 leaves, stacked and padded as
-    random_star's are, with one generator call per array.  In about 30 % of
-    the rows a random leaf has alpha_i = p_i, which populates the joint
-    kernel; in about 30 % the center diagonal sits exactly at the leaf load,
-    which is where nontrivial kernels live."""
+    """Stars that are PSD by the float criterion, row k with degree[k] >= 1
+    leaves, stacked and padded as random_star's are, with one generator call
+    per array.  In about 30 % of the rows a random leaf has alpha_i = p_i,
+    which populates the joint kernel; in about 30 % the center diagonal sits
+    exactly at the criterion's leaf load, which is where nontrivial kernels
+    live.  That load is rounded, and a third to a half of the rows at it,
+    by degree, lie below the exact load, so that they are not PSD exactly."""
     pad = _absent_leaves(degree)
     b = len(pad)
     p_leaf = rng.uniform(0.1, 2.0, pad.shape)

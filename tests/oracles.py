@@ -35,7 +35,7 @@ from graphpsd.matrices import (
     quadratic_form,
     stacked_psd_plan_entries,
 )
-from graphpsd.star_tree import StarMatrix, plan_psd_check, stacked_dense, star_psd_check
+from graphpsd.star_tree import StarMatrix, plan_psd_check, stacked_dense
 from graphpsd.witnesses import nk_membership
 
 
@@ -98,13 +98,15 @@ def star_factor_am(s, m):
 def star_factor(s, m):
     """Upper-triangular L_m with L_m L_m^T equal to the m-th Hadamard power.
 
-    The column for a leaf with p_i = 0 is zero by convention.
+    The column for a leaf with p_i = 0 is zero by convention.  The star must
+    pass the float criterion (star_criterion_loop), whose load a_m lies
+    within roundoff of.
     """
     if m < 1:
         raise MatrixError("m must be a positive integer")
-    verdict = star_psd_check(s)
-    if not verdict.is_psd:
-        raise MatrixError(f"star matrix is not PSD (condition {verdict.failed_condition})")
+    failed = star_criterion_loop(s)
+    if failed:
+        raise MatrixError(f"star matrix is not PSD (condition {failed})")
     am = star_factor_am(s, m)
     if am < 0:
         # roundoff can drive the exact-arithmetic a_m slightly negative

@@ -13,6 +13,12 @@ the grid.  critical-exponent, which decides every row and runs no trial, is
 pinned on refuted and proved rows; its digests were re-taken when it
 stopped running trials, from reports equal to the earlier ones apart from
 trials, which went from 300 to 0.
+
+star-suite is pinned on seeds 0, 4 and 77 at --trials 1, 7 and 1000, from
+reports taken before its criterion and exact stages became one pass over a
+leaf-major stack.  Its reference loop compares only the verdicts and counts
+it recomputes; a claim folded from the float stage's load instead of the
+criterion's moves criterion_wrong, and so the digest.
 """
 
 import hashlib
@@ -58,10 +64,19 @@ CRITICAL_PINS = {
 }
 
 
-def reports(capsys, argv):
+# --trials: (digest of the three reports, criterion_wrong of each)
+STAR_SEEDS = (0, 4, 77)
+STAR_PINS = {
+    1: ("0339d763dc831525", [0, 0, 0]),
+    7: ("ea08d0cfa8d525fd", [1, 0, 1]),
+    1000: ("033b604674256e2b", [58, 62, 76]),
+}
+
+
+def reports(capsys, argv, seeds=SEEDS):
     """[(exit code, report without elapsed_ms)] of argv with --seed s, for each seed."""
     out = []
-    for seed in SEEDS:
+    for seed in seeds:
         code = cli.main([argv[0], "--seed", str(seed), *argv[1:]])
         rep = json.loads(capsys.readouterr().out)
         rep.pop("elapsed_ms")
@@ -87,3 +102,11 @@ def test_critical_exponent_reports_keep_their_digests(capsys, spec):
                             "--trials", "300"))
     assert [(code, rep["trials"]) for code, rep in runs] == [(0, 0)] * 3
     assert digest(runs) == CRITICAL_PINS[spec]
+
+
+@pytest.mark.parametrize("trials", sorted(STAR_PINS))
+def test_star_suite_reports_keep_their_digests(capsys, trials):
+    runs = reports(capsys, ("star-suite", "--trials", str(trials)), STAR_SEEDS)
+    assert [code for code, _ in runs] == [0] * 3
+    assert (digest(runs), [rep["certificate"]["criterion_wrong"] for _, rep in runs]) == \
+        STAR_PINS[trials]

@@ -110,17 +110,17 @@ def trial_samples(monkeypatch, argv):
 
 
 def star_samples(monkeypatch, argv):
-    """The (p, alpha) rows star-suite checks, as bytes: the rows of its
-    criterion's stack, which are every star it draws."""
+    """The (p, alpha) stars star-suite checks, as bytes: the columns of its
+    verdicts' leaf-major stack, which are every star it draws."""
     seen = []
-    stacked_criterion = star_tree.stacked_criterion
+    stacked_verdicts = star_tree.stacked_verdicts
 
     def spy(p, alpha):
-        seen.extend(pr.tobytes() + ar.tobytes() for pr, ar in zip(p, alpha))
-        return stacked_criterion(p, alpha)
+        seen.extend(pr.tobytes() + ar.tobytes() for pr, ar in zip(p.T, alpha.T))
+        return stacked_verdicts(p, alpha)
 
     with monkeypatch.context() as m:
-        m.setattr(star_tree, "stacked_criterion", spy)
+        m.setattr(star_tree, "stacked_verdicts", spy)
         assert cli.main(list(argv)) == 0
     return seen
 

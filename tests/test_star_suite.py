@@ -2,18 +2,20 @@
 code with it.
 
 star-suite draws its samples from one generator, each kind in one sampler
-call, into one stack padded with zero leaves, gives every sample its exact
-verdict by stages (star_tree.stacked_exact: the criterion's first two
-conditions, then the sign of the center's Schur complement in floats, in
-double-double and in integers) and checks the float criterion against it.
-These tests hold its draws to the order and the shares it states, its
-reports to the loop in tests/oracles.py on the same samples (exact verdicts
-in Fraction arithmetic, eigvalsh on every star, kernel stability in floats),
-every stage to Fraction arithmetic on rows built to be hard for it, its
-stacked criterion to the one-star loop there, and its padded rows to the
-unpadded ones.  The kernel-stability lemma that lets star-suite skip that
-check is tested exactly, on an enumerated grid of PSD stars, and against the
-float check on the stars star-suite draws.
+call, into one leaf-major stack padded with zero leaves (column i sample
+i), and in one pass over it (star_tree.stacked_verdicts) computes the float
+criterion's claim and every sample's exact verdict by stages: the
+criterion's first two conditions, then the sign of the center's Schur
+complement in floats, in double-double and in integers.  These tests hold
+its draws to the order and the shares it states, its reports to the loop
+in tests/oracles.py on the same samples (exact verdicts in Fraction
+arithmetic, eigvalsh on every star, kernel stability in floats), every
+stage to Fraction arithmetic on rows built to be hard for it, its claims to
+the one-star criterion loop there, and its padded stars to the unpadded
+ones.  The tests build stars as rows, as the samplers return them, and
+hand stacked_verdicts their transposes.  The kernel-stability lemma that
+lets star-suite skip that check is tested exactly, on an enumerated grid of
+PSD stars, and against the float check on the stars star-suite draws.
 """
 
 import functools
@@ -32,9 +34,8 @@ from graphpsd.star_tree import (
     leaf_load,
     random_psd_star,
     random_star,
-    stacked_criterion,
     stacked_dense,
-    stacked_exact,
+    stacked_verdicts,
 )
 
 from oracles import (
@@ -56,15 +57,32 @@ def _stars(d, count, seed):
     return np.concatenate(p), np.concatenate(alpha)
 
 
+def drawn_rows(seed, trials):
+    """star-suite's draws for --seed seed --trials trials as (degree, p,
+    alpha), stacked as rows: row i is sample i."""
+    degree, p, alpha = cli._draw_stars(np.random.default_rng(seed), trials)
+    return degree, p.T, alpha.T
+
+
+def verdicts(p, alpha):
+    """stacked_verdicts on the stars stacked as rows of p and alpha."""
+    return stacked_verdicts(p.T, alpha.T)
+
+
+def claims(p, alpha):
+    """The float criterion's first failed condition per row, 0 for PSD."""
+    return verdicts(p, alpha)[0]
+
+
 def drawn_stars(seed, trials):
     """The samples of star-suite --seed seed --trials trials, in index order."""
-    degree, p, alpha = cli._draw_stars(np.random.default_rng(seed), trials)
+    degree, p, alpha = drawn_rows(seed, trials)
     return [StarMatrix(pr[:d + 1], ar[:d]) for d, pr, ar in zip(degree.tolist(), p, alpha)]
 
 
 def degree_stacks(seed, trials):
     """star-suite's samples as one unpadded stack (p, alpha) per degree."""
-    degree, p, alpha = cli._draw_stars(np.random.default_rng(seed), trials)
+    degree, p, alpha = drawn_rows(seed, trials)
     return [(p[degree == d, :d + 1], alpha[degree == d, :d]) for d in range(1, 9)]
 
 
@@ -97,7 +115,10 @@ def test_draws_are_padded_with_zeros_and_keep_their_shares():
     degree = rng.integers(1, 9, trials)
     psd_kind = rng.random(trials) >= 0.5
     got_degree, p, alpha = cli._draw_stars(np.random.default_rng(3), trials)
+    assert p.shape == (9, trials) and alpha.shape == (8, trials)
+    assert p.flags.c_contiguous and alpha.flags.c_contiguous
     assert got_degree.tolist() == degree.tolist()
+    p, alpha = p.T, alpha.T
     absent = np.arange(8) >= degree[:, None]
     assert not p[:, 1:][absent].any() and not alpha[absent].any()
     # each kind about 1/2, each degree about 1/8, within each kind too
@@ -150,19 +171,19 @@ def test_a_wrong_claim_fails_the_run_where_a_margin_proves_the_criterion(monkeyp
     # the run fails there, with both verdicts and the keys every star-suite
     # report has; where a later stage decides, the sample is counted
     args = cli.build_parser().parse_args(["star-suite", "--seed", "4", "--trials", "300"])
-    degree, p, alpha = cli._draw_stars(np.random.default_rng(4), 300)
-    exact, stage = stacked_exact(p, alpha)
-    claim = stacked_criterion(p, alpha) == 0
+    degree, p, alpha = drawn_rows(4, 300)
+    failed, exact, stage = verdicts(p, alpha)
+    claim = failed == 0
     before = cli.cmd_star_suite(args).certificate
     k = int(np.flatnonzero(stage == level)[3])
-    real = star_tree.stacked_criterion
+    real = star_tree.stacked_verdicts
 
     def flipped(p, alpha):
-        failed = real(p, alpha)
+        failed, exact, stage = real(p, alpha)
         failed[k] = 0 if failed[k] else 3
-        return failed
+        return failed, exact, stage
 
-    monkeypatch.setattr(star_tree, "stacked_criterion", flipped)
+    monkeypatch.setattr(star_tree, "stacked_verdicts", flipped)
     rep = cli.cmd_star_suite(args)
     if level <= 1:
         d = int(degree[k])
@@ -236,13 +257,13 @@ def cascade_rows(d, seed, scale):
 
 
 def check_exact_verdicts(p, alpha, d):
-    """stacked_exact on padded rows of degree d: every verdict is the
+    """stacked_verdicts on padded rows of degree d: every verdict is the
     Fraction one and, wherever its least eigenvalue clears the
     backward-error bound, eigvalsh's on the unpadded star; wherever the
     conditions or the float stage decide, the criterion's verdict is the
     exact one.  Returns the stages."""
-    psd, stage = stacked_exact(p, alpha)
-    claim = stacked_criterion(p, alpha) == 0
+    failed, psd, stage = verdicts(p, alpha)
+    claim = failed == 0
     assert (claim == psd)[stage <= 1].all()
     dense = stacked_dense(p[:, :d + 1], alpha[:, :d])
     for k in range(len(p)):
@@ -278,7 +299,7 @@ def test_double_double_signs_hold_where_they_clear_the_bound(d, seed, scale):
     p, alpha = cascade_rows(d, seed, scale)
     keep = (p >= 0.0).all(axis=1)
     p, alpha = p[keep], alpha[keep]
-    s, bound = star_tree._double_double_schur(p, alpha)
+    s, bound = star_tree._double_double_schur(p.T, alpha.T)
     exact = np.array([Fraction(x) - load
                       for x, load in zip(p[:, 0].tolist(), _exact_load(p, alpha))])
     decided = np.abs(s) > bound
@@ -292,8 +313,8 @@ def test_double_double_signs_hold_where_they_clear_the_bound(d, seed, scale):
 def test_star_suite_draws_are_decided_exactly(seed):
     # on star-suite's own draws every verdict is the Fraction one, and each
     # stage leaves few rows to the next
-    degree, p, alpha = cli._draw_stars(np.random.default_rng(seed), 1000)
-    psd, stage = stacked_exact(p, alpha)
+    degree, p, alpha = drawn_rows(seed, 1000)
+    _, psd, stage = verdicts(p, alpha)
     assert psd.tolist() == [exact_star_psd(pr.tolist(), ar.tolist()) for pr, ar in zip(p, alpha)]
     counts = np.bincount(stage, minlength=4)
     assert counts[1] > 300 and counts[2] > 100 and 0 < counts[3] < 30
@@ -316,14 +337,14 @@ def test_the_reference_loop_calls_eigvalsh_on_every_star(monkeypatch):
 
 
 @pytest.mark.parametrize("d", range(0, 9))
-def test_stacked_criterion_matches_the_loop(d):
+def test_claims_match_the_criterion_loop(d):
     rng = np.random.default_rng(100 + d)
     p = rng.choice([-1.0, 0.0, 0.3, 0.7, 1.9], size=(300, d + 1))
     alpha = rng.choice([0.0, -1.1, 0.5, 0.9], size=(300, d))
     # a third of the centres sit exactly at the load, where a fold in another
     # order would put them an ulp off
     p[::3, 0] = [leaf_load(pl, al) for pl, al in zip(p[::3, 1:], alpha[::3])]
-    got = stacked_criterion(p, alpha)
+    got = claims(p, alpha)
     want = [star_criterion_loop(StarMatrix(pr, ar)) for pr, ar in zip(p, alpha)]
     assert got.tolist() == want
     assert {0, 1, 2, 3} <= set(want) or d == 0
@@ -344,8 +365,8 @@ def test_padding_changes_no_load_and_no_verdict(d):
     p[100:120, 0] = np.nextafter(leaf_load(p[100:120, 1:], alpha[100:120]), -np.inf)
     wide_p, wide_alpha = padded(p, alpha)
     assert leaf_load(wide_p[:, 1:], wide_alpha).tobytes() == leaf_load(p[:, 1:], alpha).tobytes()
-    got = stacked_criterion(wide_p, wide_alpha)
-    assert got.tolist() == stacked_criterion(p, alpha).tolist()
+    got = claims(wide_p, wide_alpha)
+    assert got.tolist() == claims(p, alpha).tolist()
     assert {0, 1, 2, 3} <= set(got.tolist())
 
 
@@ -354,7 +375,7 @@ def test_criterion_psd_stars_pass_the_float_kernel_check(d):
     # star-suite checks no kernel stability on the stars its criterion calls
     # PSD; the float check in tests/oracles.py must agree with the lemma there
     p, alpha = _stars(d, 60, seed=200 + d)
-    psd = stacked_criterion(p, alpha) == 0
+    psd = claims(p, alpha) == 0
     assert psd.sum() >= 30
     assert all(kernel_stability_loop(StarMatrix(pr, ar), 8) for pr, ar in zip(p[psd], alpha[psd]))
 
@@ -369,7 +390,7 @@ def test_drawn_psd_stars_pass_the_float_kernel_check(seed):
     stacks += [(25.0 * p, 25.0 * alpha) for p, alpha in stacks]
     large = 0
     for p, alpha in stacks:
-        psd = stacked_criterion(p, alpha) == 0
+        psd = claims(p, alpha) == 0
         large += int(np.sum(np.linalg.eigvalsh(stacked_dense(p[psd], alpha[psd]))[:, -1] > 10.0))
         assert all(kernel_stability_loop(StarMatrix(pr, ar), 8) for pr, ar in zip(p[psd], alpha[psd]))
     assert large > 50
@@ -454,7 +475,7 @@ def test_kernel_stability_lemma_needs_no_load_condition():
     # exact load 1 + 1/3, so that the exact matrix is not PSD
     load = leaf_load([1.0, 3.0], [1.0, 1.0])
     assert Fraction(load) < Fraction(4, 3)
-    assert star_tree.star_psd_check(StarMatrix((load, 1.0, 3.0), (1.0, 1.0))).is_psd
+    assert claims(np.array([[load, 1.0, 3.0]]), np.array([[1.0, 1.0]])).tolist() == [0]
     exact = Fraction(load)
     assert _stable(_star_rows(exact, [(1, 1), (3, 1)], exact.denominator))[1]
     for leaves, load in _leaf_multisets():
@@ -479,10 +500,12 @@ def test_leaf_load_folds_left_to_right():
     assert want == 0.9999999999999999
     assert leaf_load(p_leaf, alpha) == want
     assert leaf_load(np.array([p_leaf] * 3), np.array([alpha] * 3)).tolist() == [want] * 3
-    # p1 at the fold is on the boundary, and PSD; one ulp below is not
-    assert star_tree.star_psd_check(StarMatrix((want, *p_leaf), alpha)).is_psd
+    # p1 at the fold is on the criterion's boundary, and PSD by it; one ulp
+    # below is not.  The exact load is 1, so neither is PSD exactly
     below = np.nextafter(want, 0.0)
-    assert star_tree.star_psd_check(StarMatrix((below, *p_leaf), alpha)).failed_condition == 3
+    p = np.array([[want, *p_leaf], [below, *p_leaf]])
+    failed, psd, _ = verdicts(p, np.array([alpha] * 2))
+    assert failed.tolist() == [0, 3] and psd.tolist() == [False, False]
 
 
 def test_leaf_load_skips_zero_leaves():

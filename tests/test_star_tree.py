@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,18 +15,33 @@ from graphpsd.matrices import (
 )
 from graphpsd.star_tree import (
     StarMatrix,
+    StarVerdict,
     exact_plan_psd_check,
     leaf_load,
     plan_psd_check,
     random_psd_star,
     random_star,
-    stacked_criterion,
+    stacked_verdicts,
     star_det,
     star_psd_check,
     tree_psd_check,
     tree_psd_check_sparse,
 )
-from oracles import exact_tree_psd, star_dense, star_eigenvalues_equal_p, star_factor, star_factor_am, star_sample
+from oracles import (
+    exact_star_psd,
+    exact_tree_psd,
+    star_dense,
+    star_eigenvalues_equal_p,
+    star_factor,
+    star_factor_am,
+    star_sample,
+)
+
+
+def claims(p, alpha):
+    """The float criterion's first failed condition on the stars stacked as
+    rows of p and alpha, 0 for PSD."""
+    return stacked_verdicts(p.T, alpha.T)[0]
 
 
 def test_star_psd_boundary_equality():
@@ -50,6 +66,21 @@ def test_star_psd_condition2_fails():
 def test_star_psd_condition1_fails():
     v = star_psd_check(StarMatrix((1.0, -0.5, 1.0), (0.0, 0.0)))
     assert not v.is_psd and v.failed_condition == 1
+
+
+def test_star_psd_check_is_exact_where_the_float_criterion_is_not():
+    # the center at the criterion's own load fl(1 + fl(1/3)), an ulp below
+    # the exact load 4/3: the float criterion calls the star PSD, Fraction
+    # arithmetic and star_psd_check do not, and condition 3 means S < 0
+    load = leaf_load([1.0, 3.0], [1.0, 1.0])
+    s = StarMatrix((load, 1.0, 3.0), (1.0, 1.0))
+    assert Fraction(load) < Fraction(4, 3)
+    assert claims(np.array([s.p]), np.array([s.alpha])).tolist() == [0]
+    assert not exact_star_psd(s.p, s.alpha)
+    assert star_psd_check(s) == StarVerdict(False, 3)
+    # one ulp above the exact load is PSD
+    above = StarMatrix((np.nextafter(4 / 3, 2.0), 1.0, 3.0), (1.0, 1.0))
+    assert exact_star_psd(above.p, above.alpha) and star_psd_check(above).is_psd
 
 
 def test_star_factor_boundary():
@@ -175,9 +206,10 @@ def test_star_check_agrees_with_oracle(d, seed):
 @given(st.integers(1, 8), st.integers(0, 10_000))
 def test_random_psd_star_is_psd(d, seed):
     p, alpha = random_psd_star(np.full(40, d), np.random.default_rng(seed))
+    # PSD by the float criterion; some of the rows at the load are not PSD
+    # exactly, which star_psd_check reports
     assert p.shape == (40, d + 1) and alpha.shape == (40, d)
-    assert all(star_psd_check(StarMatrix(pr, ar)).is_psd for pr, ar in zip(p, alpha))
-    assert (stacked_criterion(p, alpha) == 0).all()
+    assert (claims(p, alpha) == 0).all()
 
 
 def test_random_psd_star_boundary_rows_sit_exactly_at_the_load():
@@ -187,9 +219,13 @@ def test_random_psd_star_boundary_rows_sit_exactly_at_the_load():
     at_load = p[:, 0] == leaf_load(p[:, 1:], alpha)
     tied = (alpha == p[:, 1:]).any(axis=1)
     assert 0.25 < at_load.mean() < 0.35 and 0.25 < tied.mean() < 0.35
-    assert (stacked_criterion(p[at_load], alpha[at_load]) == 0).all()
-    assert (stacked_criterion(np.column_stack([np.nextafter(p[at_load, 0], -1.0),
-                                               p[at_load, 1:]]), alpha[at_load]) == 3).all()
+    assert (claims(p[at_load], alpha[at_load]) == 0).all()
+    assert (claims(np.column_stack([np.nextafter(p[at_load, 0], -1.0), p[at_load, 1:]]),
+                   alpha[at_load]) == 3).all()
+    # the rows off the load are PSD exactly; about half of those at it lie
+    # an ulp or so below the exact load
+    psd = stacked_verdicts(p.T, alpha.T)[1]
+    assert psd[~at_load].all() and 0.35 < 1.0 - psd[at_load].mean() < 0.6
 
 
 def test_random_star_rows():
@@ -197,7 +233,7 @@ def test_random_star_rows():
     assert p.shape == (500, 4) and alpha.shape == (500, 3)
     assert -2.0 <= min(p.min(), alpha.min()) and max(p.max(), alpha.max()) < 2.0
     # both verdicts of the criterion occur
-    assert {0, 1} <= set(stacked_criterion(p, alpha).tolist())
+    assert {0, 1} <= set(claims(p, alpha).tolist())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
