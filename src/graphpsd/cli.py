@@ -4,6 +4,12 @@ Each subcommand builds a Report and exits 0 on pass, 1 on a property failure
 (with a re-checkable certificate in the report), 2 on usage or domain errors.
 Reports are deterministic given (command, flags, seed) apart from elapsed_ms:
 a randomized command reads every draw from one default_rng(seed).
+
+main parses argv once, by the parser of the subcommand that argv[0] names.
+The top-level help, a missing or unknown subcommand and leftover arguments
+still come from the top-level parser, which parses argv in those cases only,
+so every help text, usage error and exit code reads as it did when the
+top-level parser parsed every argv and handed it on.
 """
 
 from __future__ import annotations
@@ -277,7 +283,7 @@ def cmd_witness(args) -> Report:
     except GraphError as exc:
         raise UsageError(str(exc))
     sets = list(bound.witness_sets)
-    if g.edges == graphs.complete_graph(g.n).edges:
+    if len(g.edges) == g.n * (g.n - 1) // 2:  # complete: Graph stores each edge once
         sets.append(witnesses.vandermonde_witnesses([float(i) for i in range(1, g.n + 1)]))
     ok = all(ws.recertify() for ws in sets)
     rep = Report("witness", args.seed, None, len(sets),
@@ -393,10 +399,15 @@ def cmd_star_suite(args) -> Report:
     return rep
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: building it costs far more
-    than a parse."""
+    """The top-level argument parser, built once per process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> Tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommands' parsers by name, built once
+    per process: building them costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="graphpsd",
         description="Entrywise positivity preservers on graph-patterned matrices",
@@ -450,12 +461,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("star-suite", help="star criterion against the exact verdicts")
     common(p, "seed", "trials")
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    commands = _parsers()[1]
     try:
-        args = build_parser().parse_args(argv)
+        # the top-level parser parses argv only where it words the outcome
+        # (module docstring)
+        args, extra = None, ()
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            args.subcommand = argv[0]
+        if args is None or extra:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or the error
         return 0 if exc.code is None else exc.code
     # looked up per call, so that a rebound cmd_* name is the one that runs
@@ -474,10 +495,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         positive = [(f"--{flag}", given[flag]) for flag in ("grid", "range", "tol")
                     if flag in given]
         for label, value in positive + [("ALPHA", a) for a in given.get("alphas", ())]:
-            if not (np.isfinite(value) and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise UsageError(f"{label} must be positive and finite, got {value!r}")
         for value in given.get("params", ()):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise UsageError(f"PARAMS must be finite, got {value!r}")
         for flag, least in (("seed", 0), ("trials", 1), ("tree_n", 3), ("n_max", 0)):
             if given.get(flag, least) < least:

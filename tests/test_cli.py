@@ -1,5 +1,8 @@
+import collections
 import json
 import math
+import re
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -464,22 +467,137 @@ def test_literal_starting_with_minus_goes_after_double_dash(capsys):
                                       parse_matrix(cert["matrix"]), t)).is_psd
 
 
-@pytest.mark.parametrize("argv,message", [
-    (("preserver-test",), "the following arguments are required: function"),
-    (("preserver-test", "--", "-1*x^1", "--trials", "5"), "unrecognized arguments: --trials 5"),
+@pytest.mark.parametrize("argv,prog,message", [
+    (("preserver-test",), "graphpsd preserver-test",
+     "the following arguments are required: function"),
+    (("preserver-test", "1*x^2", "--trials", "x"), "graphpsd preserver-test",
+     "argument --trials: invalid int value: 'x'"),
+    (("star-suite", "--trials", "x"), "graphpsd star-suite",
+     "argument --trials: invalid int value: 'x'"),
+    # a missing or unknown subcommand and leftover arguments are worded by
+    # the top-level parser
+    ((), "graphpsd", "the following arguments are required: subcommand"),
+    (("nonesuch",), "graphpsd", "invalid choice: 'nonesuch'"),
+    (("preserver-test", "--", "-1*x^1", "--trials", "5"), "graphpsd",
+     "unrecognized arguments: --trials 5"),
+    (("witness", "star 4", "extra"), "graphpsd", "unrecognized arguments: extra"),
+    (("witness", "star 4", "--bogus"), "graphpsd", "unrecognized arguments: --bogus"),
 ])
-def test_parse_errors_return_2(capsys, argv, message):
+def test_parse_errors_return_2(capsys, argv, prog, message):
     # argparse exits on a parse error; main returns its status instead
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
-    assert message in err and err.startswith("usage: ")
+    assert err.startswith(f"usage: {prog} [-h]") and f"\n{prog}: error: " in err
+    assert message in err
 
 
-def test_help_prints_and_returns_0(capsys):
-    assert main(["--help"]) == 0
-    assert capsys.readouterr().out.startswith("usage: graphpsd")
-    assert main(["preserver-test", "--help"]) == 0
-    assert "--tree-n" in capsys.readouterr().out
+@pytest.mark.parametrize("argv,usage,flag", [
+    (("--help",), "usage: graphpsd [-h]", "star-suite"),
+    (("-h",), "usage: graphpsd [-h]", "star-suite"),
+    (("preserver-test", "--help"), "usage: graphpsd preserver-test [-h]", "--tree-n"),
+    (("preserver-test", "1*x^2", "-h"), "usage: graphpsd preserver-test [-h]", "--tree-n"),
+    (("star-suite", "--help"), "usage: graphpsd star-suite [-h]", "--trials"),
+])
+def test_help_prints_and_returns_0(capsys, argv, usage, flag):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(usage) and flag in out
+
+
+# For each subcommand: a normal run, its help, a missing positional, an
+# unknown flag (a leftover argument, which the top-level parser words) and a
+# bad type; then more leftover arguments, and argv that name no subcommand
+PARSE_CASES = [
+    ("preserver-test", "1*x^2", "--trials", "20"),
+    ("preserver-test", "--trials", "5", "--", "-1*x^1"),
+    ("preserver-test", "--help"),
+    ("preserver-test", "1*x^2", "-h"),
+    ("preserver-test",),
+    ("preserver-test", "1*x^2", "--bogus"),
+    ("preserver-test", "1*x^2", "--trials", "x"),
+    ("absmon-test", "1*x^1.5"),
+    ("absmon-test", "--help"),
+    ("absmon-test",),
+    ("absmon-test", "1*x^2", "--bogus"),
+    ("absmon-test", "1*x^2", "--n-max", "x"),
+    ("witness", "star 4"),
+    ("witness", "--help"),
+    ("witness",),
+    ("witness", "star 4", "--bogus"),
+    ("witness", "star 4", "--seed", "x"),
+    ("critical-exponent", "path 5", "0.5", "2"),
+    ("critical-exponent", "--help"),
+    ("critical-exponent", "path 5"),
+    ("critical-exponent", "path 5", "2", "--bogus"),
+    ("critical-exponent", "path 5", "x"),
+    ("construct", "thresholds", "2", "3", "1", "1"),
+    ("construct", "--help"),
+    ("construct",),
+    ("construct", "poly", "--bogus"),
+    ("construct", "poly", "-n", "x"),
+    ("star-suite", "--trials", "20", "--seed", "3"),
+    ("star-suite", "--help"),
+    ("star-suite", "--bogus"),
+    ("star-suite", "--trials", "x"),
+    ("preserver-test", "--", "-1*x^1", "--trials", "5"),
+    ("witness", "star 4", "extra"),
+    ("star-suite", "extra"),
+    (),
+    ("--help",),
+    ("nonesuch",),
+    ("--", "witness", "star 4"),
+]
+
+
+def _outcome(capsys, *call):
+    """(exit code, stdout without the elapsed_ms value, stderr) of main(*call)."""
+    code = main(*call)
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"elapsed_ms": [^,\n]+', '"elapsed_ms": 0', out), err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES)
+def test_argv_is_parsed_as_the_top_level_parser_parses_it(capsys, monkeypatch, argv):
+    got = _outcome(capsys, list(argv))
+    # the console script calls main() with no argv: it reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["graphpsd", *argv])
+    assert _outcome(capsys) == got
+    # the reference looks up no subcommand parser, so the top-level parser
+    # parses every argv and hands it on to the subcommand's parser
+    top = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (top, {}))
+    assert _outcome(capsys, list(argv)) == got
+
+
+@pytest.mark.parametrize("argv,leftover", [
+    (("witness", "star 4"), False),
+    (("star-suite", "--trials", "5"), False),
+    (("preserver-test", "1*x^2", "--trials", "x"), False),
+    (("critical-exponent", "--help"), False),
+    (("witness", "star 4", "extra"), True),
+    (("preserver-test", "--", "-1*x^1", "--trials", "5"), True),
+])
+def test_argv_reaches_the_top_level_parser_only_with_leftovers(capsys, monkeypatch, argv,
+                                                               leftover):
+    calls = collections.Counter()
+    top, commands = cli._parsers()
+
+    def counting(name, parser):
+        real = parser.parse_known_args
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(parser, "parse_known_args", wrapper)
+
+    counting("top", top)
+    counting("sub", commands[argv[0]])
+    main(list(argv))
+    capsys.readouterr()
+    if leftover:
+        assert calls["top"] == 1  # it hands argv on to the subcommand's parser again
+    else:
+        assert calls == {"sub": 1}
 
 
 def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
