@@ -133,9 +133,9 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
     (_chunks).  Per chunk, one draw, one sampler call maps the uniforms to
     (diag, edge), each tree rescaled on its own, and one f evaluation maps
     those; the parent and bounds arrays serve all three and the thresholds.
-    Each tree keeps its own Schur threshold tol * max(1, max |entry|), one
-    per tree, and one Schur loop runs over the forest, tree after tree: its
-    first failing pivot lies in the first trial that fails in floats.  That
+    Each tree keeps its own Schur threshold (star_tree.schur_thresholds),
+    and one Schur loop runs over the forest, tree after tree: its first
+    failing pivot lies in the first trial that fails in floats.  That
     trial's image is re-checked in Fraction arithmetic; if it is PSD
     exactly, the loop resumes at the next tree, so the first trial that
     fails both decides.
@@ -148,11 +148,8 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
         fdiag = image[:n]
         # roots carry no edge entry, whatever f(0) is
         fedge = np.where(parent >= 0, image[n:], 0.0)
-        # np.fmax skips a NaN maximum, as plan_psd_check's builtin max does
-        starts = bounds[:-1]
-        thr = tol * np.fmax(np.fmax(1.0, np.maximum.reduceat(np.abs(fdiag), starts)),
-                            np.maximum.reduceat(np.abs(fedge), starts))
-        d, a, thr = fdiag.tolist(), fedge.tolist(), thr.tolist()
+        thr = star_tree.schur_thresholds(fdiag, fedge, bounds, tol).tolist()
+        d, a = fdiag.tolist(), fedge.tolist()
         k = 0
         while k < len(thr):
             v = star_tree.eliminate(plan, d, a, thr[k:], int(bounds[k]))

@@ -137,6 +137,7 @@ class Verdict:
 
 
 _MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+_TOO_MANY_POINTS = "grid of step {!r} up to {!r} has too many points"
 
 
 def _grid_count(step: float, bound: float, min_count: int) -> int:
@@ -146,7 +147,7 @@ def _grid_count(step: float, bound: float, min_count: int) -> int:
     quotient = bound / step
     # np.arange refuses a grid whose size in bytes overflows intp
     if not (math.isfinite(quotient) and quotient < _MAX_GRID_POINTS):
-        raise FunctionError(f"grid of step {step!r} up to {bound!r} has too many points")
+        raise FunctionError(_TOO_MANY_POINTS.format(step, bound))
     count = int(math.floor(quotient))
     if count < min_count:
         raise FunctionError("grid is empty for the given step and bound")
@@ -154,9 +155,12 @@ def _grid_count(step: float, bound: float, min_count: int) -> int:
 
 
 def _grid_values(f: EntrywiseFunction, step: float, bound: float, min_count: int):
-    """The grid {0, h, ..., count * h} and f on it."""
-    xs = np.arange(_grid_count(step, bound, min_count) + 1) * step
-    return xs, f.value(xs)
+    """The grid {0, h, ..., count * h} and f on it, or too many points to allocate."""
+    try:
+        xs = np.arange(_grid_count(step, bound, min_count) + 1) * step
+        return xs, f.value(xs)
+    except MemoryError:
+        raise FunctionError(_TOO_MANY_POINTS.format(step, bound)) from None
 
 
 # entries per row block of a triangle scan: big enough that per-block numpy

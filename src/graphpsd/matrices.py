@@ -165,17 +165,19 @@ def format_matrix(a: np.ndarray) -> str:
     return format_square(check_symmetric(a))
 
 
+def _entry_text(n: int, entries) -> str:
+    """n, then "i j value" for each nonzero (i, j, value) of entries, in order."""
+    return "\n".join([str(n)] + [f"{i} {j} {x!r}" for i, j, x in entries if x != 0.0]) + "\n"
+
+
 def format_square(a: np.ndarray) -> str:
     """format_matrix's text of the upper triangle of a square array, with no
     check: NaN and +-inf entries print as nan and inf, which parse_matrix
     reads back."""
-    n = a.shape[0]
-    lines = [str(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if a[i, j] != 0.0:
-                lines.append(f"{i} {j} {float(a[i, j])!r}")
-    return "\n".join(lines) + "\n"
+    i, j = np.nonzero(a)  # row by row
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    return _entry_text(a.shape[0], zip(i.tolist(), j.tolist(), a[i, j].astype(float).tolist()))
 
 
 def format_plan(plan: EliminationPlan, diag, edge, check: bool = True) -> str:
@@ -192,9 +194,7 @@ def format_plan(plan: EliminationPlan, diag, edge, check: bool = True) -> str:
         raise MatrixError("matrix has non-finite entries")
     # each (i, j) is one entry's, so the sort never compares two values
     entries.sort()
-    lines = [str(len(parent))]
-    lines += [f"{i} {j} {x!r}" for i, j, x in entries if x != 0.0]
-    return "\n".join(lines) + "\n"
+    return _entry_text(len(parent), entries)
 
 
 def parse_matrix(text: str) -> np.ndarray:

@@ -250,6 +250,14 @@ def star_det(s: StarMatrix) -> float:
     return total
 
 
+def schur_thresholds(diag, edge, bounds, tol: float) -> np.ndarray:
+    """tol * max(1, max |entry|) of diag and edge over each block of vertices
+    bounds[j] .. bounds[j + 1] - 1, eliminate's band; np.fmax skips a NaN max."""
+    starts = bounds[:-1]
+    return tol * np.fmax(np.fmax(1.0, np.maximum.reduceat(np.abs(diag), starts)),
+                         np.maximum.reduceat(np.abs(edge), starts))
+
+
 def plan_psd_check(
     plan: EliminationPlan,
     diag: np.ndarray,
@@ -260,11 +268,11 @@ def plan_psd_check(
     diag and edge[v] on (v, parent[v]).
 
     Each vertex is eliminated by a scalar Schur complement into its parent; a
-    pivot within tol * max(1, max |entry|) of zero counts as zero.
+    pivot within schur_thresholds' one band over all entries counts as zero.
     """
-    thr = tol * max(1.0, float(np.max(np.abs(diag))), float(np.max(np.abs(edge))))
-    return eliminate(plan, np.asarray(diag, dtype=float).tolist(),
-                     np.asarray(edge, dtype=float).tolist(), [thr]) is None
+    diag, edge = np.asarray(diag, dtype=float), np.asarray(edge, dtype=float)
+    thr = schur_thresholds(diag, edge, [0, len(diag)], tol).tolist()
+    return eliminate(plan, diag.tolist(), edge.tolist(), thr) is None
 
 
 def eliminate(plan: EliminationPlan, d: list, a: list, thr: list,
@@ -300,26 +308,16 @@ def eliminate(plan: EliminationPlan, d: list, a: list, thr: list,
 
 
 def exact_plan_psd_check(plan: EliminationPlan, diag, edge) -> bool:
-    """plan_psd_check in Fraction arithmetic, with no threshold: whether the
-    matrix of the floats diag and edge, aligned with plan, is PSD exactly.
-    It stops at the first pivot that fails, and a NaN or +-inf entry fails."""
+    """eliminate in Fraction arithmetic at threshold 0, where its branches are
+    exact leaf elimination: whether the matrix of the floats diag and edge,
+    aligned with plan, is PSD exactly.  A NaN or +-inf entry fails."""
     diag = np.asarray(diag, dtype=float).tolist()
     edge = np.asarray(edge, dtype=float).tolist()
     if not all(map(math.isfinite, diag + edge)):
         return False
     from fractions import Fraction
 
-    d = [Fraction(x) for x in diag]
-    for v in plan.order:
-        u = plan.parent[v]
-        if d[v] < 0:
-            return False
-        if u >= 0:
-            if d[v] > 0:
-                d[u] -= Fraction(edge[v]) ** 2 / d[v]
-            elif edge[v] != 0.0:
-                return False
-    return True
+    return eliminate(plan, list(map(Fraction, diag)), list(map(Fraction, edge)), [0]) is None
 
 
 def tree_psd_check_sparse(

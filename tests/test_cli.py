@@ -416,6 +416,27 @@ def test_unrepresentable_functions_and_grids_are_usage_errors(capsys, argv, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("absmon-test", "1*x^2", "--grid", "1e-12"),
+    ("preserver-test", "1*x^1.5, -0.01*x^2.5, 1*x^3.5", "--trials", "5", "--grid", "1e-12"),
+])
+def test_a_grid_that_cannot_be_allocated_is_a_usage_error(monkeypatch, capsys, argv):
+    # 8e12 points is below np.arange's size bound but 58 TiB of floats; the
+    # allocation's MemoryError is faked, so that no test allocates the grid
+    arange, refused = np.arange, []
+
+    def refusing(stop, *args, **kwargs):
+        if stop > 10 ** 9:
+            refused.append(stop)
+            raise MemoryError("Unable to allocate 58.2 TiB for an array")
+        return arange(stop, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", refusing)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == "error: grid of step 1e-12 up to 8.0 has too many points\n"
+    assert refused
+
+
 @pytest.mark.parametrize("lit,order", [
     ("1*x^400, -1*x^401", 0),  # f is -inf or NaN near the top of the grid
     ("1*x^1.5", 3),

@@ -161,6 +161,28 @@ def test_check_asymmetric_rejected():
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
 
 
+def square_text(a):
+    """format_square's text by a loop over the upper triangle, row by row."""
+    lines = [str(a.shape[0])]
+    lines += [f"{i} {j} {float(a[i, j])!r}" for i in range(a.shape[0])
+              for j in range(i, a.shape[0]) if a[i, j] != 0.0]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_square_text_is_the_loop_text(seed):
+    # dense arrays, not symmetric, a share of their entries 0, -0, NaN or
+    # +-inf; the lower triangle is never printed
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    a = rng.uniform(-3.0, 3.0, (n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    special = rng.random((n, n)) < (0.0, 0.2, 0.5, 0.9)[seed % 4]
+    a[special] = rng.choice(SPECIAL, int(special.sum()))
+    assert format_square(a) == square_text(a)
+    ints = rng.integers(-2, 3, (n, n))
+    assert format_square(ints) == square_text(ints)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_plan_text_is_the_dense_text(seed):
     # format_plan against format_square and format_matrix of the dense

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpsd.graphs import elimination_plan, path_graph, random_tree, star_graph
+from graphpsd import star_tree
+from graphpsd.graphs import elimination_plan, path_graph, prufer_plan, random_tree, star_graph
 from graphpsd.matrices import (
     MatrixError,
     dense_from_plan,
@@ -21,6 +22,7 @@ from graphpsd.star_tree import (
     plan_psd_check,
     random_psd_star,
     random_star,
+    schur_thresholds,
     stacked_verdicts,
     star_det,
     star_psd_check,
@@ -168,6 +170,66 @@ def test_exact_check_takes_no_pivot_for_zero():
     for bad in (math.nan, math.inf, -math.inf):
         assert not exact_plan_psd_check(plan, [1.0, bad], [0.0, 0.0])
         assert not exact_plan_psd_check(plan, [1.0, 1.0], [bad, 0.0])
+
+
+def forest(sizes, rng):
+    """Random trees of the given sizes: each one's plan alone, prufer_plan of
+    the forest of them, tree j on the vertices bounds[j] .. bounds[j + 1] - 1,
+    and those bounds."""
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    seqs = [rng.integers(0, n, max(n - 2, 0)) for n in sizes]
+    whole = prufer_plan(np.concatenate([s + o for s, o in zip(seqs, bounds.tolist())]), sizes)
+    return [prufer_plan(s, [n]) for s, n in zip(seqs, sizes)], whole, bounds
+
+
+def thresholds_passed(monkeypatch, check, *args):
+    """The thresholds that check(*args) passes to eliminate."""
+    seen = []
+
+    def recording(plan, d, a, thr, start=0):
+        seen.append(list(thr))
+        return real(plan, d, a, thr, start)
+
+    real = star_tree.eliminate
+    monkeypatch.setattr(star_tree, "eliminate", recording)
+    check(*args)
+    monkeypatch.setattr(star_tree, "eliminate", real)
+    (thr,) = seen
+    return thr
+
+
+def test_schur_thresholds_are_each_trees_own_plan_check_band(monkeypatch):
+    # trees with a NaN among their diagonal or edge entries, with +-inf, with
+    # only zeros (0 and -0) and with random entries; the reference is the
+    # builtin max, which leaves out a NaN maximum as np.fmax does
+    rng = np.random.default_rng(3)
+    trees = [([math.nan, 50.0, 1.0], [40.0, 2.0, 0.0]), ([2.0, 3.0], [math.nan, 0.0]),
+             ([math.inf], [0.0]), ([1.0, 2.0, 0.5], [-math.inf, 1.0, 0.0]),
+             ([0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]), ([0.5, 0.25], [0.125, 0.0])]
+    trees += [tuple(rng.uniform(-1e3, 1e3, (2, n)) * 10.0 ** rng.integers(-3, 3))
+              for n in rng.integers(1, 9, 12)]
+    alone, _, bounds = forest([len(d) for d, _ in trees], rng)
+    diag, edge = (np.concatenate(x) for x in zip(*trees))
+    for tol in (1e-9, 1e-6):
+        band = schur_thresholds(diag, edge, bounds, tol).tolist()
+        assert len(band) == len(trees)
+        for (d, e), tree, want in zip(trees, alone, band):
+            own = thresholds_passed(monkeypatch, plan_psd_check, tree, d, e, tol)
+            reference = tol * max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e))))
+            assert own == [want] == [reference]
+        assert band[:6] == [40 * tol, 3 * tol, math.inf, math.inf, tol, tol]
+
+
+def test_plan_check_keeps_one_band_for_a_forest(monkeypatch):
+    # tree 1's root pivot -1e-5 is below its own band 1e-9, but within the
+    # forest-wide 1e-9 * 1e6 that tree 0's entries set
+    _, plan, bounds = forest([2, 2], np.random.default_rng(0))
+    diag, edge = np.array([1e6, 1e6, 1.0, -1e-5]), np.array([1.0, 0.0, 0.0, 0.0])
+    assert thresholds_passed(monkeypatch, plan_psd_check, plan, diag, edge, 1e-9) == [1e-9 * 1e6]
+    assert plan_psd_check(plan, diag, edge, 1e-9)
+    assert schur_thresholds(diag, edge, bounds, 1e-9).tolist() == [1e-9 * 1e6, 1e-9]
+    assert star_tree.eliminate(plan, diag.tolist(), edge.tolist(),
+                               schur_thresholds(diag, edge, bounds, 1e-9).tolist()) == 3
 
 
 @settings(max_examples=100, deadline=None)
