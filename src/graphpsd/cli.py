@@ -132,13 +132,8 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
     uniforms.  Each trial reads width uniforms, which sets the chunks
     (_chunks).  Per chunk, one draw, one sampler call maps the uniforms to
     (diag, edge), each tree rescaled on its own, and one f evaluation maps
-    those; the parent and bounds arrays serve all three and the thresholds.
-    Each tree keeps its own Schur threshold (star_tree.schur_thresholds),
-    and one Schur loop runs over the forest, tree after tree: its first
-    failing pivot lies in the first trial that fails in floats.  That
-    trial's image is re-checked in Fraction arithmetic; if it is PSD
-    exactly, the loop resumes at the next tree, so the first trial that
-    fails both decides.
+    those; the parent and bounds arrays serve all three, and the trees are
+    the blocks of one star_tree.first_failing_block call.
     """
     for start, stop in _chunks(trials, width):
         plan, parent, bounds, uniforms = draw(stop - start)
@@ -148,24 +143,10 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
         fdiag = image[:n]
         # roots carry no edge entry, whatever f(0) is
         fedge = np.where(parent >= 0, image[n:], 0.0)
-        thr = star_tree.schur_thresholds(fdiag, fedge, bounds, tol).tolist()
-        d, a = fdiag.tolist(), fedge.tolist()
-        k = 0
-        while k < len(thr):
-            v = star_tree.eliminate(plan, d, a, thr[k:], int(bounds[k]))
-            if v is None:
-                break
-            k = int(np.searchsorted(bounds, v, side="right")) - 1
+        k = star_tree.first_failing_block(plan, fdiag, fedge, bounds, tol)
+        if k is not None:
             lo, hi = int(bounds[k]), int(bounds[k + 1])
-            tree = graphs.EliminationPlan(tuple(w - lo for w in plan.order[lo:hi]),
-                                          tuple(u - lo if u >= 0 else -1
-                                                for u in plan.parent[lo:hi]))
-            # a float fail may be a positive pivot under the threshold: a
-            # tree whose image is PSD exactly passes, and the loop goes on
-            # at the next tree
-            if star_tree.exact_plan_psd_check(tree, fdiag[lo:hi], fedge[lo:hi]):
-                k += 1
-                continue
+            tree = plan.block(lo, hi)
             return start + k, {
                 "tree": graphs.format_graph(tree.graph()),
                 "matrix": matrices.format_plan(tree, diag[lo:hi], edge[lo:hi]),

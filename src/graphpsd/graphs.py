@@ -102,6 +102,12 @@ class EliminationPlan:
         edges = ((min(v, u), max(v, u)) for v, u in enumerate(self.parent) if u >= 0)
         return Graph(len(self.parent), frozenset(edges))
 
+    def block(self, lo: int, hi: int) -> EliminationPlan:
+        """The plan of vertices lo .. hi - 1, relabelled from 0, which must be
+        at positions lo .. hi - 1 of order, as a tree of prufer_plan's is."""
+        return EliminationPlan(tuple(w - lo for w in self.order[lo:hi]),
+                               tuple(u - lo if u >= 0 else -1 for u in self.parent[lo:hi]))
+
 
 def elimination_plan(g: Graph) -> EliminationPlan:
     """Eliminate the smallest remaining vertex of degree <= 1 until none is

@@ -2,7 +2,9 @@
 
 A star matrix has center diagonal p1, leaf diagonals p2..p_{d+1}, first-row
 entries alpha2..alpha_{d+1}, and zeros elsewhere.  Tree patterns are tested by
-leaf elimination with scalar Schur complements and never touch an eigensolver.
+leaf elimination with scalar Schur complements and never touch an eigensolver:
+every tree check, preserver-test's trials too, is first_failing_block, one
+float Schur pass at a band whose fails are re-checked in Fraction arithmetic.
 Stars stacked leaf-major, column k star k, padded to one width or not, get
 the float criterion's claims and their exact verdicts in one pass
 (stacked_verdicts) over contiguous rows: the criterion's first two
@@ -258,26 +260,45 @@ def schur_thresholds(diag, edge, bounds, tol: float) -> np.ndarray:
                          np.maximum.reduceat(np.abs(edge), starts))
 
 
-def plan_psd_check(
-    plan: EliminationPlan,
-    diag: np.ndarray,
-    edge: np.ndarray,
-    tol: float = DEFAULT_PSD_TOL,
-) -> bool:
-    """Leaf-elimination PSD test in O(n) on entries aligned with plan: diagonal
-    diag and edge[v] on (v, parent[v]).
+def first_failing_block(plan: EliminationPlan, diag, edge, bounds,
+                        tol: float = DEFAULT_PSD_TOL) -> Optional[int]:
+    """The first block j, vertices bounds[j] .. bounds[j + 1] - 1, whose
+    matrix is not PSD exactly, or None, on entries aligned with plan:
+    diagonal diag and edge[v] on (v, parent[v]).  A block is all of any
+    plan, or one tree of a forest that plan.block can cut.
 
-    Each vertex is eliminated by a scalar Schur complement into its parent; a
-    pivot within schur_thresholds' one band over all entries counts as zero.
+    One eliminate pass runs over the blocks, each at its own band
+    (schur_thresholds); a block it fails is re-checked exactly
+    (exact_plan_psd_check), and if that block is PSD the pass resumes at
+    the next.  So tol only widens what passes: a +inf entry's band is inf.
     """
     diag, edge = np.asarray(diag, dtype=float), np.asarray(edge, dtype=float)
-    thr = schur_thresholds(diag, edge, [0, len(diag)], tol).tolist()
-    return eliminate(plan, diag.tolist(), edge.tolist(), thr) is None
+    thr = schur_thresholds(diag, edge, bounds, tol).tolist()
+    d, a = diag.tolist(), edge.tolist()
+    k = 0
+    while k < len(thr):
+        v = eliminate(plan, d, a, thr[k:], int(bounds[k]))
+        if v is None:
+            return None
+        k = int(np.searchsorted(bounds, v, side="right")) - 1
+        lo, hi = int(bounds[k]), int(bounds[k + 1])
+        if not exact_plan_psd_check(plan.block(lo, hi), diag[lo:hi], edge[lo:hi]):
+            return k
+        k += 1
+    return None
+
+
+def plan_psd_check(plan: EliminationPlan, diag: np.ndarray, edge: np.ndarray,
+                   tol: float = DEFAULT_PSD_TOL) -> bool:
+    """Leaf-elimination PSD test in O(n) on entries aligned with plan:
+    first_failing_block on the one block of all vertices, so a forest keeps
+    one band; a False is exact."""
+    return first_failing_block(plan, diag, edge, [0, len(plan.parent)], tol) is None
 
 
 def eliminate(plan: EliminationPlan, d: list, a: list, thr: list,
               start: int = 0) -> Optional[int]:
-    """plan_psd_check's Schur loop on lists d (diagonal, overwritten) and a
+    """first_failing_block's Schur loop on lists d (diagonal, overwritten) and a
     (edges), tree by tree, with a pivot within the tree's threshold of zero
     counted as zero: the first vertex in plan.order[start:] whose pivot
     fails, or None when the matrix is PSD.
@@ -327,9 +348,11 @@ def tree_psd_check_sparse(
     tol: float = DEFAULT_PSD_TOL,
 ) -> bool:
     """Leaf-elimination PSD test on sparse (diag, off) entries with pattern in
-    the forest t; off is keyed by (i, j), i < j."""
+    the forest t; off is keyed by (i, j), i < j, and any other key raises."""
     plan = elimination_plan(t)
     for (i, j), val in off.items():
+        if i >= j:
+            raise MatrixError(f"entry {(i, j)} must have i < j")
         if val != 0.0 and not t.has_edge(i, j):
             raise MatrixError(f"entry {(i, j)} violates the tree pattern")
     edge = np.zeros(t.n)

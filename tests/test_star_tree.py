@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,18 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpsd import star_tree
+from graphpsd.functions import parse_function
 from graphpsd.graphs import elimination_plan, path_graph, prufer_plan, random_tree, star_graph
 from graphpsd.matrices import (
+    DEFAULT_PSD_TOL,
     MatrixError,
+    apply_entrywise,
     dense_from_plan,
     hadamard_power,
     is_psd,
     random_psd_plan_entries,
+    random_psd_with_pattern,
 )
 from graphpsd.star_tree import (
     StarMatrix,
     StarVerdict,
     exact_plan_psd_check,
+    first_failing_block,
     leaf_load,
     plan_psd_check,
     random_psd_star,
@@ -156,9 +162,14 @@ def test_tree_psd_rejects_off_pattern():
 
 def test_exact_check_takes_no_pivot_for_zero():
     # the pivot 1e-10 lies under the float threshold 1e-9 and its edge does
-    # not, so the float loop fails; exactly, the leaf leaves 1 - 0.01 > 0
+    # not, so the float loop fails; exactly, the leaf leaves 1 - 0.01 > 0,
+    # and plan_psd_check, which re-checks a float fail, passes it
     plan = elimination_plan(path_graph(2))
-    assert not plan_psd_check(plan, [1e-10, 1.0], [1e-6, 0.0])
+    diag, edge = np.array([1e-10, 1.0]), np.array([1e-6, 0.0])
+    band = schur_thresholds(diag, edge, [0, 2], DEFAULT_PSD_TOL).tolist()
+    assert band == [1e-9]
+    assert star_tree.eliminate(plan, diag.tolist(), edge.tolist(), band) == 0
+    assert plan_psd_check(plan, [1e-10, 1.0], [1e-6, 0.0])
     assert exact_plan_psd_check(plan, [1e-10, 1.0], [1e-6, 0.0])
     # 1 - 100 < 0, and the singular [[1, 1], [1, 1]] against one ulp less
     assert not exact_plan_psd_check(plan, [1e-10, 1.0], [1e-4, 0.0])
@@ -183,7 +194,8 @@ def forest(sizes, rng):
 
 
 def thresholds_passed(monkeypatch, check, *args):
-    """The thresholds that check(*args) passes to eliminate."""
+    """The thresholds that check(*args) passes to eliminate in floats: its
+    first call; a second may only be the exact re-check, at threshold 0."""
     seen = []
 
     def recording(plan, d, a, thr, start=0):
@@ -194,7 +206,8 @@ def thresholds_passed(monkeypatch, check, *args):
     monkeypatch.setattr(star_tree, "eliminate", recording)
     check(*args)
     monkeypatch.setattr(star_tree, "eliminate", real)
-    (thr,) = seen
+    thr, *rest = seen
+    assert rest in ([], [[0]])
     return thr
 
 
@@ -251,6 +264,78 @@ def test_tree_sparse_zero_pivot_branch():
     t = path_graph(2)
     assert tree_psd_check_sparse(t, [1.0, 0.0], {})
     assert not tree_psd_check_sparse(t, [1.0, 0.0], {(0, 1): 0.5})
+
+
+@pytest.mark.parametrize("key,value", [((1, 0), 5.0), ((1, 0), 0.0), ((0, 0), 5.0),
+                                       ((1, 1), 0.0)])
+def test_sparse_check_refuses_a_key_with_i_not_below_j(key, value):
+    # keyed (1, 0), the 5 of [[1, 5], [5, 1]] was read as a missing edge
+    # entry 0, and the matrix passed
+    t = path_graph(2)
+    with pytest.raises(MatrixError, match=re.escape(f"entry {key} must have i < j")):
+        tree_psd_check_sparse(t, [1.0, 1.0], {key: value})
+    assert not tree_psd_check_sparse(t, [1.0, 1.0], {(0, 1): 5.0})
+
+
+# diagonal shifts down by a share of the diagonal: none, near the float
+# band, and far past it
+SHIFTS = (0.0, 1e-12, 1e-6, 1e-3, 0.5, 0.9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 60), st.sampled_from(SHIFTS)), min_size=1, max_size=4),
+       st.integers(2, 8), st.integers(0, 10_000))
+def test_every_false_from_the_tree_checks_is_exact(trees, k, seed):
+    # x^k images of sampled PSD trees, PSD by the Schur product theorem,
+    # each tree's diagonal shifted down by its share, made one forest as a
+    # chunk of trials is.  A check passes every matrix that is PSD exactly;
+    # the forest's first failing block is the first tree that fails alone
+    rng = np.random.default_rng(seed)
+    alone, whole, bounds = forest([n for n, _ in trees], rng)
+    diag, edge = [], []
+    for plan, (_, shift) in zip(alone, trees):
+        d, e = random_psd_plan_entries(plan, 8.0, rng)
+        diag.append(d ** k * (1.0 - shift))
+        edge.append(e ** k)
+    diag, edge = np.concatenate(diag), np.concatenate(edge)
+    fails_alone = []
+    for j, plan in enumerate(alone):
+        lo, hi = int(bounds[j]), int(bounds[j + 1])
+        assert whole.block(lo, hi) == plan
+        ok = plan_psd_check(plan, diag[lo:hi], edge[lo:hi])
+        if exact_tree_psd(plan.graph(), dense_from_plan(plan, diag[lo:hi], edge[lo:hi])):
+            assert ok
+        fails_alone.append(not ok)
+    assert first_failing_block(whole, diag, edge, bounds) == \
+        (fails_alone.index(True) if any(fails_alone) else None)
+    g = whole.graph()
+    dense = dense_from_plan(whole, diag, edge)
+    off = {(min(u, v), max(u, v)): float(edge[v]) for v, u in enumerate(whole.parent) if u >= 0}
+    if exact_tree_psd(g, dense):
+        assert plan_psd_check(whole, diag, edge)
+        assert tree_psd_check(dense, g)
+        assert tree_psd_check_sparse(g, diag, off)
+
+
+def test_x6_images_that_fail_the_float_loop_pass_the_tree_checks():
+    # x^6 is a Schur power: its image of a PSD tree matrix is PSD.  On deep
+    # trees the float loop takes a positive pivot under the band for zero
+    # and fails its nonzero edge; the exact re-check passes the image
+    f = parse_function("1*x^6")
+    float_fails = 0
+    for seed in range(20):
+        t = random_tree(100, seed)
+        fa = apply_entrywise(f.value, random_psd_with_pattern(t, 8.0, seed), t)
+        plan = elimination_plan(t)
+        diag = np.diag(fa)
+        edge = np.array([fa[v, u] if u >= 0 else 0.0 for v, u in enumerate(plan.parent)])
+        band = schur_thresholds(diag, edge, [0, t.n], DEFAULT_PSD_TOL).tolist()
+        float_fails += star_tree.eliminate(plan, diag.tolist(), edge.tolist(), band) is not None
+        assert exact_tree_psd(t, fa)
+        assert tree_psd_check(fa, t)
+        assert tree_psd_check_sparse(t, diag, {(min(u, v), max(u, v)): edge[v]
+                                               for v, u in enumerate(plan.parent) if u >= 0})
+    assert float_fails >= 5
 
 
 @settings(max_examples=200, deadline=None)
