@@ -33,10 +33,8 @@ from .graphs import GraphError
 from .matrices import MatrixError
 
 
-# A wider band turns wrong verdicts into passes: preserver-test's --tol sets
-# only the Schur band of its trials, which take pivots within it for zero.
-# critical-exponent echoes its --tol, which checks of its certificates read
-# as their threshold.
+# preserver-test and critical-exponent echo their --tol, which no verdict
+# reads and which checks of their certificates read as their threshold.
 MAX_TOL = 1e-6
 
 # star-suite's stages, in the order they decide (star_tree.stacked_verdicts)
@@ -122,7 +120,7 @@ def _chunks(trials: int, width: int):
 
 
 def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, width: int,
-                         range_max: float, tol: float) -> Optional[Tuple[int, dict]]:
+                         range_max: float) -> Optional[Tuple[int, dict]]:
     """(index, certificate) of the first failing trial in index order, or None.
 
     draw(k) gives the next k trials as one forest, trial after trial: its
@@ -143,14 +141,15 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
         fdiag = image[:n]
         # roots carry no edge entry, whatever f(0) is
         fedge = np.where(parent >= 0, image[n:], 0.0)
-        k = star_tree.first_failing_block(plan, fdiag, fedge, bounds, tol)
+        k = star_tree.first_failing_block(plan, fdiag, fedge, bounds)
         if k is not None:
             lo, hi = int(bounds[k]), int(bounds[k + 1])
             tree = plan.block(lo, hi)
             return start + k, {
                 "tree": graphs.format_graph(tree.graph()),
                 "matrix": matrices.format_plan(tree, diag[lo:hi], edge[lo:hi]),
-                # f may overflow: NaN and inf entries print as nan and inf
+                # NaN and inf entries, which the finite bound on f rules out
+                # (cmd_preserver_test), would print as nan and inf
                 "image": matrices.format_plan(tree, fdiag[lo:hi], fedge[lo:hi], check=False),
             }
     return None
@@ -191,12 +190,20 @@ def cmd_preserver_test(args) -> Report:
         return (plan, np.fromiter(plan.parent, np.intp, bounds[-1]), bounds,
                 np.stack([rows[:, tree_n - 1:2 * tree_n - 1][used], rows[:, 2 * tree_n - 1:][used]]))
 
-    failure = _first_failing_trial(f, args.trials, draw, width, args.range, args.tol)
+    # a trial entry lies in [0, R], where |f| <= sum |c| R^e: where that
+    # bound overflows, an image may hold an inf that is not f[A], and no
+    # trial runs
+    try:
+        bound = sum(abs(c) * args.range ** e for c, e in f.terms)
+    except OverflowError:
+        bound = math.inf
+    trials = args.trials if math.isfinite(bound) else 0
+    failure = _first_failing_trial(f, trials, draw, width, args.range)
     if failure is not None:
         index, rep.certificate = failure
         rep.trials, rep.verdict = index + 1, "fail"
         return rep
-    rep.trials = args.trials
+    rep.trials = trials
     if exact is None:
         # undecided: the grid scans decide, and a violation is final, as an
         # exact one is.  f >= 0 is the order-0 forward difference

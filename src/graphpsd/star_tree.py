@@ -4,7 +4,8 @@ A star matrix has center diagonal p1, leaf diagonals p2..p_{d+1}, first-row
 entries alpha2..alpha_{d+1}, and zeros elsewhere.  Tree patterns are tested by
 leaf elimination with scalar Schur complements and never touch an eigensolver:
 every tree check, preserver-test's trials too, is first_failing_block, one
-float Schur pass at a band whose fails are re-checked in Fraction arithmetic.
+float pass of the exact elimination rule whose fails are re-checked in
+Fraction arithmetic.
 Stars stacked leaf-major, column k star k, padded to one width or not, get
 the float criterion's claims and their exact verdicts in one pass
 (stacked_verdicts) over contiguous rows: the criterion's first two
@@ -24,7 +25,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .graphs import EliminationPlan, Graph, elimination_plan
-from .matrices import DEFAULT_PSD_TOL, MatrixError
+from .matrices import MatrixError
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny  # 2^-1022
@@ -243,109 +244,81 @@ def star_psd_check(s: StarMatrix) -> StarVerdict:
     return StarVerdict(False, int(claim[0]) if stage[0] == 0 else 3)
 
 
-def star_det(s: StarMatrix) -> float:
-    """prod p_i  -  sum_i alpha_i^2 * prod of the other leaf diagonals."""
-    total = math.prod(s.p)
-    for i, ai in enumerate(s.alpha):
-        rest = math.prod(pj for j, pj in enumerate(s.p[1:]) if j != i)
-        total -= ai * ai * rest
-    return total
-
-
-def schur_thresholds(diag, edge, bounds, tol: float) -> np.ndarray:
-    """tol * max(1, max |entry|) of diag and edge over each block of vertices
-    bounds[j] .. bounds[j + 1] - 1, eliminate's band; np.fmax skips a NaN max."""
-    starts = bounds[:-1]
-    return tol * np.fmax(np.fmax(1.0, np.maximum.reduceat(np.abs(diag), starts)),
-                         np.maximum.reduceat(np.abs(edge), starts))
-
-
-def first_failing_block(plan: EliminationPlan, diag, edge, bounds,
-                        tol: float = DEFAULT_PSD_TOL) -> Optional[int]:
+def first_failing_block(plan: EliminationPlan, diag, edge, bounds) -> Optional[int]:
     """The first block j, vertices bounds[j] .. bounds[j + 1] - 1, whose
     matrix is not PSD exactly, or None, on entries aligned with plan:
     diagonal diag and edge[v] on (v, parent[v]).  A block is all of any
     plan, or one tree of a forest that plan.block can cut.
 
-    One eliminate pass runs over the blocks, each at its own band
-    (schur_thresholds); a block it fails is re-checked exactly
-    (exact_plan_psd_check), and if that block is PSD the pass resumes at
-    the next.  So tol only widens what passes: a +inf entry's band is inf.
+    One eliminate pass runs over the blocks in floats; a block it fails is
+    re-checked exactly (exact_plan_psd_check), and if that block is PSD the
+    pass resumes at the next.  So a False is exact, and a True is the float
+    pass's.
     """
     diag, edge = np.asarray(diag, dtype=float), np.asarray(edge, dtype=float)
-    thr = schur_thresholds(diag, edge, bounds, tol).tolist()
-    d, a = diag.tolist(), edge.tolist()
-    k = 0
-    while k < len(thr):
-        v = eliminate(plan, d, a, thr[k:], int(bounds[k]))
-        if v is None:
-            return None
+    # read as NaN, which fails every branch of eliminate, a +-inf entry fails
+    # the float pass, and the exact re-check fails it; as a pivot, +inf
+    # would be eliminated as if its row were 0
+    d = np.where(np.isinf(diag), np.nan, diag).tolist()
+    a = np.where(np.isinf(edge), np.nan, edge).tolist()
+    start = 0
+    while (v := eliminate(plan, d, a, start)) is not None:
         k = int(np.searchsorted(bounds, v, side="right")) - 1
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
-        if not exact_plan_psd_check(plan.block(lo, hi), diag[lo:hi], edge[lo:hi]):
+        lo, start = int(bounds[k]), int(bounds[k + 1])
+        if not exact_plan_psd_check(plan.block(lo, start), diag[lo:start], edge[lo:start]):
             return k
-        k += 1
     return None
 
 
-def plan_psd_check(plan: EliminationPlan, diag: np.ndarray, edge: np.ndarray,
-                   tol: float = DEFAULT_PSD_TOL) -> bool:
+def plan_psd_check(plan: EliminationPlan, diag: np.ndarray, edge: np.ndarray) -> bool:
     """Leaf-elimination PSD test in O(n) on entries aligned with plan:
-    first_failing_block on the one block of all vertices, so a forest keeps
-    one band; a False is exact."""
-    return first_failing_block(plan, diag, edge, [0, len(plan.parent)], tol) is None
+    first_failing_block on the one block of all vertices; a False is exact."""
+    return first_failing_block(plan, diag, edge, [0, len(plan.parent)]) is None
 
 
-def eliminate(plan: EliminationPlan, d: list, a: list, thr: list,
-              start: int = 0) -> Optional[int]:
-    """first_failing_block's Schur loop on lists d (diagonal, overwritten) and a
-    (edges), tree by tree, with a pivot within the tree's threshold of zero
-    counted as zero: the first vertex in plan.order[start:] whose pivot
-    fails, or None when the matrix is PSD.
+def eliminate(plan: EliminationPlan, d: list, a: list, start: int = 0) -> Optional[int]:
+    """Exact leaf elimination on lists d (diagonal, overwritten) and a
+    (edges), in floats or in Fraction arithmetic: the first vertex in
+    plan.order[start:] whose pivot fails, or None when the matrix is PSD.
 
-    thr holds one threshold per tree, in the order the plan finishes its
-    trees from start on, and the last one also holds for every tree after
-    it: a tree ends at its root, so the plan must eliminate each tree's
-    vertices together, as prufer_plan's forests do, and start must be where
-    a tree begins.  One threshold serves any plan.
+    A root needs d >= 0; a pivot d > 0 is eliminated into its parent u, d[u]
+    -= a^2 / d; a pivot d = 0 needs a zero edge; any other pivot, NaN
+    included, fails.  start must be where a tree begins, so that the plan
+    eliminates each tree's vertices together, as prufer_plan's forests do.
     """
     order, parent = plan.order, plan.parent
-    thr = iter(thr)
-    t = next(thr)
+    # 0 of d's own type: a float compared with the int 0, or a Fraction
+    # with 0.0, costs more per pivot
+    zero = type(d[0])() if d else 0
     for v in itertools.islice(order, start, None):
         u = parent[v]
         if u < 0:
-            if d[v] < -t:
+            if not d[v] >= zero:
                 return v
-            t = next(thr, t)
-        elif d[v] > t:
+        elif d[v] > zero:
             d[u] -= a[v] * a[v] / d[v]
-        elif d[v] >= -t:
-            if abs(a[v]) > t:
-                return v
-        else:
+        elif d[v] != zero or a[v] != zero:
             return v
     return None
 
 
 def exact_plan_psd_check(plan: EliminationPlan, diag, edge) -> bool:
-    """eliminate in Fraction arithmetic at threshold 0, where its branches are
-    exact leaf elimination: whether the matrix of the floats diag and edge,
-    aligned with plan, is PSD exactly.  A NaN or +-inf entry fails."""
+    """eliminate in Fraction arithmetic: whether the matrix of the floats
+    diag and edge, aligned with plan, is PSD exactly.  A NaN or +-inf entry
+    fails."""
     diag = np.asarray(diag, dtype=float).tolist()
     edge = np.asarray(edge, dtype=float).tolist()
     if not all(map(math.isfinite, diag + edge)):
         return False
     from fractions import Fraction
 
-    return eliminate(plan, list(map(Fraction, diag)), list(map(Fraction, edge)), [0]) is None
+    return eliminate(plan, list(map(Fraction, diag)), list(map(Fraction, edge))) is None
 
 
 def tree_psd_check_sparse(
     t: Graph,
     diag: np.ndarray,
     off: Dict[Tuple[int, int], float],
-    tol: float = DEFAULT_PSD_TOL,
 ) -> bool:
     """Leaf-elimination PSD test on sparse (diag, off) entries with pattern in
     the forest t; off is keyed by (i, j), i < j, and any other key raises."""
@@ -359,10 +332,10 @@ def tree_psd_check_sparse(
     for v, u in enumerate(plan.parent):
         if u >= 0:
             edge[v] = off.get((min(u, v), max(u, v)), 0.0)
-    return plan_psd_check(plan, diag, edge, tol)
+    return plan_psd_check(plan, diag, edge)
 
 
-def tree_psd_check(a: np.ndarray, t: Graph, tol: float = DEFAULT_PSD_TOL) -> bool:
+def tree_psd_check(a: np.ndarray, t: Graph) -> bool:
     """Dense front end for the leaf-elimination PSD test."""
     a = np.asarray(a, dtype=float)
     if a.shape != (t.n, t.n):
@@ -383,7 +356,7 @@ def tree_psd_check(a: np.ndarray, t: Graph, tol: float = DEFAULT_PSD_TOL) -> boo
     child = np.nonzero(parent >= 0)[0]
     edge = np.zeros(t.n)
     edge[child] = a[child, parent[child]]
-    return plan_psd_check(plan, np.diag(a), edge, tol)
+    return plan_psd_check(plan, np.diag(a), edge)
 
 
 def random_star(degree: np.ndarray, rng: np.random.Generator):

@@ -35,7 +35,7 @@ from graphpsd.matrices import (
     quadratic_form,
     stacked_psd_plan_entries,
 )
-from graphpsd.star_tree import StarMatrix, eliminate, schur_thresholds, stacked_dense
+from graphpsd.star_tree import StarMatrix, eliminate, stacked_dense
 from graphpsd.witnesses import nk_membership
 
 
@@ -308,18 +308,18 @@ def exact_tree_psd(tree, a):
     return True
 
 
-def trial_loop(f, trials, draw, width, range_max, tol):
+def trial_loop(f, trials, draw, width, range_max):
     """The preservation trials one at a time, stopping at the first failure:
     (index, certificate) of the first failing trial, or None.  A trial fails
-    when the float Schur loop (eliminate at schur_thresholds' band) fails
-    its image and the dense image is not PSD in Fraction arithmetic either
-    (exact_tree_psd).  Each trial calls
-    draw(1), which gives the next trial's elimination plan, its parent array,
-    its bounds [0, n] and its (2, n) block of uniforms; the commands' draws
-    read the same stream for draw(1) k times as for one draw(k).  The parent
-    array is read off the plan here, not taken from the draw.  width, the
-    uniforms a trial reads, sets the commands' chunks, and every trial here
-    is a chunk of its own."""
+    when its image has a NaN or +-inf entry or fails leaf elimination in
+    floats (eliminate), and the dense image is not PSD in Fraction
+    arithmetic either (exact_tree_psd).  Each trial calls draw(1), which
+    gives the next trial's elimination plan, its parent array, its bounds
+    [0, n] and its (2, n) block of uniforms; the commands' draws read the
+    same stream for draw(1) k times as for one draw(k).  The parent array is
+    read off the plan here, not taken from the draw.  width, the uniforms a
+    trial reads, sets the commands' chunks, and every trial here is a chunk
+    of its own."""
     for index in range(trials):
         plan, _, bounds, uniforms = draw(1)
         parent = np.array(plan.parent)
@@ -327,8 +327,8 @@ def trial_loop(f, trials, draw, width, range_max, tol):
         # f on the diagonal and the tree edges; roots carry no edge entry
         fdiag = f.value(diag)
         fedge = np.where(parent >= 0, f.value(edge), 0.0)
-        band = schur_thresholds(fdiag, fedge, bounds, tol).tolist()
-        if eliminate(plan, fdiag.tolist(), fedge.tolist(), band) is None:
+        finite = np.isfinite(fdiag).all() and np.isfinite(fedge).all()
+        if finite and eliminate(plan, fdiag.tolist(), fedge.tolist()) is None:
             continue
         image = dense_from_plan(plan, fdiag, fedge)
         if exact_tree_psd(plan.graph(), image):

@@ -16,7 +16,6 @@ from graphpsd.cli import main
 from graphpsd.functions import parse_function
 from graphpsd.graphs import parse_graph
 from graphpsd.matrices import apply_entrywise, is_psd, parse_matrix
-from graphpsd.star_tree import tree_psd_check
 from graphpsd.witnesses import KERNEL_TOL, POSITIVITY_TOL
 from oracles import forward_difference
 
@@ -636,18 +635,33 @@ def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
     assert code == 0 and seen == ["star 4"] and rep["certificate"] is None
 
 
-def test_overflowing_image_still_gives_the_trial_certificate(capsys):
-    # f[A] overflows to inf - inf = NaN on entries near 8; the certificate
-    # prints those as nan, the sampled matrix stays finite, and the exit is 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, rep = run(capsys, "preserver-test", "--trials", "50", "--", "1*x^400, -1*x^401")
-    assert code == 1 and rep["verdict"] == "fail"
-    cert = rep["certificate"]
-    t, a, image = (parse_graph(cert["tree"]), parse_matrix(cert["matrix"]),
-                   parse_matrix(cert["image"]))
-    assert np.isfinite(a).all() and is_psd(a).is_psd
-    assert "nan" in cert["image"] and np.isnan(image).any()
-    assert not tree_psd_check(image, t)
+EXACT_PASS = {"grid_superadditive": True, "grid_mult_convex": True, "grid_nonnegative": True,
+              "decided": "exact"}
+
+
+@pytest.mark.parametrize("lit,verdict,certificate", [
+    # undecided: f = x^400 (1 - x) < 0 beyond 1, which the f >= 0 scan finds
+    ("1*x^400, -1*x^401", "fail", {"tree": "1 0\n", "matrix": "1\n0 0 1.015625\n",
+                                   "grid_witness": [1.015625]}),
+    # proved; 8^400 and 1e307 8^3 overflow, and their trials would fail on
+    # the overflow at trial 0
+    ("1*x^400", "pass", EXACT_PASS),
+    ("1e307*x^3", "pass", EXACT_PASS),
+    ("1*x^400, 1*x^401", "pass", EXACT_PASS),
+])
+def test_a_function_whose_bound_overflows_runs_no_trial(capsys, lit, verdict, certificate):
+    # sum |c| R^e is not finite: an image could hold an inf that is not
+    # f[A], so no trial runs, and the decider or the grid scans decide
+    code, rep = run(capsys, "preserver-test", "--trials", "50", "--", lit)
+    assert (code, rep["verdict"], rep["trials"], rep["certificate"]) == \
+        (int(verdict == "fail"), verdict, 0, certificate)
+
+
+def test_a_function_whose_bound_is_finite_runs_its_trials(capsys):
+    # 1e307 * 1.5^3 and 8^340 are finite, at --range 1.5 and 8
+    for argv in (("1e307*x^3", "--range", "1.5"), ("1*x^340",)):
+        code, rep = run(capsys, "preserver-test", "--trials", "50", *argv)
+        assert (code, rep["trials"], rep["certificate"]) == (0, 50, EXACT_PASS)
 
 
 @pytest.mark.parametrize("argv,code", [

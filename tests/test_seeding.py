@@ -98,7 +98,7 @@ def trial_samples(monkeypatch, argv):
     themselves are not run."""
     seen = []
 
-    def spy(f, trials, draw, width, range_max, tol):
+    def spy(f, trials, draw, width, range_max):
         for start, stop in cli._chunks(trials, width):
             _, _, bounds, uniforms = draw(stop - start)
             seen.extend(block.tobytes() for block in np.split(uniforms, bounds[1:-1], axis=1))

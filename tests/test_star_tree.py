@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from graphpsd import star_tree
 from graphpsd.functions import parse_function
-from graphpsd.graphs import elimination_plan, path_graph, prufer_plan, random_tree, star_graph
+from graphpsd.graphs import Graph, elimination_plan, path_graph, prufer_plan, random_tree, star_graph
 from graphpsd.matrices import (
-    DEFAULT_PSD_TOL,
     MatrixError,
     apply_entrywise,
     dense_from_plan,
@@ -28,9 +27,7 @@ from graphpsd.star_tree import (
     plan_psd_check,
     random_psd_star,
     random_star,
-    schur_thresholds,
     stacked_verdicts,
-    star_det,
     star_psd_check,
     tree_psd_check,
     tree_psd_check_sparse,
@@ -119,12 +116,6 @@ def test_star_factor_reproduces_power(d, m, seed):
     assert np.allclose(lm @ lm.T, hadamard_power(star_dense(s), m), atol=1e-9)
 
 
-def test_star_det_values():
-    assert star_det(StarMatrix((2.0, 1.0, 1.0), (1.0, 1.0))) == 0.0
-    assert star_det(StarMatrix((3.0, 1.0, 2.0), (1.0, 1.0))) == 3.0
-    assert star_det(StarMatrix((3.0, 1.0, 2.0), (0.0, 0.0))) == 6.0
-
-
 def test_star_eigs_equal_p():
     ev = sorted(star_eigenvalues_equal_p(StarMatrix((2.0, 1.0, 1.0), (1.0, 1.0))))
     assert np.allclose(ev, [0.0, 1.0, 3.0])
@@ -161,14 +152,10 @@ def test_tree_psd_rejects_off_pattern():
 
 
 def test_exact_check_takes_no_pivot_for_zero():
-    # the pivot 1e-10 lies under the float threshold 1e-9 and its edge does
-    # not, so the float loop fails; exactly, the leaf leaves 1 - 0.01 > 0,
-    # and plan_psd_check, which re-checks a float fail, passes it
+    # the pivot 1e-10 is eliminated in floats as it is exactly: the leaf
+    # leaves 1 - 0.01 > 0
     plan = elimination_plan(path_graph(2))
-    diag, edge = np.array([1e-10, 1.0]), np.array([1e-6, 0.0])
-    band = schur_thresholds(diag, edge, [0, 2], DEFAULT_PSD_TOL).tolist()
-    assert band == [1e-9]
-    assert star_tree.eliminate(plan, diag.tolist(), edge.tolist(), band) == 0
+    assert star_tree.eliminate(plan, [1e-10, 1.0], [1e-6, 0.0]) is None
     assert plan_psd_check(plan, [1e-10, 1.0], [1e-6, 0.0])
     assert exact_plan_psd_check(plan, [1e-10, 1.0], [1e-6, 0.0])
     # 1 - 100 < 0, and the singular [[1, 1], [1, 1]] against one ulp less
@@ -191,58 +178,6 @@ def forest(sizes, rng):
     seqs = [rng.integers(0, n, max(n - 2, 0)) for n in sizes]
     whole = prufer_plan(np.concatenate([s + o for s, o in zip(seqs, bounds.tolist())]), sizes)
     return [prufer_plan(s, [n]) for s, n in zip(seqs, sizes)], whole, bounds
-
-
-def thresholds_passed(monkeypatch, check, *args):
-    """The thresholds that check(*args) passes to eliminate in floats: its
-    first call; a second may only be the exact re-check, at threshold 0."""
-    seen = []
-
-    def recording(plan, d, a, thr, start=0):
-        seen.append(list(thr))
-        return real(plan, d, a, thr, start)
-
-    real = star_tree.eliminate
-    monkeypatch.setattr(star_tree, "eliminate", recording)
-    check(*args)
-    monkeypatch.setattr(star_tree, "eliminate", real)
-    thr, *rest = seen
-    assert rest in ([], [[0]])
-    return thr
-
-
-def test_schur_thresholds_are_each_trees_own_plan_check_band(monkeypatch):
-    # trees with a NaN among their diagonal or edge entries, with +-inf, with
-    # only zeros (0 and -0) and with random entries; the reference is the
-    # builtin max, which leaves out a NaN maximum as np.fmax does
-    rng = np.random.default_rng(3)
-    trees = [([math.nan, 50.0, 1.0], [40.0, 2.0, 0.0]), ([2.0, 3.0], [math.nan, 0.0]),
-             ([math.inf], [0.0]), ([1.0, 2.0, 0.5], [-math.inf, 1.0, 0.0]),
-             ([0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]), ([0.5, 0.25], [0.125, 0.0])]
-    trees += [tuple(rng.uniform(-1e3, 1e3, (2, n)) * 10.0 ** rng.integers(-3, 3))
-              for n in rng.integers(1, 9, 12)]
-    alone, _, bounds = forest([len(d) for d, _ in trees], rng)
-    diag, edge = (np.concatenate(x) for x in zip(*trees))
-    for tol in (1e-9, 1e-6):
-        band = schur_thresholds(diag, edge, bounds, tol).tolist()
-        assert len(band) == len(trees)
-        for (d, e), tree, want in zip(trees, alone, band):
-            own = thresholds_passed(monkeypatch, plan_psd_check, tree, d, e, tol)
-            reference = tol * max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e))))
-            assert own == [want] == [reference]
-        assert band[:6] == [40 * tol, 3 * tol, math.inf, math.inf, tol, tol]
-
-
-def test_plan_check_keeps_one_band_for_a_forest(monkeypatch):
-    # tree 1's root pivot -1e-5 is below its own band 1e-9, but within the
-    # forest-wide 1e-9 * 1e6 that tree 0's entries set
-    _, plan, bounds = forest([2, 2], np.random.default_rng(0))
-    diag, edge = np.array([1e6, 1e6, 1.0, -1e-5]), np.array([1.0, 0.0, 0.0, 0.0])
-    assert thresholds_passed(monkeypatch, plan_psd_check, plan, diag, edge, 1e-9) == [1e-9 * 1e6]
-    assert plan_psd_check(plan, diag, edge, 1e-9)
-    assert schur_thresholds(diag, edge, bounds, 1e-9).tolist() == [1e-9 * 1e6, 1e-9]
-    assert star_tree.eliminate(plan, diag.tolist(), edge.tolist(),
-                               schur_thresholds(diag, edge, bounds, 1e-9).tolist()) == 3
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,8 +212,8 @@ def test_sparse_check_refuses_a_key_with_i_not_below_j(key, value):
     assert not tree_psd_check_sparse(t, [1.0, 1.0], {(0, 1): 5.0})
 
 
-# diagonal shifts down by a share of the diagonal: none, near the float
-# band, and far past it
+# diagonal shifts down by a share of the diagonal: none, a few thousand
+# ulps, and far past it
 SHIFTS = (0.0, 1e-12, 1e-6, 1e-3, 0.5, 0.9)
 
 
@@ -317,25 +252,39 @@ def test_every_false_from_the_tree_checks_is_exact(trees, k, seed):
         assert tree_psd_check_sparse(g, diag, off)
 
 
-def test_x6_images_that_fail_the_float_loop_pass_the_tree_checks():
-    # x^6 is a Schur power: its image of a PSD tree matrix is PSD.  On deep
-    # trees the float loop takes a positive pivot under the band for zero
-    # and fails its nonzero edge; the exact re-check passes the image
+def test_x6_images_pass_the_float_pass():
+    # x^6 is a Schur power: its image of a PSD tree matrix is PSD.  Leaf
+    # elimination in floats passes every image, with no exact re-check
     f = parse_function("1*x^6")
-    float_fails = 0
     for seed in range(20):
         t = random_tree(100, seed)
         fa = apply_entrywise(f.value, random_psd_with_pattern(t, 8.0, seed), t)
         plan = elimination_plan(t)
         diag = np.diag(fa)
         edge = np.array([fa[v, u] if u >= 0 else 0.0 for v, u in enumerate(plan.parent)])
-        band = schur_thresholds(diag, edge, [0, t.n], DEFAULT_PSD_TOL).tolist()
-        float_fails += star_tree.eliminate(plan, diag.tolist(), edge.tolist(), band) is not None
+        assert star_tree.eliminate(plan, diag.tolist(), edge.tolist()) is None
         assert exact_tree_psd(t, fa)
         assert tree_psd_check(fa, t)
         assert tree_psd_check_sparse(t, diag, {(min(u, v), max(u, v)): edge[v]
                                                for v, u in enumerate(plan.parent) if u >= 0})
-    assert float_fails >= 5
+
+
+@pytest.mark.parametrize("t,a", [
+    (Graph(1), [[math.nan]]),
+    (Graph(1), [[math.inf]]),
+    (path_graph(2), [[1.0, 0.0], [0.0, math.nan]]),
+    (path_graph(2), [[math.inf, 1.0], [1.0, 5.0]]),
+    (path_graph(2), [[math.inf, 0.0], [0.0, -5.0]]),
+], ids=["nan", "inf", "nan-leaf", "inf-pivot", "inf-over-negative-root"])
+def test_a_nan_or_inf_entry_fails_every_tree_check(t, a):
+    # a root test d < -t, which NaN never meets, passed the first two; a
+    # +inf pivot, eliminated into its parent as 0, passed the other three
+    a = np.array(a)
+    plan = elimination_plan(t)
+    edge = np.array([a[v, u] if u >= 0 else 0.0 for v, u in enumerate(plan.parent)])
+    assert not tree_psd_check(a, t)
+    assert not tree_psd_check_sparse(t, np.diag(a), {(0, 1): a[0, 1]} if t.n == 2 else {})
+    assert not plan_psd_check(plan, np.diag(a), edge)
 
 
 @settings(max_examples=200, deadline=None)

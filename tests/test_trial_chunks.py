@@ -3,8 +3,8 @@
 preserver-test runs its trials in chunks of floor(2^14 / W) trials, W = 3
 --tree-n - 1 being the uniforms one trial reads, and at least one.  A chunk
 of k trials is one forest of k trees: one Pruefer walk decodes it, one
-sampler call and one f evaluation map it, and one Schur loop checks it, tree
-after tree.  These tests hold the command's reports to the loop in
+sampler call and one f evaluation map it, and one leaf elimination checks it,
+tree after tree.  These tests hold the command's reports to the loop in
 tests/oracles.py, which decodes each tree by the heap reference and maps and
 checks one trial at a time on the same draws, and the forest sampler to the
 one-tree sampler.
@@ -19,6 +19,7 @@ import collections
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def first_failure(f, draw, limit=1000, range_max=8.0):
     """Index of the reference loop's first failing trial, or None."""
     for k in range(limit):
         sample = draw(1)
-        if trial_loop(f, 1, lambda _: sample, None, range_max, 1e-9) is not None:
+        if trial_loop(f, 1, lambda _: sample, None, range_max) is not None:
             return k
     return None
 
@@ -215,7 +216,7 @@ def test_chunk_schedule():
 
 def test_a_passing_chunk_makes_one_call_per_layer(capsys, monkeypatch):
     # 200 trials at --tree-n 12 are one chunk: one decode, one sampler call,
-    # one evaluation of f on the trials and one Schur loop
+    # one evaluation of f on the trials and one leaf elimination
     calls = collections.Counter()
 
     def counting(module, name):
@@ -302,31 +303,27 @@ def test_preserver_reports_match_the_loop_at_tree_n_1000(capsys, monkeypatch, li
     assert got == want
 
 
-def handler_args(lit, tol, range_max, tree_n, seed, trials=60):
-    return argparse.Namespace(function=lit, trials=trials, tree_n=tree_n, seed=seed, tol=tol,
+def handler_args(lit, range_max, tree_n, seed, trials=60):
+    return argparse.Namespace(function=lit, trials=trials, tree_n=tree_n, seed=seed, tol=1e-9,
                               grid=functions.DEFAULT_GRID_STEP, range=range_max)
 
 
-# main refuses a --tol above 1e-6; at these wide bands the verdicts hang on
-# each trial's own threshold and on root edges being 0, not f(0)
-@pytest.mark.parametrize("lit,tol,range_max,tree_n,seed", [
-    ("3*x^0, -1*x^0.5", 0.5, 4.0, 3, 200),
-    ("3*x^0, -1*x^0.5", 0.5, 8.0, 3, 200),
-    ("10*x^0, -2*x^1", 0.05, 1.0, 3, 200),
-    ("10*x^0, -2*x^1", 0.05, 1.0, 12, 200),
-    ("3*x^0, -1*x^0.5", 0.2, 8.0, 12, 200),
-    ("-3*x^0, 1*x^1", 0.5, 4.0, 12, 200),
-    ("8*x^0, -1*x^1.5", 0.5, 4.0, 3, 200),
-    # trial 0 fails on its own threshold; a chunk-wide one, or f(0) on the
-    # root edges, would pass it
-    ("3*x^0, -1*x^0.5", 0.2, 1.0, 3, 238),
-    # trial 2 fails on its own threshold; trial 0's would fail trial 1
-    ("3*x^0, -1*x^0.5", 0.2, 1.0, 3, 112),
+# the verdicts hang on root edges being 0, not f(0)
+@pytest.mark.parametrize("lit,range_max,tree_n,seed", [
+    ("3*x^0, -1*x^0.5", 4.0, 3, 200),
+    ("3*x^0, -1*x^0.5", 8.0, 3, 200),
+    ("10*x^0, -2*x^1", 1.0, 3, 200),
+    ("10*x^0, -2*x^1", 1.0, 12, 200),
+    ("3*x^0, -1*x^0.5", 8.0, 12, 200),
+    ("-3*x^0, 1*x^1", 4.0, 12, 200),
+    ("8*x^0, -1*x^1.5", 4.0, 3, 200),
+    ("3*x^0, -1*x^0.5", 1.0, 3, 238),
+    ("3*x^0, -1*x^0.5", 1.0, 3, 112),
 ])
-def test_wide_band_handler_matches_the_loop(monkeypatch, lit, tol, range_max, tree_n, seed):
+def test_constant_term_handler_matches_the_loop(monkeypatch, lit, range_max, tree_n, seed):
     # each f(0) != 0, which the decider refutes at 0: stubbed, the trials run
     undecided(monkeypatch)
-    args = handler_args(lit, tol, range_max, tree_n, seed)
+    args = handler_args(lit, range_max, tree_n, seed)
     got = cli.cmd_preserver_test(args)
     monkeypatch.setattr(cli, "_first_failing_trial", trial_loop)
     want = cli.cmd_preserver_test(args)
@@ -336,14 +333,14 @@ def test_wide_band_handler_matches_the_loop(monkeypatch, lit, tol, range_max, tr
 
 
 def test_first_failure_in_a_chunk_is_reported():
-    # trials 1 and 2 share the chunk and both fail: the Schur loop stops in
+    # trials 1 and 2 share the chunk and both fail: the elimination stops in
     # tree 1
     f = functions.parse_function("1*x^0.9")
     draw = preserver_draw(18, 12)
-    assert [trial_loop(f, 1, draw, 35, 8.0, 1e-9) is not None for _ in range(3)] \
+    assert [trial_loop(f, 1, draw, 35, 8.0) is not None for _ in range(3)] \
         == [False, True, True]
-    got = cli._first_failing_trial(f, 3, preserver_draw(18, 12), 35, 8.0, 1e-9)
-    assert got[0] == 1 and got == trial_loop(f, 3, preserver_draw(18, 12), 35, 8.0, 1e-9)
+    got = cli._first_failing_trial(f, 3, preserver_draw(18, 12), 35, 8.0)
+    assert got[0] == 1 and got == trial_loop(f, 3, preserver_draw(18, 12), 35, 8.0)
 
 
 def recording_rechecks(monkeypatch):
@@ -359,24 +356,29 @@ def recording_rechecks(monkeypatch):
     return rechecks
 
 
-def test_a_float_fail_that_is_psd_exactly_resumes_at_the_next_tree(capsys, monkeypatch):
-    # x^6 at seed 0: trial 24 fails the float Schur loop, a positive pivot
-    # under the threshold, and its image is PSD exactly (only a float fail
-    # is re-checked).  As the last tree of a 25-trial chunk it ends the
-    # chunk; in 200 trials the loop goes on
-    f = functions.parse_function("1*x^6")
+# a rank-one edge [[x, m], [m, y]] with m^2 = xy exactly, so singular and
+# PSD, whose float pivot y - fl(fl(m m) / x) rounds below 0; found by search
+# over p, q in [2^25, 2^26), x = p^2 / 2^52, y = q^2 / 2^52, m = pq / 2^52
+P, Q = 38349066, 41562380
+SINGULAR_EDGE = (P * P / 2.0 ** 52, Q * Q / 2.0 ** 52, P * Q / 2.0 ** 52)
+
+
+def test_a_float_fail_that_is_psd_exactly_resumes_at_the_next_tree(monkeypatch):
+    x, y, m = SINGULAR_EDGE
+    assert Fraction(m) ** 2 == Fraction(x) * Fraction(y) and m * m / x > y
+    edge = graphs.elimination_plan(graphs.path_graph(2))  # leaf 0 into root 1
+    assert star_tree.eliminate(edge, [x, y], [m, 0.0]) == 1
+    assert star_tree.exact_plan_psd_check(edge, [x, y], [m, 0.0])
+    # three such trees in one forest, the singular edge in the middle: the
+    # float pass fails it, its re-check passes it and the pass goes on to
+    # the third tree, which decides, as in a tree-by-tree loop
+    plan, bounds = union([edge] * 3), [0, 2, 4, 6]
     rechecks = recording_rechecks(monkeypatch)
-    assert cli._first_failing_trial(f, 25, preserver_draw(0, 12), 35, 8.0, 1e-9) is None
-    assert rechecks == [True]
-    assert cli._first_failing_trial(f, 200, preserver_draw(0, 12), 35, 8.0, 1e-9) is None
-    assert rechecks == [True, True]
-    # a tree re-checked PSD, then a tree that fails exactly, in one chunk:
-    # the second decides, as in the reference loop
-    rechecks.clear()
-    got, want = run_both(capsys, monkeypatch, ("preserver-test", "1*x^6, -0.001*x^1.5",
-                                               "--trials", "200", "--seed", "1"))
-    assert got == want and (got[0], got[1]["trials"]) == (1, 105)
-    assert rechecks == [True, False]
+    for last, want, checked in ((0.5, None, [True]), (2.0, 2, [True, False])):
+        rechecks.clear()
+        got = star_tree.first_failing_block(plan, [1.0, 1.0, x, y, 1.0, 1.0],
+                                            [0.5, 0.0, m, 0.0, last, 0.0], bounds)
+        assert (got, rechecks) == (want, checked)
 
 
 def _plans(seed):
@@ -424,8 +426,7 @@ def test_one_plan_sampler_reads_one_block_of_uniforms():
     # x^1.5 (x - 1) has fractional exponents and a negative coefficient, so
     # the exact decider leaves it to the grid
     (("--trials", "5", "--", "-1*x^1.5, 1*x^2.5"), "0.015625"),
-    # x^1.5 (x^0.5 - 1) < 0 on (0, 1), and on [0, 1e-6] |f| < 2e-12, under
-    # the trials' absolute Schur floor of 1e-9: its 1000 trials pass unstubbed
+    # x^1.5 (x^0.5 - 1) < 0 on (0, 1); on [0, 1e-6] trial 0 fails unstubbed
     (("1*x^2, -1*x^1.5", "--range", "1e-6", "--grid", "1.5625e-08"), "1.5625e-08"),
 ])
 def test_negative_function_fails_on_the_grid_when_trials_pass(capsys, monkeypatch, argv, x):
@@ -440,7 +441,7 @@ def test_negative_function_fails_on_the_grid_when_trials_pass(capsys, monkeypatc
 
 # 1-3 terms c x^e with |c| = 10^u, u uniform in [-13, 1]: fractional
 # exponents with a negative coefficient leave f to the grid, and a small
-# |c| puts its violations under the Schur floor
+# |c| makes its violations small
 GRID_TERMS = st.lists(
     st.tuples(st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1.0, -1.0]),
                         st.floats(-13.0, 1.0)),
