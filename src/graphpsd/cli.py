@@ -33,10 +33,6 @@ from .graphs import GraphError
 from .matrices import MatrixError
 
 
-# preserver-test and critical-exponent echo their --tol, which no verdict
-# reads and which checks of their certificates read as their threshold.
-MAX_TOL = 1e-6
-
 # star-suite's stages, in the order they decide (star_tree.stacked_verdicts)
 STAGES = ("conditions", "float", "double_double", "integers")
 
@@ -48,7 +44,9 @@ FUNCTION_HELP = ('power-sum literal, e.g. "1*x^1, 1*x^2"; a literal that starts 
 class Report:
     command: str
     seed: Optional[int]  # None for a command that reads no --seed
-    tolerance: Optional[float]  # None for a command that reads no --tol
+    # matrices.DEFAULT_PSD_TOL for preserver-test and critical-exponent, the
+    # threshold that checks of their certificates read; None elsewhere
+    tolerance: Optional[float]
     trials: int
     verdict: str  # "pass" | "fail"
     certificate: Optional[dict] = None
@@ -148,9 +146,7 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
             return start + k, {
                 "tree": graphs.format_graph(tree.graph()),
                 "matrix": matrices.format_plan(tree, diag[lo:hi], edge[lo:hi]),
-                # NaN and inf entries, which the finite bound on f rules out
-                # (cmd_preserver_test), would print as nan and inf
-                "image": matrices.format_plan(tree, fdiag[lo:hi], fedge[lo:hi], check=False),
+                "image": matrices.format_plan(tree, fdiag[lo:hi], fedge[lo:hi]),
             }
     return None
 
@@ -158,7 +154,7 @@ def _first_failing_trial(f: functions.EntrywiseFunction, trials: int, draw, widt
 def cmd_preserver_test(args) -> Report:
     f = functions.parse_function(args.function)
     # trials counts the trials that ran: none for an exact violation
-    rep = Report("preserver-test", args.seed, args.tol, 0, "pass")
+    rep = Report("preserver-test", args.seed, matrices.DEFAULT_PSD_TOL, 0, "pass")
     # an empty grid is a usage error whatever the verdict (superadditivity
     # needs two steps)
     functions._grid_count(args.grid, args.range, 2)
@@ -192,7 +188,7 @@ def cmd_preserver_test(args) -> Report:
 
     # a trial entry lies in [0, R], where |f| <= sum |c| R^e: where that
     # bound overflows, an image may hold an inf that is not f[A], and no
-    # trial runs
+    # trial runs; so every image a trial formats is finite
     try:
         bound = sum(abs(c) * args.range ** e for c, e in f.terms)
     except OverflowError:
@@ -290,7 +286,7 @@ def cmd_critical_exponent(args) -> Report:
         raise UsageError("critical-exponent needs a tree with at least 3 vertices")
     # every row is decided, so no trial runs: GKR16 with GKR's critical
     # exponents of graphs, x^alpha preserves PSD on every tree iff alpha >= 1
-    rep = Report("critical-exponent", args.seed, args.tol, 0, "pass")
+    rep = Report("critical-exponent", args.seed, matrices.DEFAULT_PSD_TOL, 0, "pass")
     for alpha in args.alphas:
         # x^alpha is proved for alpha >= 1 and refuted at (x, x) for alpha < 1
         exact = functions.decide_tree_conditions(functions.power_function(alpha), args.range)
@@ -404,8 +400,6 @@ def _parsers() -> Tuple[argparse.ArgumentParser, dict]:
         of knobs, the ones it reads."""
         if "seed" in knobs:
             p.add_argument("--seed", type=int, default=0)
-        if "tol" in knobs:
-            p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
         if "trials" in knobs:
             p.add_argument("--trials", type=int, default=1000)
         if "grid" in knobs:
@@ -421,7 +415,7 @@ def _parsers() -> Tuple[argparse.ArgumentParser, dict]:
                    help="trials draw trees on 2..TREE_N vertices; at least 3, since "
                         "GKR16's characterization, which decides the verdict, is for "
                         "trees on 3 or more vertices")
-    common(p, "seed", "tol", "trials", "grid", "range")
+    common(p, "seed", "trials", "grid", "range")
 
     p = sub.add_parser("absmon-test", help="forward-difference absolute monotonicity")
     p.add_argument("function", help=FUNCTION_HELP)
@@ -435,7 +429,7 @@ def _parsers() -> Tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("critical-exponent", help="entrywise powers on a tree pattern")
     p.add_argument("tree", help='tree spec "kind n"')
     p.add_argument("alphas", type=float, nargs="+")
-    common(p, "seed", "tol", "trials", "range")
+    common(p, "seed", "trials", "range")
 
     p = sub.add_parser("construct", help="threshold reports and preserver polynomials")
     p.add_argument("kind", choices=("poly", "entire", "thresholds"))
@@ -477,7 +471,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         # every numeric argument is checked here, once; the handlers trust them
         given = vars(args)
-        positive = [(f"--{flag}", given[flag]) for flag in ("grid", "range", "tol")
+        positive = [(f"--{flag}", given[flag]) for flag in ("grid", "range")
                     if flag in given]
         for label, value in positive + [("ALPHA", a) for a in given.get("alphas", ())]:
             if not (math.isfinite(value) and value > 0):
@@ -489,8 +483,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if given.get(flag, least) < least:
                 raise UsageError(f"--{flag.replace('_', '-')} must be >= {least}, "
                                  f"got {given[flag]}")
-        if given.get("tol", 0.0) > MAX_TOL:
-            raise UsageError(f"--tol must be at most {MAX_TOL!r}, got {args.tol!r}")
         report = handler(args)
         report.elapsed_ms = (time.perf_counter() - start) * 1000.0
         text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"

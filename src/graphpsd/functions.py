@@ -97,7 +97,9 @@ class EntrywiseFunction:
                 continue
             if e - k < 0 and at_zero:
                 raise DomainError(f"derivative of order {k} singular at 0 for exponent {e}")
-            with np.errstate(divide="ignore"):
+            # as in value: an overflow gives inf (inf - inf gives NaN), which
+            # callers read
+            with np.errstate(over="ignore", invalid="ignore"):
                 out += c * falling * np.power(x, e - k)
         return float(out) if out.ndim == 0 else out
 

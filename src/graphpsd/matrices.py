@@ -23,7 +23,6 @@ class MatrixError(ValueError):
 class PsdVerdict:
     is_psd: bool
     min_eigenvalue: float
-    tolerance_used: float
     boundary: bool  # lambda_min within the tolerance band around zero
 
 
@@ -60,19 +59,18 @@ def quadratic_form(a: np.ndarray, beta: np.ndarray) -> float:
     return float(beta @ a @ beta)
 
 
-def is_psd(a: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
+def is_psd(a: np.ndarray) -> PsdVerdict:
     """Spectral PSD oracle, one eigvalsh: PSD iff lambda_min >= -tol * max(1,
-    spectral radius).
+    spectral radius), tol = DEFAULT_PSD_TOL.
 
     boundary is set when |lambda_min| <= tol * max(1, |lambda_max|), the band
     around zero where floating-point verdicts are allowed to disagree."""
-    if tol <= 0:
-        raise MatrixError("tolerance must be positive")
+    tol = DEFAULT_PSD_TOL
     eigs = np.linalg.eigvalsh(check_symmetric(a))
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     radius = max(-lam_min, lam_max)
     boundary = abs(lam_min) <= tol * max(1.0, abs(lam_max))
-    return PsdVerdict(lam_min >= -tol * max(1.0, radius), lam_min, tol, boundary)
+    return PsdVerdict(lam_min >= -tol * max(1.0, radius), lam_min, boundary)
 
 
 def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Graph) -> np.ndarray:
@@ -180,17 +178,16 @@ def format_square(a: np.ndarray) -> str:
     return _entry_text(a.shape[0], zip(i.tolist(), j.tolist(), a[i, j].astype(float).tolist()))
 
 
-def format_plan(plan: EliminationPlan, diag, edge, check: bool = True) -> str:
+def format_plan(plan: EliminationPlan, diag, edge) -> str:
     """format_matrix's text of dense_from_plan(plan, diag, edge) in O(n log
     n), with no dense matrix: the diagonal and edge entries sorted by (i, j).
-    check=False gives format_square's text instead, which prints NaN and
-    +-inf entries as nan and inf."""
+    A NaN or +-inf entry raises MatrixError, as in format_matrix."""
     parent = plan.parent
     entries = [(i, i, x) for i, x in enumerate(np.asarray(diag, dtype=float).tolist())]
     entries += [(min(v, u), max(v, u), x)
                 for v, (u, x) in enumerate(zip(parent, np.asarray(edge, dtype=float).tolist()))
                 if u >= 0]
-    if check and not all(map(math.isfinite, (x for _, _, x in entries))):
+    if not all(map(math.isfinite, (x for _, _, x in entries))):
         raise MatrixError("matrix has non-finite entries")
     # each (i, j) is one entry's, so the sort never compares two values
     entries.sort()

@@ -95,8 +95,8 @@ def stacked_verdicts(p: np.ndarray, alpha: np.ndarray):
     # on a star that meets both conditions p_i != 0 just where p_i > 0, and
     # elsewhere alpha_i = 0, which over p_i = inf adds 0 to every load below
     q = np.where(leaf > 0.0, leaf, np.inf)
-    square = alpha * alpha
     with np.errstate(over="ignore", invalid="ignore"):
+        square = alpha * alpha
         claim = np.where(p[0] < _fold(square / q), 3, 0)
         load = _fold(alpha * (alpha / q))
         margin = ((len(leaf) + 4) * _EPS * (np.abs(p[0]) + 2.0 * load)
@@ -228,8 +228,10 @@ def leaf_load(p_leaf, alpha):
     """
     p_leaf = np.asarray(p_leaf, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    return _fold(np.divide(alpha * alpha, p_leaf, out=np.zeros(p_leaf.shape),
-                           where=p_leaf != 0.0).T)
+    # an overflow gives inf (inf - inf gives NaN), which callers read
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _fold(np.divide(alpha * alpha, p_leaf, out=np.zeros(p_leaf.shape),
+                               where=p_leaf != 0.0).T)
 
 
 def star_psd_check(s: StarMatrix) -> StarVerdict:

@@ -10,7 +10,6 @@ same quadratic forms.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -54,7 +53,7 @@ class WitnessSet:
     center: Optional[int] = None
 
     def payload(self) -> dict:
-        """The set as the JSON object that to_json prints."""
+        """The set as the JSON object that reports embed."""
         return {
             "matrix": format_matrix(self.matrix),
             "witnesses": [
@@ -67,9 +66,6 @@ class WitnessSet:
                 for w in self.witnesses
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload(), indent=2, allow_nan=False)
 
     def recertify(self) -> bool:
         """Every witness certified again, in the arithmetic that certified it:
@@ -275,7 +271,6 @@ def star_witnesses(
     d: int,
     alphas: Sequence[float],
     ambient_n: int,
-    max_order: Optional[int] = None,
     vertices: Optional[Sequence[int]] = None,
 ) -> WitnessSet:
     """Witnesses of orders 1..d for the hollow star matrix
@@ -304,10 +299,6 @@ def star_witnesses(
     idx = np.arange(d + 1) if vertices is None else np.asarray(vertices, dtype=int)
     if idx.size != d + 1 or not _distinct(idx) or idx.min() < 0 or idx.max() >= ambient_n:
         raise WitnessError("vertices must be d+1 distinct ambient indices")
-    if max_order is None:
-        max_order = d
-    if not 1 <= max_order <= d:
-        raise WitnessError("max_order must be between 1 and d")
 
     c = int(idx[0])
     a = np.zeros((ambient_n, ambient_n))
@@ -317,7 +308,7 @@ def star_witnesses(
     records = []
     power, base = _power_vectors(a[c], c, d)
     basis: List[np.ndarray] = []
-    for k in range(1, max_order + 1):
+    for k in range(1, d + 1):
         basis = _orthonormalize(power[k - 1:k], basis)  # a basis of power[:k]
         if k < d:
             pa = _project_perp(power[k], basis)

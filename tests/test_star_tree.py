@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,17 @@ def test_star_psd_check_is_exact_where_the_float_criterion_is_not():
     # one ulp above the exact load is PSD
     above = StarMatrix((np.nextafter(4 / 3, 2.0), 1.0, 3.0), (1.0, 1.0))
     assert exact_star_psd(above.p, above.alpha) and star_psd_check(above).is_psd
+
+
+def test_overflows_in_public_calls_raise_no_warning():
+    # each call overflows in floats and reads the inf; a numpy warning
+    # escaping would be an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # alpha^2 = 1e400 against p_1 = 1e300: S < 0, condition 3
+        assert star_psd_check(StarMatrix((1e300, 1e-300), (1e200,))) == StarVerdict(False, 3)
+        assert leaf_load([1.0], [1e200]) == math.inf
+        assert parse_function("1*x^400").deriv(1e10, 1) == math.inf
 
 
 def test_star_factor_boundary():

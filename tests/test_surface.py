@@ -10,13 +10,16 @@ object.  The analysis is static and reads only the sources.
 """
 
 import ast
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from graphpsd import cli
 from graphpsd.cli import main
 from graphpsd.constructors import (
     build_tree_preserver_poly,
@@ -122,6 +125,13 @@ REMOVED_FLAGS = [
     ("witness", "star 4", "--tol", "1e-9"),
     ("construct", "poly", "--tol", "1e-9"),
     ("star-suite", "--tol", "1e-9"),
+    # no verdict reads a tolerance: the reports print a constant one
+    ("preserver-test", "1*x^2, -1*x^1", "--tol", "inf"),
+    ("preserver-test", "1*x^2", "--tol", "nan"),
+    ("preserver-test", "1*x^2, -1*x^1", "--trials", "50", "--tol", "0.5"),
+    ("critical-exponent", "path 5", "0.5", "--tol", "2e-6"),
+    ("critical-exponent", "path 5", "0.5", "--tol", "inf"),
+    ("critical-exponent", "path 5", "0.5", "--tol", "0"),
     ("absmon-test", "1*x^2", "--seed", "3"),
     ("construct", "poly", "--seed", "3"),
 ]
@@ -132,6 +142,28 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {argv[-2]}" in err and "Traceback" not in err
+
+
+def readme_flag_rows():
+    """{subcommand: its flags} from README's | subcommand | flags | table."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2  # past the header rule
+    rows = {}
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:]):
+        command, flags = line.strip("|").split(" | ")
+        rows[command.strip(" `").split()[0]] = set(re.findall(r"`(-n|--[a-z-]+)`", flags))
+    return rows
+
+
+def test_readme_flags_table_matches_the_parsers():
+    # every subcommand's row lists just the flags its parser takes, apart
+    # from -h, --out and --format, which every subcommand takes
+    parsers = cli._parsers()[1]
+    rows = readme_flag_rows()
+    assert sorted(rows) == sorted(parsers)
+    for name, flags in rows.items():
+        options = {s for action in parsers[name]._actions for s in action.option_strings}
+        assert flags == options - {"-h", "--help", "--out", "--format"}, name
 
 
 def reference_tree_preserver_poly(n_neg):

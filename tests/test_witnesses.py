@@ -113,16 +113,13 @@ def test_star_witnesses_d5():
     assert all(w.positivity_margin > 1e-8 for w in ws.witnesses)
 
 
-def test_star_witnesses_no_dominance_below_top():
-    # center alpha NOT dominant: orders 1..d-1 still work
-    ws = star_witnesses(3, (1.0, 5.0, 2.0, 3.0), 4, max_order=2)
-    assert [w.k for w in ws.witnesses] == [1, 2]
-
-
-def test_star_witnesses_dominance_failure_names_final_step():
-    # (2-5)(2-1) < 0 puts the top power vector on the wrong side of the span
+@pytest.mark.parametrize("d,alphas,n", [(2, (2.0, 5.0, 1.0), 3), (3, (1.0, 5.0, 2.0, 3.0), 4)])
+def test_star_witnesses_dominance_failure_names_final_step(d, alphas, n):
+    # (2-5)(2-1) < 0 puts the top power vector on the wrong side of the span;
+    # a center alpha that is not dominant fails only there, at k = d, so
+    # orders 1..d-1 still certify
     with pytest.raises(WitnessError, match="center alpha"):
-        star_witnesses(2, (2.0, 5.0, 1.0), 3)
+        star_witnesses(d, alphas, n)
 
 
 def test_star_witnesses_embedding():
@@ -152,7 +149,7 @@ def test_star_witnesses_past_float_range():
         warnings.simplefilter("error")
         ws = star_witnesses(d, [2.0 * d + 1.0] + [float(i) for i in range(1, d + 1)], d + 1)
         assert ws.recertify()
-        text = ws.to_json()
+        text = json.dumps(ws.payload(), allow_nan=False)
     assert [w.k for w in ws.witnesses] == list(range(1, d + 1))
     assert all(w.kernel_residual <= 1e-10 for w in ws.witnesses)
     # a margin beyond float range is its decimal string; the others are floats
@@ -184,7 +181,7 @@ def test_star_witnesses_reject_repeats():
 
 def test_witness_set_json_roundtrip():
     ws = star_witnesses(2, (5.0, 1.0, 2.0), 3)
-    payload = json.loads(ws.to_json())
+    payload = json.loads(json.dumps(ws.payload(), allow_nan=False))
     assert {w["k"] for w in payload["witnesses"]} == {1, 2}
     assert "matrix" in payload
 
