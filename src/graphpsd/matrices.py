@@ -1,11 +1,10 @@
 """Symmetric matrices with sparsity patterns: Hadamard powers, quadratic forms,
-PSD testing, entrywise maps, and seeded sampling of pattern-constrained PSD
-matrices."""
+entrywise maps, seeded sampling of pattern-constrained PSD matrices, and their
+text."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -17,13 +16,6 @@ DEFAULT_PSD_TOL = 1e-9
 
 class MatrixError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PsdVerdict:
-    is_psd: bool
-    min_eigenvalue: float
-    boundary: bool  # lambda_min within the tolerance band around zero
 
 
 def check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -59,18 +51,14 @@ def quadratic_form(a: np.ndarray, beta: np.ndarray) -> float:
     return float(beta @ a @ beta)
 
 
-def is_psd(a: np.ndarray) -> PsdVerdict:
-    """Spectral PSD oracle, one eigvalsh: PSD iff lambda_min >= -tol * max(1,
-    spectral radius), tol = DEFAULT_PSD_TOL.
-
-    boundary is set when |lambda_min| <= tol * max(1, |lambda_max|), the band
-    around zero where floating-point verdicts are allowed to disagree."""
-    tol = DEFAULT_PSD_TOL
+def is_psd(a: np.ndarray) -> bool:
+    """A float verdict, from one eigvalsh: PSD iff lambda_min >= -tol *
+    max(1, spectral radius), tol = DEFAULT_PSD_TOL.  No command calls it;
+    it stays only for the layer sweep, which times it by name."""
     eigs = np.linalg.eigvalsh(check_symmetric(a))
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    radius = max(-lam_min, lam_max)
-    boundary = abs(lam_min) <= tol * max(1.0, abs(lam_max))
-    return PsdVerdict(lam_min >= -tol * max(1.0, radius), lam_min, boundary)
+    lam_min = float(eigs[0])
+    radius = max(-lam_min, float(eigs[-1]))
+    return lam_min >= -DEFAULT_PSD_TOL * max(1.0, radius)
 
 
 def apply_entrywise(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, g: Graph) -> np.ndarray:
@@ -158,24 +146,19 @@ def random_psd_with_pattern(g: Graph, range_max: float, seed: int) -> np.ndarray
 
 
 def format_matrix(a: np.ndarray) -> str:
-    """The text of a finite, exactly symmetric matrix: n, then "i j value"
-    for each nonzero entry with i <= j, row by row."""
-    return format_square(check_symmetric(a))
+    """The text of a finite, exactly symmetric matrix, which parse_matrix
+    reads back: n, then "i j value" for each nonzero entry with i <= j, row
+    by row.  Any other array raises MatrixError."""
+    a = check_symmetric(a)
+    i, j = np.nonzero(a)  # row by row
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    return _entry_text(a.shape[0], zip(i.tolist(), j.tolist(), a[i, j].tolist()))
 
 
 def _entry_text(n: int, entries) -> str:
     """n, then "i j value" for each nonzero (i, j, value) of entries, in order."""
     return "\n".join([str(n)] + [f"{i} {j} {x!r}" for i, j, x in entries if x != 0.0]) + "\n"
-
-
-def format_square(a: np.ndarray) -> str:
-    """format_matrix's text of the upper triangle of a square array, with no
-    check: NaN and +-inf entries print as nan and inf, which parse_matrix
-    reads back."""
-    i, j = np.nonzero(a)  # row by row
-    upper = i <= j
-    i, j = i[upper], j[upper]
-    return _entry_text(a.shape[0], zip(i.tolist(), j.tolist(), a[i, j].astype(float).tolist()))
 
 
 def format_plan(plan: EliminationPlan, diag, edge) -> str:

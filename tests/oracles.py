@@ -4,8 +4,9 @@ Each one checks a library result against an independent formula from the
 paper or an exhaustive search: psi and its grid check against the budgets of
 the constructors, forward differences against absolute monotonicity, the star
 factorization and equal-leaf eigenvalues against the dense matrix, eta and the
-randomized witness search against the witness constructions, and the
-thresholding counterexample against the open-triangle search.  The
+randomized witness search against the witness constructions, the
+thresholding counterexample against the open-triangle search, and the
+spectral verdict (eigvalsh) against the star and tree checks.  The
 sample-by-sample and trial-by-trial loops at the end are the references for
 the stacked star-suite and the chunked preservation trials; they check the
 samples the commands draw, one at a time.
@@ -26,11 +27,11 @@ from graphpsd.functions import (
 )
 from graphpsd.graphs import Graph, GraphError, elimination_plan, find_open_triangle, format_graph
 from graphpsd.matrices import (
+    DEFAULT_PSD_TOL,
     MatrixError,
     check_symmetric,
     dense_from_plan,
     format_matrix,
-    format_square,
     hadamard_power,
     quadratic_form,
     stacked_psd_plan_entries,
@@ -79,6 +80,20 @@ def forward_difference(f, x, h, n):
     return float(
         sum((-1) ** i * math.comb(n, i) * f.value(x + (n - i) * h) for i in range(n + 1))
     )
+
+
+def spectral_verdict(a):
+    """Spectral PSD oracle, one eigvalsh: (psd, lambda_min, boundary), where
+    psd is lambda_min >= -tol * max(1, spectral radius), tol =
+    DEFAULT_PSD_TOL, as matrices.is_psd, and boundary is set when
+    |lambda_min| <= tol * max(1, |lambda_max|), the band around zero where
+    floating-point verdicts are allowed to disagree."""
+    tol = DEFAULT_PSD_TOL
+    eigs = np.linalg.eigvalsh(check_symmetric(a))
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    radius = max(-lam_min, lam_max)
+    boundary = abs(lam_min) <= tol * max(1.0, abs(lam_max))
+    return lam_min >= -tol * max(1.0, radius), lam_min, boundary
 
 
 def pattern_of(a):
@@ -313,7 +328,9 @@ def trial_loop(f, trials, draw, width, range_max):
     (index, certificate) of the first failing trial, or None.  A trial fails
     when its image has a NaN or +-inf entry or fails leaf elimination in
     floats (eliminate), and the dense image is not PSD in Fraction
-    arithmetic either (exact_tree_psd).  Each trial calls draw(1), which
+    arithmetic either (exact_tree_psd).  The commands run trials only where
+    f is bounded in floats on [0, R], so a failing image is finite and
+    format_matrix prints it.  Each trial calls draw(1), which
     gives the next trial's elimination plan, its parent array, its bounds
     [0, n] and its (2, n) block of uniforms; the commands' draws read the
     same stream for draw(1) k times as for one draw(k).  The parent array is
@@ -336,6 +353,6 @@ def trial_loop(f, trials, draw, width, range_max):
         return index, {
             "tree": format_graph(plan.graph()),
             "matrix": format_matrix(dense_from_plan(plan, diag, edge)),
-            "image": format_square(image),
+            "image": format_matrix(image),
         }
     return None

@@ -17,6 +17,7 @@ from oracles import (
     forward_difference,
     kernel_stability_loop,
     psi,
+    spectral_verdict,
     star_dense,
     star_eigenvalues_equal_p,
     star_sample,
@@ -39,10 +40,10 @@ def test_01_star_criterion_oracle_equivalence():
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 11))
         s = star_sample(star_tree.random_star, d, rng)
-        oracle = matrices.is_psd(star_dense(s))
-        if oracle.boundary:
+        psd, _, boundary = spectral_verdict(star_dense(s))
+        if boundary:
             continue
-        if star_tree.star_psd_check(s).is_psd != oracle.is_psd:
+        if star_tree.star_psd_check(s).is_psd != psd:
             disagreements += 1
     _report("star criterion agrees with spectral oracle on 10,000 samples",
             disagreements == 0)
@@ -62,10 +63,10 @@ def test_02_tree_psd_oracle_and_linear_time():
             a = matrices.random_psd_with_pattern(t, 3.0, seed)
             i = int(rng.integers(n))
             a[i, i] -= rng.uniform(0.0, 2.0) * max(1.0, a[i, i])
-        oracle = matrices.is_psd(a)
-        if oracle.boundary:
+        psd, _, boundary = spectral_verdict(a)
+        if boundary:
             continue
-        if star_tree.tree_psd_check(a, t) != oracle.is_psd:
+        if star_tree.tree_psd_check(a, t) != psd:
             disagreements += 1
     times = []
     for n in (100, 1000, 10000):
@@ -127,7 +128,7 @@ def test_04_preserver_vs_abs_monotonicity(capsys):
         t = graphs.random_tree(3 + seed % 9, seed)
         a = matrices.random_psd_with_pattern(t, 5.0, seed)
         fa = matrices.apply_entrywise(entire.value, a, t)
-        if matrices.is_psd(fa).boundary:
+        if spectral_verdict(fa)[2]:
             continue
         if not star_tree.tree_psd_check(fa, t):
             tree_ok = False

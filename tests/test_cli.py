@@ -314,8 +314,8 @@ def test_preserver_mult_convex_witness_fails_on_an_edge(capsys):
     cert = rep["certificate"]
     assert cert["exact_witness"] == [6.56640625, 6.890625]
     t, a = parse_graph(cert["tree"]), parse_matrix(cert["matrix"])
-    assert t.n == 2 and is_psd(a).is_psd
-    assert not is_psd(apply_entrywise(parse_function(lit).value, a, t)).is_psd
+    assert t.n == 2 and is_psd(a)
+    assert not is_psd(apply_entrywise(parse_function(lit).value, a, t))
 
 
 # undecided functions that pass one trial and fail the midpoint-convexity
@@ -409,6 +409,22 @@ def test_unrepresentable_functions_and_grids_are_usage_errors(capsys, argv, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,stderr", [
+    # a GraphError from the graph builders or the order bounds, printed by main
+    (("witness", "cycle 4"), "error: unknown graph kind 'cycle'\n"),
+    (("witness", "path 1"), "error: graph has no edges\n"),
+    (("witness", "star 0"), "error: invalid size n=0\n"),
+    # a spec that is not "kind n", or not a tree, is the command's own usage error
+    (("witness", "star x"), "error: bad vertex count 'x'\n"),
+    (("witness", "star"), "error: graph spec must be 'kind n', got 'star'\n"),
+    (("critical-exponent", "complete 4", "2"), "error: critical-exponent needs a tree spec\n"),
+])
+def test_bad_graph_specs_are_errors(capsys, argv, stderr):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+
+
 @pytest.mark.parametrize("argv", [
     ("absmon-test", "1*x^2", "--grid", "1e-12"),
     ("preserver-test", "1*x^1.5, -0.01*x^2.5, 1*x^3.5", "--trials", "5", "--grid", "1e-12"),
@@ -474,7 +490,7 @@ def test_literal_starting_with_minus_goes_after_double_dash(capsys):
     cert = rep["certificate"]
     t = parse_graph(cert["tree"])
     assert not is_psd(apply_entrywise(parse_function("-1*x^1").value,
-                                      parse_matrix(cert["matrix"]), t)).is_psd
+                                      parse_matrix(cert["matrix"]), t))
 
 
 @pytest.mark.parametrize("argv,prog,message", [

@@ -132,7 +132,7 @@ def test_superadditivity_counterexample_block():
     # star 3's open triangle is (0; 1, 2): B(2, 1, 1) is the whole matrix
     b = superadditivity_counterexample(star_graph(3), 1.0, 1.0)
     assert np.array_equal(b, [[2, 1, 1], [1, 1, 0], [1, 0, 1]])
-    assert is_psd(b).is_psd
+    assert is_psd(b)
 
 
 def test_superadditivity_counterexample_path3_is_the_permuted_block():
@@ -145,7 +145,7 @@ def test_fractional_counterexample_path3():
     t = path_graph(3)
     r = 4.0
     a = superadditivity_counterexample(t, r / 4, r / 4)
-    assert is_psd(a).is_psd
+    assert is_psd(a)
     fa = apply_entrywise(np.sqrt, a, t)
     assert not tree_psd_check(fa, t)
     # center entry sqrt(2) < 1 + 1 violates the star load criterion
@@ -157,7 +157,7 @@ def test_fractional_counterexample_margins(alpha):
     t = random_tree(7, 2)
     r = 4.0
     a = superadditivity_counterexample(t, r / 4, r / 4)
-    assert is_psd(a).is_psd
+    assert is_psd(a)
     assert np.max(np.abs(a)) <= r
     assert pattern_of(a).edges <= t.edges
     fa = apply_entrywise(lambda x: np.power(x, alpha), a, t)
@@ -184,7 +184,7 @@ def test_superadditivity_counterexample_needs_an_open_triangle():
 
 def test_thresholding_counterexample():
     full, masked = thresholding_counterexample(path_graph(3), 1.0)
-    assert is_psd(full).is_psd
+    assert is_psd(full)
     assert math.isclose(np.linalg.det(masked), -1.0, abs_tol=1e-12)
 
     _, masked4 = thresholding_counterexample(star_graph(4), 2.0)

@@ -10,7 +10,6 @@ from graphpsd.matrices import (
     dense_from_plan,
     format_matrix,
     format_plan,
-    format_square,
     hadamard_power,
     is_psd,
     parse_matrix,
@@ -19,7 +18,7 @@ from graphpsd.matrices import (
     random_psd_plan_entries,
     random_psd_with_pattern,
 )
-from oracles import pattern_of
+from oracles import pattern_of, spectral_verdict
 from test_elimination_plan import random_forest
 
 B211 = np.array([[2.0, 1, 1], [1, 1, 0], [1, 0, 1]])
@@ -52,15 +51,17 @@ def test_quadratic_form():
 
 
 def test_is_psd_examples():
-    v = is_psd(B211)
-    assert v.is_psd and abs(v.min_eigenvalue) < 1e-12
-    assert not is_psd(np.array([[1.0, 1, 1], [1, 1, 0], [1, 0, 1]])).is_psd
-    assert is_psd(np.eye(7)).is_psd
+    psd, lam_min, _ = spectral_verdict(B211)
+    assert is_psd(B211) is True and psd and abs(lam_min) < 1e-12
+    assert not is_psd(np.array([[1.0, 1, 1], [1, 1, 0], [1, 0, 1]]))
+    assert is_psd(np.eye(7))
+    # a plain bool, so that "if is_psd(a):" reads the verdict
+    assert is_psd(np.array([[-1.0]])) is False
 
 
 def test_boundary_band():
-    assert is_psd(B211).boundary  # singular: right on the boundary
-    assert not is_psd(np.eye(2)).boundary
+    assert spectral_verdict(B211)[2]  # singular: right on the boundary
+    assert not spectral_verdict(np.eye(2))[2]
 
 
 def test_apply_entrywise():
@@ -68,7 +69,7 @@ def test_apply_entrywise():
     assert np.array_equal(out, [[4, 1, 1], [1, 1, 0], [1, 0, 1]])
     root = apply_entrywise(np.sqrt, B211, star_graph(3))
     assert math.isclose(root[0, 0], math.sqrt(2))
-    assert not is_psd(root).is_psd
+    assert not is_psd(root)
     zero = apply_entrywise(lambda x: 0.0 * x, B211, star_graph(3))
     assert not zero.any()
 
@@ -84,7 +85,7 @@ def test_apply_entrywise_masks_off_pattern():
 def test_random_psd_pattern_and_oracle(seed):
     g = path_graph(3)
     a = random_psd_with_pattern(g, 4.0, seed)
-    assert is_psd(a).is_psd
+    assert is_psd(a)
     pat = pattern_of(a)
     assert pat.edges <= g.edges
 
@@ -162,7 +163,7 @@ SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
 
 
 def square_text(a):
-    """format_square's text by a loop over the upper triangle, row by row."""
+    """format_matrix's text by a loop over the upper triangle, row by row."""
     lines = [str(a.shape[0])]
     lines += [f"{i} {j} {float(a[i, j])!r}" for i in range(a.shape[0])
               for j in range(i, a.shape[0]) if a[i, j] != 0.0]
@@ -170,17 +171,21 @@ def square_text(a):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_square_text_is_the_loop_text(seed):
-    # dense arrays, not symmetric, a share of their entries 0, -0, NaN or
-    # +-inf; the lower triangle is never printed
+def test_matrix_text_is_the_loop_text(seed):
+    # symmetric finite arrays, a share of their entries 0 or -0, which are
+    # not printed; a non-finite or asymmetric array is refused
+    # (test_plan_text_is_the_dense_text, test_check_asymmetric_rejected)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 40))
+    upper = np.triu(np.ones((n, n), dtype=bool))
     a = rng.uniform(-3.0, 3.0, (n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
-    special = rng.random((n, n)) < (0.0, 0.2, 0.5, 0.9)[seed % 4]
-    a[special] = rng.choice(SPECIAL, int(special.sum()))
-    assert format_square(a) == square_text(a)
+    zero = rng.random((n, n)) < (0.0, 0.2, 0.5, 0.9)[seed % 4]
+    a[zero] = rng.choice(SPECIAL[:2], int(zero.sum()))
+    a = np.where(upper, a, a.T)
+    assert format_matrix(a) == square_text(a)
     ints = rng.integers(-2, 3, (n, n))
-    assert format_square(ints) == square_text(ints)
+    ints = np.where(upper, ints, ints.T)
+    assert format_matrix(ints) == square_text(ints)
 
 
 @pytest.mark.parametrize("seed", range(40))

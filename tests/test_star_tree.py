@@ -15,7 +15,6 @@ from graphpsd.matrices import (
     apply_entrywise,
     dense_from_plan,
     hadamard_power,
-    is_psd,
     random_psd_plan_entries,
     random_psd_with_pattern,
 )
@@ -36,6 +35,7 @@ from graphpsd.star_tree import (
 from oracles import (
     exact_star_psd,
     exact_tree_psd,
+    spectral_verdict,
     star_dense,
     star_eigenvalues_equal_p,
     star_factor,
@@ -54,14 +54,14 @@ def test_star_psd_boundary_equality():
     s = StarMatrix((2.0, 1.0, 1.0), (1.0, 1.0))
     v = star_psd_check(s)
     assert v.is_psd
-    oracle = is_psd(star_dense(s))
-    assert oracle.is_psd and abs(oracle.min_eigenvalue) < 1e-12
+    psd, lam_min, _ = spectral_verdict(star_dense(s))
+    assert psd and abs(lam_min) < 1e-12
 
 
 def test_star_psd_condition3_fails():
     v = star_psd_check(StarMatrix((1.9, 1.0, 1.0), (1.0, 1.0)))
     assert not v.is_psd and v.failed_condition == 3
-    assert not is_psd(star_dense(StarMatrix((1.9, 1.0, 1.0), (1.0, 1.0)))).is_psd
+    assert not spectral_verdict(star_dense(StarMatrix((1.9, 1.0, 1.0), (1.0, 1.0))))[0]
 
 
 def test_star_psd_condition2_fails():
@@ -304,10 +304,10 @@ def test_a_nan_or_inf_entry_fails_every_tree_check(t, a):
 def test_star_check_agrees_with_oracle(d, seed):
     rng = np.random.default_rng(seed)
     s = star_sample(random_star, d, rng)
-    oracle = is_psd(star_dense(s))
-    if oracle.boundary:
+    psd, _, boundary = spectral_verdict(star_dense(s))
+    if boundary:
         return
-    assert star_psd_check(s).is_psd == oracle.is_psd
+    assert star_psd_check(s).is_psd == psd
 
 
 @settings(max_examples=100, deadline=None)
