@@ -2,6 +2,8 @@
 
 Each subcommand builds a Report and exits 0 on pass, 1 on a property failure
 (with a re-checkable certificate in the report), 2 on usage or domain errors.
+Only preserver-test, absmon-test and star-suite can fail a property;
+witness, critical-exponent and construct print "pass" or exit 2.
 Reports are deterministic given (command, flags, seed) apart from elapsed_ms:
 a randomized command reads every draw from one default_rng(seed).
 
@@ -260,9 +262,8 @@ def cmd_witness(args) -> Report:
     sets = list(bound.witness_sets)
     if len(g.edges) == g.n * (g.n - 1) // 2:  # complete: Graph stores each edge once
         sets.append(witnesses.vandermonde_witnesses([float(i) for i in range(1, g.n + 1)]))
-    ok = all(ws.recertify() for ws in sets)
-    rep = Report("witness", args.seed, None, len(sets),
-                 "pass" if ok else "fail")
+    # every set is certified as it is built; a witness that fails raises
+    rep = Report("witness", args.seed, None, len(sets), "pass")
     rep.certificate = {"lower_bound": bound.lower, "upper_bound": bound.upper,
                        "witness_sets": [ws.payload() for ws in sets]}
     return rep

@@ -179,8 +179,9 @@ def format_plan(plan: EliminationPlan, diag, edge) -> str:
 
 def parse_matrix(text: str) -> np.ndarray:
     """The matrix format_matrix writes: a line "n", then one line "i j value"
-    per listed entry, i <= j < n, each (i, j) once; an entry not listed is 0.
-    Any other text raises MatrixError, which names the line."""
+    per listed entry, i <= j < n, each (i, j) once, value finite; an entry
+    not listed is 0.  Any other text raises MatrixError, which names the
+    line."""
     lines = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise MatrixError("empty matrix text")
@@ -202,6 +203,8 @@ def parse_matrix(text: str) -> np.ndarray:
                               f"got {' '.join(parts)!r}") from None
         if not (0 <= i <= j < n):
             raise MatrixError(f"line {k}: entry ({i}, {j}) out of range for n={n}")
+        if not math.isfinite(val):
+            raise MatrixError(f"line {k}: entry ({i}, {j}) is not finite, got {parts[2]!r}")
         if (i, j) in listed:
             raise MatrixError(f"line {k}: duplicate entry {(i, j)}")
         listed.add((i, j))

@@ -67,9 +67,8 @@ def stacked_verdicts(p: np.ndarray, alpha: np.ndarray):
     condition and fold runs over contiguous rows.
 
     claim is the criterion's first failed condition, 1, 2 or 3, and 0 where
-    it calls the star PSD.  Its load, the left fold of fl(fl(alpha_i^2) /
-    p_i), is leaf_load's bit for bit on every star that meets the first two
-    conditions, the only stars whose claim reads it.
+    it calls the star PSD.  Its load is _criterion_load's, the one that
+    random_psd_star puts its boundary centers at.
 
     Stage 0 is those two conditions, p >= 0 and alpha_i = 0 where p_i = 0,
     which compare floats exactly.  A star that meets both is PSD iff S = p1
@@ -97,7 +96,7 @@ def stacked_verdicts(p: np.ndarray, alpha: np.ndarray):
     q = np.where(leaf > 0.0, leaf, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         square = alpha * alpha
-        claim = np.where(p[0] < _fold(square / q), 3, 0)
+        claim = np.where(p[0] < _criterion_load(leaf, alpha), 3, 0)
         load = _fold(alpha * (alpha / q))
         margin = ((len(leaf) + 4) * _EPS * (np.abs(p[0]) + 2.0 * load)
                   + _TINY * (1.0 + _fold(1.0 / q + square)))
@@ -210,28 +209,20 @@ def _fold(terms):
     return total
 
 
+def _criterion_load(leaf, alpha):
+    """The float criterion's load of the stars stacked leaf-major in leaf
+    (d, B) and alpha (d, B), or of one star's vectors (d,): the left fold of
+    fl(fl(alpha_i^2) / p_i) over the leaves with p_i > 0.  stacked_verdicts'
+    claim and random_psd_star's boundary centers, p1 = load, both take it
+    here, so they agree bit for bit; a fold, not builtin sum, which
+    compensates float sums from Python 3.12 on."""
+    return _fold(alpha * alpha / np.where(leaf > 0.0, leaf, np.inf))
+
+
 @dataclass(frozen=True)
 class StarVerdict:
     is_psd: bool
     failed_condition: Optional[int]  # 1, 2 or 3; None when PSD
-
-
-def leaf_load(p_leaf, alpha):
-    """Sum of alpha_i^2 / p_i over the leaves with p_i != 0: a float for one
-    star's leaf diagonals and first-row entries, an array for stars stacked
-    as rows.
-
-    The sum is folded left to right, one leaf at a time.  Builtin sum
-    compensates float sums from Python 3.12 on, and the boundary draws of
-    random_psd_star, p1 = load, must equal the load the criterion computes
-    bit for bit on every Python version.
-    """
-    p_leaf = np.asarray(p_leaf, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    # an overflow gives inf (inf - inf gives NaN), which callers read
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _fold(np.divide(alpha * alpha, p_leaf, out=np.zeros(p_leaf.shape),
-                               where=p_leaf != 0.0).T)
 
 
 def star_psd_check(s: StarMatrix) -> StarVerdict:
@@ -391,7 +382,7 @@ def random_psd_star(degree: np.ndarray, rng: np.random.Generator):
     p_leaf[pad] = alpha[pad] = 0.0
     # the criterion's own load, so boundary draws land on its notion of
     # equality, not one ulp below it; absent leaves add + 0.0 to it
-    load = leaf_load(p_leaf, alpha)
+    load = _criterion_load(p_leaf.T, alpha.T)
     at_load = rng.uniform(size=b) < 0.3
     above = load * (1.0 + rng.uniform(0.0, 1.0, b)) + rng.uniform(0.0, 0.5, b)
     return np.column_stack([np.where(at_load, load, above), p_leaf]), alpha

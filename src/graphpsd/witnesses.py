@@ -47,10 +47,6 @@ class WitnessRecord:
 class WitnessSet:
     matrix: np.ndarray
     witnesses: Tuple[WitnessRecord, ...]
-    # the closed form of the set: a with matrix = a a^T (rank one), or the center
-    # row of a hollow star with center its index; None: certified from matrix
-    factor: Optional[np.ndarray]
-    center: Optional[int] = None
 
     def payload(self) -> dict:
         """The set as the JSON object that reports embed."""
@@ -66,19 +62,6 @@ class WitnessSet:
                 for w in self.witnesses
             ],
         }
-
-    def recertify(self) -> bool:
-        """Every witness certified again, in the arithmetic that certified it:
-        the closed form of a rank-one or star set, the matrix's forms
-        otherwise."""
-        if self.factor is None:
-            return all(_certify(*nk_residuals(self.matrix, np.asarray(w.beta), w.k), w.k)
-                       for w in self.witnesses)
-        powers, base = _power_vectors(self.factor, self.center,
-                                      max((w.k for w in self.witnesses), default=0))
-        return all(_certify(*_closed_form_residuals(powers[:w.k + 1], np.asarray(w.beta), w.k,
-                                                    self.center), w.k, base)
-                   for w in self.witnesses)
 
 
 def nk_residuals(a: np.ndarray, beta: np.ndarray, k: int) -> Tuple[float, float]:
@@ -183,7 +166,7 @@ def nk_membership(a: np.ndarray, beta: np.ndarray, k: int,
                   factor: Optional[np.ndarray] = None) -> bool:
     """True iff beta is an order-k witness for A.  k = 0 tests positivity on
     the support matrix only.  Given the factor a of a rank-one A = a a^T, the
-    forms come from the closed form, as the set's recertify takes them."""
+    forms come from the closed form, as vandermonde_witnesses takes them."""
     if k < 0:
         raise WitnessError("order must be nonnegative")
     beta = np.asarray(beta, dtype=float)
@@ -241,10 +224,10 @@ def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
     from distinct nonzero alphas.  beta_k is the component of the k-th power
     vector orthogonal to the lower ones; Vandermonde independence makes it
     nonzero and (beta . alpha^(k))^2 > 0.  The witnesses are certified from
-    that closed form, and so is the set's recertify.  Each printed margin is
-    that form too, (beta . alpha^(k))^2 / ||beta||^2, taken in integers, since
-    beta and the alphas are dyadic, and rounded once."""
-    al = np.array(alphas, dtype=float)  # a copy: the set holds it as its factor
+    that closed form.  Each printed margin is that form too,
+    (beta . alpha^(k))^2 / ||beta||^2, taken in integers, since beta and the
+    alphas are dyadic, and rounded once."""
+    al = np.asarray(alphas, dtype=float)
     n = al.size
     if np.any(al == 0.0) or not _distinct(al):
         raise WitnessError("alphas must be distinct and nonzero")
@@ -264,7 +247,7 @@ def vandermonde_witnesses(alphas: Sequence[float]) -> WitnessSet:
         records.append(_certified_record(
             _closed_form_residuals(powers[:k + 1], beta, k, None), beta, k, base, value))
         basis = _orthonormalize(powers[k:k + 1], basis)
-    return WitnessSet(a, tuple(records), al)
+    return WitnessSet(a, tuple(records))
 
 
 def star_witnesses(
@@ -283,8 +266,7 @@ def star_witnesses(
     span of the lower power vectors; for k = d it spans the one-dimensional
     complement of that span inside the full power-vector space, which needs
     alphas[0] to dominate the rest.  Each a^(k) is scaled by _power_vectors,
-    so no order overflows; the witnesses are certified from the closed form,
-    and so is the set's recertify.
+    so no order overflows; the witnesses are certified from the closed form.
 
     vertices optionally places the star at [center, leaves...] coordinates of
     the ambient space (defaults to 0..d).
@@ -328,7 +310,7 @@ def star_witnesses(
                     "leaf alphas (certification failed at the final step)"
                 ) from exc
             raise
-    return WitnessSet(a, tuple(records), a[c], c)
+    return WitnessSet(a, tuple(records))
 
 
 @dataclass(frozen=True)
@@ -355,7 +337,7 @@ def k_lower_bound(g: Graph) -> KBoundReport:
         a[u, v] = a[v, u] = off
         beta = np.zeros(n)
         beta[u], beta[v] = 1.0, -1.0
-        sets.append(WitnessSet(a, (_certified_record(nk_residuals(a, beta, j), beta, j),), None))
+        sets.append(WitnessSet(a, (_certified_record(nk_residuals(a, beta, j), beta, j),)))
     adj = g.adjacency()
     center = max(range(n), key=lambda w: len(adj[w]))  # the first of maximum degree
     leaves = adj[center]  # sorted ascending
@@ -395,9 +377,10 @@ def derivative_sign_estimate(
     a negative k-th derivative at a shows up as a negative limit.
 
     witness is (A, beta) or, for a rank-one A = a a^T, (A, beta, a): with a,
-    beta is certified from the closed form, as the set's recertify does, and
-    Q_{A^(k)}(beta) = (beta . a^(k))^2 with the dot taken exactly, since a
-    float dot would cancel down to the rounding of the powers.
+    beta is certified from the closed form, as vandermonde_witnesses
+    certifies it, and Q_{A^(k)}(beta) = (beta . a^(k))^2 with the dot taken
+    exactly, since a float dot would cancel down to the rounding of the
+    powers.
     """
     mat, beta, *factor = witness
     factor = np.asarray(factor[0], dtype=float) if factor else None

@@ -210,7 +210,8 @@ def thresholding_counterexample(g, a):
 
 def star_criterion_loop(s):
     """The star criterion one leaf at a time: the first failed condition, 1, 2
-    or 3, and 0 when PSD.  The load is folded left to right, like leaf_load."""
+    or 3, and 0 when PSD.  The load is folded left to right, like the
+    criterion's in star_tree."""
     if any(pi < 0 for pi in s.p):
         return 1
     if any(pi == 0.0 and ai != 0.0 for pi, ai in zip(s.p[1:], s.alpha)):

@@ -192,7 +192,9 @@ def test_06_witness_constructions():
         and all(w.positivity_margin > 1e-8 for w in ws.witnesses)
     )
     rep = witnesses.k_lower_bound(graphs.path_graph(2))
-    k2_ok = rep.lower == 2 and all(s.recertify() for s in rep.witness_sets)
+    k2_ok = rep.lower == 2 and all(
+        witnesses.nk_membership(s.matrix, np.array(w.beta), w.k)
+        for s in rep.witness_sets for w in s.witnesses)
     for s in rep.witness_sets[:2]:
         if eta_bound(s.matrix) != 3:
             k2_ok = False
@@ -206,7 +208,9 @@ def test_06_witness_constructions():
         while np.unique(alphas).size != n:
             alphas = rng.uniform(0.2, 3.0, size=n)
         vw = witnesses.vandermonde_witnesses(alphas)
-        if len(vw.witnesses) != n - 1 or not vw.recertify():
+        if len(vw.witnesses) != n - 1 or not all(
+                witnesses.nk_membership(vw.matrix, np.array(w.beta), w.k, alphas)
+                for w in vw.witnesses):
             vand_ok = False
     _report("star witnesses to order 5, exact K2 bound, 100 Vandermonde draws",
             star_ok and k2_ok and vand_ok)

@@ -145,11 +145,15 @@ def test_format_parse_roundtrip():
     ("2\n0 2 1", 2),
     ("2\n1 0 1", 2),
     ("2\n\n0 1 1\n1 1 2\n0 1 3", 5),
+    ("1\n0 0 nan", 2),
+    ("1\n0 0 inf", 2),
+    ("1\n0 0 1e400", 2),
 ])
 def test_parse_names_the_line_it_refuses(text, line):
     # a duplicate (i, j), n < 1, a count, index or value that does not
-    # parse and an entry out of range are MatrixErrors that name their line,
-    # blank lines counted
+    # parse, a value that is not finite (format_matrix writes none) and an
+    # entry out of range are MatrixErrors that name their line, blank lines
+    # counted
     with pytest.raises(MatrixError, match=f"^line {line}: "):
         parse_matrix(text)
 

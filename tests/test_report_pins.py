@@ -19,6 +19,10 @@ reports taken before its criterion and exact stages became one pass over a
 leaf-major stack.  Its reference loop compares only the verdicts and counts
 it recomputes; a claim folded from the float stage's load instead of the
 criterion's moves criterion_wrong, and so the digest.
+
+witness is pinned on the specs the certify benchmark draws and the README's,
+from reports taken while each set was certified twice, once as it was built
+and once more before the verdict.
 """
 
 import hashlib
@@ -72,6 +76,23 @@ STAR_PINS = {
     1000: ("033b604674256e2b", [58, 62, 76]),
 }
 
+# spec: digest of the three reports
+WITNESS_PINS = {
+    "star 6": "718d8d1f37070c13",
+    "star 7": "641fafcf00b7f2fb",
+    "star 8": "5e91efc3be7852f4",
+    "path 5": "edd55a01ab655ab8",
+    "path 6": "62b9881e2621557d",
+    "path 7": "4911544187564763",
+    "path 8": "cba4768ba37ba5b8",
+    "complete 5": "25e93974b0304628",
+    "complete 6": "c75a9201c93d4578",
+    "complete 7": "598a1ae8e110d9b1",
+    "complete 20": "b51a5650b5985719",
+    "random_tree 10": "366974852eeb6306",
+    "star 200": "9fd4b5bed943ebc0",
+}
+
 
 def reports(capsys, argv, seeds=SEEDS):
     """[(exit code, report without elapsed_ms)] of argv with --seed s, for each seed."""
@@ -110,3 +131,11 @@ def test_star_suite_reports_keep_their_digests(capsys, trials):
     assert [code for code, _ in runs] == [0] * 3
     assert (digest(runs), [rep["certificate"]["criterion_wrong"] for _, rep in runs]) == \
         STAR_PINS[trials]
+
+
+@pytest.mark.parametrize("spec", sorted(WITNESS_PINS))
+def test_witness_reports_keep_their_digests(capsys, spec):
+    runs = reports(capsys, ("witness", spec))
+    assert [code for code, _ in runs] == [0] * 3
+    assert all(rep["trials"] == len(rep["certificate"]["witness_sets"]) for _, rep in runs)
+    assert digest(runs) == WITNESS_PINS[spec]

@@ -31,7 +31,7 @@ from graphpsd import cli, star_tree
 from graphpsd.matrices import format_matrix
 from graphpsd.star_tree import (
     StarMatrix,
-    leaf_load,
+    _criterion_load,
     random_psd_star,
     random_star,
     stacked_dense,
@@ -72,6 +72,12 @@ def verdicts(p, alpha):
 def claims(p, alpha):
     """The float criterion's first failed condition per row, 0 for PSD."""
     return verdicts(p, alpha)[0]
+
+
+def loads(p_leaf, alpha):
+    """The float criterion's load of the stars stacked as rows of p_leaf and
+    alpha, or of one star's vectors."""
+    return _criterion_load(p_leaf.T, alpha.T)
 
 
 def drawn_stars(seed, trials):
@@ -131,11 +137,11 @@ def test_draws_are_padded_with_zeros_and_keep_their_shares():
     assert ((psd[:, 1:] >= 0.1) | absent[psd_kind]).all() and psd[:, 1:].max() < 2.0
     # about 30 % of the PSD rows sit at the criterion's load bit for bit,
     # padded or not, and about 30 % have a leaf with alpha_i = p_i
-    at_load = p[psd_kind, 0] == leaf_load(psd[:, 1:], alpha[psd_kind])
+    at_load = p[psd_kind, 0] == loads(psd[:, 1:], alpha[psd_kind])
     assert 0.27 < at_load.mean() < 0.33
     for k in np.flatnonzero(psd_kind)[at_load][:400].tolist():
         d = degree[k]
-        assert p[k, 0] == leaf_load(p[k, 1:d + 1], alpha[k, :d])
+        assert p[k, 0] == loads(p[k, 1:d + 1], alpha[k, :d])
     tied = ((alpha == p[:, 1:]) & ~absent)[psd_kind].any(axis=1)
     assert 0.27 < tied.mean() < 0.33
 
@@ -229,7 +235,7 @@ def cascade_rows(d, seed, scale):
     p, alpha = scale * p, scale * alpha
     psd_p, psd_alpha = p[12:], alpha[12:]
     rows = [(p, alpha)]
-    rows += _at_centers(psd_p, psd_alpha, leaf_load(psd_p[:, 1:], psd_alpha))
+    rows += _at_centers(psd_p, psd_alpha, loads(psd_p[:, 1:], psd_alpha))
     rows += _at_centers(psd_p, psd_alpha, [float(x) for x in _exact_load(psd_p, psd_alpha)])
     j = rng.integers(d, size=12)
     q, a = psd_p.copy(), np.zeros_like(psd_alpha)
@@ -343,7 +349,7 @@ def test_claims_match_the_criterion_loop(d):
     alpha = rng.choice([0.0, -1.1, 0.5, 0.9], size=(300, d))
     # a third of the centres sit exactly at the load, where a fold in another
     # order would put them an ulp off
-    p[::3, 0] = [leaf_load(pl, al) for pl, al in zip(p[::3, 1:], alpha[::3])]
+    p[::3, 0] = [loads(pl, al) for pl, al in zip(p[::3, 1:], alpha[::3])]
     got = claims(p, alpha)
     want = [star_criterion_loop(StarMatrix(pr, ar)) for pr, ar in zip(p, alpha)]
     assert got.tolist() == want
@@ -353,18 +359,18 @@ def test_claims_match_the_criterion_loop(d):
 @pytest.mark.parametrize("d", range(1, 9))
 def test_padding_changes_no_load_and_no_verdict(d):
     # star-suite checks every degree in one stack padded with zero leaves:
-    # leaf_load skips them and folds + 0.0, so each load and each criterion
-    # verdict is the unpadded one bit for bit.  leaf_load folds in numpy, not
-    # with builtin sum, so this holds on Python 3.12 and later too
+    # the criterion's load skips them and folds + 0.0, so each load and each
+    # criterion verdict is the unpadded one bit for bit.  The load folds in
+    # numpy, not with builtin sum, so this holds on Python 3.12 and later too
     p, alpha = _stars(d, 200, seed=300 + d)
     rng = np.random.default_rng(400 + d)
     p[:60, 1:] = rng.choice([-1.0, 0.0, 0.3, 1.9], size=(60, d))
     alpha[:60] = rng.choice([0.0, -1.1, 0.5], size=(60, d))
-    p[:60:2, 0] = leaf_load(p[:60:2, 1:], alpha[:60:2])
+    p[:60:2, 0] = loads(p[:60:2, 1:], alpha[:60:2])
     # PSD draws (the second half) with their center one ulp below the load
-    p[100:120, 0] = np.nextafter(leaf_load(p[100:120, 1:], alpha[100:120]), -np.inf)
+    p[100:120, 0] = np.nextafter(loads(p[100:120, 1:], alpha[100:120]), -np.inf)
     wide_p, wide_alpha = padded(p, alpha)
-    assert leaf_load(wide_p[:, 1:], wide_alpha).tobytes() == leaf_load(p[:, 1:], alpha).tobytes()
+    assert loads(wide_p[:, 1:], wide_alpha).tobytes() == loads(p[:, 1:], alpha).tobytes()
     got = claims(wide_p, wide_alpha)
     assert got.tolist() == claims(p, alpha).tolist()
     assert {0, 1, 2, 3} <= set(got.tolist())
@@ -473,8 +479,8 @@ def test_kernel_stability_lemma_needs_no_load_condition():
     # load, so stars below their load are stable too; among them a star that
     # the criterion calls PSD at its float load, which lies an ulp below the
     # exact load 1 + 1/3, so that the exact matrix is not PSD
-    load = leaf_load([1.0, 3.0], [1.0, 1.0])
-    assert Fraction(load) < Fraction(4, 3)
+    load = loads(np.array([1.0, 3.0]), np.array([1.0, 1.0]))
+    assert load == 1.0 + 1.0 / 3.0 and Fraction(load) < Fraction(4, 3)
     assert claims(np.array([[load, 1.0, 3.0]]), np.array([[1.0, 1.0]])).tolist() == [0]
     exact = Fraction(load)
     assert _stable(_star_rows(exact, [(1, 1), (3, 1)], exact.denominator))[1]
@@ -492,14 +498,14 @@ def test_kernel_stability_comparison_catches_a_non_psd_star():
     assert rank == 3 and not stable
 
 
-def test_leaf_load_folds_left_to_right():
+def test_criterion_load_folds_left_to_right():
     # ten terms of 0.1: a left fold gives 0.9999999999999999 on every Python,
     # builtin sum gives 1.0 from Python 3.12 on
     p_leaf, alpha = [10.0] * 10, [1.0] * 10
     want = functools.reduce(lambda acc, t: acc + t, [0.1] * 10, 0.0)
     assert want == 0.9999999999999999
-    assert leaf_load(p_leaf, alpha) == want
-    assert leaf_load(np.array([p_leaf] * 3), np.array([alpha] * 3)).tolist() == [want] * 3
+    assert loads(np.array(p_leaf), np.array(alpha)) == want
+    assert loads(np.array([p_leaf] * 3), np.array([alpha] * 3)).tolist() == [want] * 3
     # p1 at the fold is on the criterion's boundary, and PSD by it; one ulp
     # below is not.  The exact load is 1, so neither is PSD exactly
     below = np.nextafter(want, 0.0)
@@ -508,6 +514,7 @@ def test_leaf_load_folds_left_to_right():
     assert failed.tolist() == [0, 3] and psd.tolist() == [False, False]
 
 
-def test_leaf_load_skips_zero_leaves():
-    assert leaf_load([0.0, 2.0], [0.0, 1.0]) == 0.5
-    assert leaf_load(np.zeros((2, 0)), np.zeros((2, 0))) == 0.0
+def test_criterion_load_skips_leaves_that_are_not_positive():
+    assert loads(np.array([0.0, 2.0]), np.array([0.0, 1.0])) == 0.5
+    assert loads(np.array([-1.0, 2.0]), np.array([1.0, 1.0])) == 0.5
+    assert loads(np.zeros((2, 0)), np.zeros((2, 0))) == 0.0

@@ -21,9 +21,9 @@ from graphpsd.matrices import (
 from graphpsd.star_tree import (
     StarMatrix,
     StarVerdict,
+    _criterion_load,
     exact_plan_psd_check,
     first_failing_block,
-    leaf_load,
     plan_psd_check,
     random_psd_star,
     random_star,
@@ -78,7 +78,7 @@ def test_star_psd_check_is_exact_where_the_float_criterion_is_not():
     # the center at the criterion's own load fl(1 + fl(1/3)), an ulp below
     # the exact load 4/3: the float criterion calls the star PSD, Fraction
     # arithmetic and star_psd_check do not, and condition 3 means S < 0
-    load = leaf_load([1.0, 3.0], [1.0, 1.0])
+    load = 1.0 + 1.0 / 3.0
     s = StarMatrix((load, 1.0, 3.0), (1.0, 1.0))
     assert Fraction(load) < Fraction(4, 3)
     assert claims(np.array([s.p]), np.array([s.alpha])).tolist() == [0]
@@ -96,7 +96,8 @@ def test_overflows_in_public_calls_raise_no_warning():
         warnings.simplefilter("error")
         # alpha^2 = 1e400 against p_1 = 1e300: S < 0, condition 3
         assert star_psd_check(StarMatrix((1e300, 1e-300), (1e200,))) == StarVerdict(False, 3)
-        assert leaf_load([1.0], [1e200]) == math.inf
+        # alpha^2 = 1e400 in the criterion's load: condition 3
+        assert claims(np.array([[1.0, 1.0]]), np.array([[1e200]])).tolist() == [3]
         assert parse_function("1*x^400").deriv(1e10, 1) == math.inf
 
 
@@ -324,7 +325,7 @@ def test_random_psd_star_boundary_rows_sit_exactly_at_the_load():
     # about 30 % of the rows have p1 equal to the criterion's own load, and
     # about 30 % have a leaf with alpha_i = p_i
     p, alpha = random_psd_star(np.full(2000, 5), np.random.default_rng(1))
-    at_load = p[:, 0] == leaf_load(p[:, 1:], alpha)
+    at_load = p[:, 0] == _criterion_load(p[:, 1:].T, alpha.T)
     tied = (alpha == p[:, 1:]).any(axis=1)
     assert 0.25 < at_load.mean() < 0.35 and 0.25 < tied.mean() < 0.35
     assert (claims(p[at_load], alpha[at_load]) == 0).all()

@@ -28,6 +28,12 @@ from oracles import eta_bound, kernel_stability_loop, star_sample, witness_searc
 K2_EDGE = np.array([[1.0, 1.5], [1.5, 2.0]])
 
 
+def certified(ws, factor=None):
+    """Every witness of ws passes nk_membership: from the closed form of the
+    rank-one factor given, else from the matrix's forms."""
+    return all(nk_membership(ws.matrix, np.array(w.beta), w.k, factor) for w in ws.witnesses)
+
+
 def test_nk_membership_k2():
     beta = np.array([1.0, -1.0])
     assert nk_membership(K2_EDGE, beta, 2)
@@ -58,7 +64,7 @@ def test_eta_bound():
 def test_vandermonde_two_points():
     ws = vandermonde_witnesses((1.0, 2.0))
     assert [w.k for w in ws.witnesses] == [1]
-    assert ws.recertify()
+    assert certified(ws, (1.0, 2.0)) and certified(ws)
     # the classical hand witness
     assert nk_membership(ws.matrix, np.array([1.0, -1.0]), 1)
     assert quadratic_form(ws.matrix, np.array([1.0, -1.0])) == 1.0
@@ -125,20 +131,19 @@ def test_star_witnesses_dominance_failure_names_final_step(d, alphas, n):
 def test_star_witnesses_embedding():
     ws = star_witnesses(2, (5.0, 1.0, 2.0), 5, vertices=[3, 0, 4])
     assert ws.matrix[3, 3] == 5.0 and ws.matrix[3, 0] == 1.0 and ws.matrix[3, 4] == 2.0
-    assert ws.recertify()
+    assert certified(ws)
 
 
-def test_star_set_recertifies_from_its_closed_form():
+def test_star_set_witnesses_pass_the_dense_check():
     ws = star_witnesses(5, (11.0, 1.0, 2.0, 3.0, 4.0, 5.0), 8, vertices=[2, 0, 1, 4, 6, 7])
-    assert ws.center == 2 and ws.factor.tolist() == [1, 2, 11, 0, 3, 0, 4, 5]
-    assert ws.recertify()
-    # the closed form gives the forms of the matrix: each witness also
-    # passes the dense check
-    assert all(nk_membership(ws.matrix, np.array(w.beta), w.k) for w in ws.witnesses)
-    # a beta moved off the kernel of a lower power fails recertification
+    assert ws.matrix[2].tolist() == [1, 2, 11, 0, 3, 0, 4, 5]
+    # the set is certified from the closed form, which gives the forms of
+    # the matrix: each witness also passes the dense check
+    assert certified(ws)
+    # a beta moved off the kernel of a lower power fails it
     records = list(ws.witnesses)
     records[2] = replace(records[2], beta=tuple(b + 1e-3 for b in records[2].beta))
-    assert not replace(ws, witnesses=tuple(records)).recertify()
+    assert not certified(replace(ws, witnesses=tuple(records)))
 
 
 def test_star_witnesses_past_float_range():
@@ -148,7 +153,6 @@ def test_star_witnesses_past_float_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ws = star_witnesses(d, [2.0 * d + 1.0] + [float(i) for i in range(1, d + 1)], d + 1)
-        assert ws.recertify()
         text = json.dumps(ws.payload(), allow_nan=False)
     assert [w.k for w in ws.witnesses] == list(range(1, d + 1))
     assert all(w.kernel_residual <= 1e-10 for w in ws.witnesses)
@@ -189,7 +193,7 @@ def test_witness_set_json_roundtrip():
 def test_k_lower_bound_k2():
     rep = k_lower_bound(path_graph(2))
     assert rep.lower == 2 and rep.upper == 3
-    assert all(ws.recertify() for ws in rep.witness_sets)
+    assert all(certified(ws) for ws in rep.witness_sets)
     # eta bound excludes order >= 3 for both certifying matrices
     for ws in rep.witness_sets[:2]:
         assert eta_bound(ws.matrix) == 3
@@ -209,7 +213,7 @@ def test_k_lower_bound_path4_internal_vertex():
     # the star witnesses sit at an internal (degree-2) vertex
     center = int(np.argmax(np.abs(np.diag(star_set.matrix))))
     assert center in (1, 2)
-    assert star_set.recertify()
+    assert certified(star_set)
 
 
 def test_k_lower_bound_complete4():
@@ -252,18 +256,22 @@ def test_star_kernel_stability_random(seed):
 
 def test_rank_one_factor_certifies_what_the_dense_forms_cannot():
     # beta^T A^(19) beta of the order-19 witness cancels to a negative margin
-    # in floats; with the set's factor, nk_membership takes the closed form
-    ws = vandermonde_witnesses([float(i) for i in range(1, 21)])
+    # in floats; with the alphas the set was built from as its factor,
+    # nk_membership takes the closed form
+    alphas = [float(i) for i in range(1, 21)]
+    ws = vandermonde_witnesses(alphas)
     beta = np.array(ws.witnesses[-1].beta)
-    assert ws.witnesses[-1].k == 19 and ws.recertify()
-    assert nk_membership(ws.matrix, beta, 19, ws.factor)
+    assert ws.witnesses[-1].k == 19 and certified(ws, alphas)
+    assert nk_membership(ws.matrix, beta, 19, alphas)
+    assert not nk_membership(ws.matrix, beta, 19)
 
 
 def test_derivative_sign_takes_the_rank_one_factor():
-    ws = vandermonde_witnesses([float(i) for i in range(1, 21)])
+    alphas = [float(i) for i in range(1, 21)]
+    ws = vandermonde_witnesses(alphas)
     w = ws.witnesses[-1]
     f = power_function(20)
-    _, analytic = derivative_sign_estimate(f, 1.0, 19, (ws.matrix, np.array(w.beta), ws.factor),
+    _, analytic = derivative_sign_estimate(f, 1.0, 19, (ws.matrix, np.array(w.beta), alphas),
                                            [1e-3, 5e-4])
     # f^(19)(1) = 20!, and Q_{A^(19)}(beta) = (beta . a^(19))^2 exactly
     exact = math.factorial(20) * sum(Fraction(b) * i ** 19 for b, i in zip(w.beta, range(1, 21))) ** 2
